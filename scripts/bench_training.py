@@ -17,8 +17,8 @@ at the repository root:
   **bit-identical** to the reference loop (conductances and per-image spike
   counts exact), the event kernel **spike-trajectory equivalent** to the
   fused row (identical spike counts; conductances within
-  ``CONDUCTANCE_ATOL``), plus the measured raster sparsity and
-  steps-skipped occupancy the event engine exploited.  A fourth trajectory
+  ``CONDUCTANCE_ATOL``), plus the measured raster occupancy the event
+  engine exploited.  A fourth trajectory
   row re-runs the fused engine with periodic checkpoint autosave enabled
   and records the overhead fraction (checkpoint seconds over total wall
   seconds) both as measured and projected at the production cadence —
@@ -30,7 +30,7 @@ at the repository root:
   integer-native ``"qfused"`` tier (conductances held as uint8/uint16
   Q-format codes, eq.-8 rounding fused into the STDP scatter) and the
   event-driven ``"qevent"`` tier (the same codes driven through sparse
-  gathers and closed-form jumps) — qfused must be spike-equivalent and
+  gathers and integer timers) — qfused must be spike-equivalent and
   conductance-exact against its float shadow twin at matched rounding
   draws, bit-identical to fused under nearest rounding, and its code
   array at most 16 bits wide; qevent must reproduce qfused's codes **bit
@@ -180,8 +180,6 @@ def bench_training(args, images) -> dict:
             "spikes_per_image": list(log.spikes_per_image),
         }
         if engine == "event":
-            results[engine]["steps_skipped"] = log.steps_skipped
-            results[engine]["skipped_fraction"] = log.skipped_fraction
             results[engine]["raster_cell_occupancy"] = log.raster_occupancy
 
     # Each engine's declared contract, concretely: fused vs the reference
@@ -226,12 +224,12 @@ def bench_qfused(args, images) -> dict:
     - the live code matrix must be at most 16 bits wide.
 
     The event-driven ``qevent`` rows extend the ladder: qevent's codes
-    must be **bit-identical** to the dense qfused kernel's (code updates
-    are pure integer functions of the spike trajectory, which the
-    conservative crossing predictor preserves; thetas carry the float
-    event tier's jump-rearrangement tolerance), its own float shadow twin
-    must match at ``conductance_atol=0.0``, and the nearest-rounding
-    qevent/qfused pair must produce identical codes too.
+    and thetas must be **bit-identical** to the dense qfused kernel's
+    (exact integer drive sums and the dense per-step arithmetic reproduce
+    the spike trajectory, and code updates are pure integer functions of
+    it), its own float shadow twin must match at ``conductance_atol=0.0``,
+    and the nearest-rounding qevent/qfused pair must produce identical
+    codes too.
 
     All violations are blocking under ``--check``; the
     ``qfused_over_fused`` and ``qevent_over_qfused`` speedups feed the
@@ -245,7 +243,7 @@ def bench_qfused(args, images) -> dict:
     results: dict = {}
     state: dict = {}
 
-    def _row(key, rounding, engine_factory, event_stats=False):
+    def _row(key, rounding, engine_factory, occupancy=False):
         net = _build_quantized(args.neurons, images[0].size, args.seed, rounding)
         t0 = time.perf_counter()
         log = UnsupervisedTrainer(net).train(images, engine=engine_factory(net))
@@ -255,9 +253,7 @@ def bench_qfused(args, images) -> dict:
             "images": log.images_seen,
             "total_spikes": int(sum(log.spikes_per_image)),
         }
-        if event_stats:
-            results[key]["steps_skipped"] = log.steps_skipped
-            results[key]["skipped_fraction"] = log.skipped_fraction
+        if occupancy:
             results[key]["raster_cell_occupancy"] = log.raster_occupancy
         state[key] = {
             "conductances": net.conductances.copy(),
@@ -271,7 +267,7 @@ def bench_qfused(args, images) -> dict:
          lambda net: QFusedPresentation(net, storage="float"))
     _row("fused_nearest", "nearest", lambda net: "fused")
     _row("qfused_nearest", "nearest", lambda net: "qfused")
-    _row("qevent", QFUSED_ROUNDING, lambda net: "qevent", event_stats=True)
+    _row("qevent", QFUSED_ROUNDING, lambda net: "qevent", occupancy=True)
     _row("qevent_twin", QFUSED_ROUNDING,
          lambda net: QEventPresentation(net, storage="float"))
     _row("qevent_nearest", "nearest", lambda net: "qevent")
@@ -299,23 +295,14 @@ def bench_qfused(args, images) -> dict:
             "bit-identical to the fused path"
         )
 
-    # The event-driven tier against the dense kernel: codes bit-identical
-    # (zero tolerance on conductances), thetas within the float event
-    # tier's jump-rearrangement tolerance (the default CONDUCTANCE_ATOL).
-    def _sans_thetas(row):
-        return {k: v for k, v in row.items() if k != "thetas"}
-
+    # The event-driven tier against the dense kernel: codes and thetas
+    # bit-identical (zero tolerance).
     qevent_violations = check_equivalence(
-        get_engine_spec("qevent"), _sans_thetas(state["qfused"]),
-        _sans_thetas(state["qevent"]), conductance_atol=0.0,
+        get_engine_spec("qevent"), state["qfused"], state["qevent"],
+        conductance_atol=0.0,
     )
-    qevent_violations += check_equivalence(
-        get_engine_spec("qevent"),
-        {"thetas": state["qfused"]["thetas"]},
-        {"thetas": state["qevent"]["thetas"]},
-    )
-    # The sparse kernel's own float shadow twin runs the identical jump
-    # math on the identical draws: everything matches bit for bit.
+    # The sparse kernel's own float shadow twin runs the identical
+    # algorithm on the identical draws: everything matches bit for bit.
     qevent_twin_violations = check_equivalence(
         get_engine_spec("qevent"), state["qevent_twin"], state["qevent"],
         conductance_atol=0.0,
@@ -794,8 +781,6 @@ def main() -> int:
                 # the occupancy regime the sparse integer path won at.
                 "raster_cell_occupancy":
                     training["qfused"]["qevent"]["raster_cell_occupancy"],
-                "steps_skipped_fraction":
-                    training["qfused"]["qevent"]["skipped_fraction"],
             },
             # Array backend the timed rows ran on, plus each engine's
             # host↔device boundary traffic measured by the guard rows —
@@ -823,10 +808,7 @@ def main() -> int:
           f"event/fused {training['event_over_fused']:.2f}x  "
           f"bit_identical={training['bit_identical']}  "
           f"spike_equivalent={training['spike_equivalent']}")
-    print(f"           raster occupancy {training['event']['raster_cell_occupancy']:.4f}  "
-          f"steps skipped {training['event']['steps_skipped']}/"
-          f"{training['event']['steps']} "
-          f"({training['event']['skipped_fraction']:.1%})")
+    print(f"           raster occupancy {training['event']['raster_cell_occupancy']:.4f}")
     autosave = training["autosave"]
     print(f"autosave : fused {autosave['seconds']:.3f}s  "
           f"saves {autosave['saves_written']} (every {autosave['every_images']})  "
@@ -848,9 +830,7 @@ def main() -> int:
           f"code_exact={qf['qevent_code_exact']}  "
           f"nearest_bit_exact={qf['qevent_nearest_bit_exact']}")
     print(f"           raster occupancy "
-          f"{qf['qevent']['raster_cell_occupancy']:.4f}  "
-          f"steps skipped {qf['qevent']['steps_skipped']} "
-          f"({qf['qevent']['skipped_fraction']:.1%})")
+          f"{qf['qevent']['raster_cell_occupancy']:.4f}")
     print(f"evaluation: reference {evaluation['reference_seconds']:.3f}s  "
           f"fused {evaluation['fused_seconds']:.3f}s  "
           f"event {evaluation['event_seconds']:.3f}s")

@@ -19,8 +19,7 @@ Commands:
 - ``info`` — describe a checkpoint file.
 
 Engine selection (``--engine`` / ``--eval-engine``) goes through the
-:mod:`repro.engine.registry` names; ``--batched-eval`` survives as a
-deprecated alias for ``--eval-engine batched``.
+:mod:`repro.engine.registry` names.
 
 The CLI is a thin layer over the library: each command parses arguments,
 calls the same public API the examples use, and prints report tables.
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -76,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="training presentation engine (default: config's engine.train)")
     run.add_argument("--eval-engine", choices=available_engines(), default=None,
                      help="evaluation presentation engine (default: config's engine.eval)")
-    run.add_argument("--batched-eval", action="store_true",
-                     help="deprecated: alias for --eval-engine batched")
     run.add_argument("--backend", choices=KNOWN_BACKENDS, default=None,
                      help="array backend for the engine kernels (default: numpy; "
                           "'cupy' needs a GPU, 'guard' checks device discipline)")
@@ -224,19 +220,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         save_json(config, args.save_config)
 
     eval_engine = args.eval_engine
-    if args.batched_eval:
-        warnings.warn(
-            "--batched-eval is deprecated; use --eval-engine batched",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if eval_engine is not None and eval_engine != "batched":
-            print(
-                f"error: --batched-eval conflicts with --eval-engine {eval_engine}",
-                file=sys.stderr,
-            )
-            return 2
-        eval_engine = "batched"
 
     if args.backend:
         from dataclasses import replace

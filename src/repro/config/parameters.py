@@ -382,7 +382,7 @@ class EngineConfig:
     to the reference loop under the config's seeds (the registry's declared
     and test-pinned contract) at several times the throughput.  Select
     ``"reference"`` to run the oracle loop itself, ``"event"`` for the
-    sparse/jumping training tier, or ``"batched"`` for image-parallel
+    sparse-input training tier, or ``"batched"`` for image-parallel
     (statistically equivalent) evaluation.
 
     ``backend`` names the array backend the engines execute on (``"numpy"``,

@@ -63,9 +63,8 @@ class SparseRaster:
     def step_occupancy(self) -> float:
         """Fraction of steps carrying at least one input event.
 
-        This is the quantity that bounds whole-step skipping: ``1 -
-        step_occupancy`` of the presentation is input-quiescent and a
-        candidate for closed-form jumps.
+        ``1 - step_occupancy`` of the presentation is input-quiescent: those
+        steps inject no drive, so the event kernels skip their gather.
         """
         return self.event_steps.size / self.n_steps if self.n_steps else 0.0
 

@@ -21,8 +21,7 @@
   allocation-free in-place stepping, bit-identical to the reference loop
   (registry name ``"fused"``).
 - :mod:`repro.engine.event_train` — the event-accelerated training tier:
-  sparse input events, closed-form jumps across quiescent spans bounded by
-  a threshold-crossing predictor, lazy plasticity/timer state;
+  sparse input gathers, integer expiry timers, lazy plasticity state;
   spike-trajectory equivalent to the fused oracle (registry name
   ``"event"``).
 - :mod:`repro.engine.plasticity` — the column-restricted STDP application

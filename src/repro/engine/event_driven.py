@@ -1,8 +1,8 @@
 """Event-driven LIF simulation (the third engine strategy).
 
 Clock-driven engines pay for every time step whether or not anything
-happens.  An event-driven simulator instead jumps from input event to input
-event, integrating the membrane *analytically* in between — the strategy
+happens.  An event-driven simulator instead advances from input event to
+input event, integrating the membrane *analytically* in between — the strategy
 surveyed in the paper's related work (Brette et al. 2007) as the main
 alternative to clock-driven simulation.
 

@@ -1,11 +1,12 @@
-"""Event-accelerated training: analytic jumps across quiescent spans.
+"""Event-accelerated training: sparse input gathers and integer timers.
 
 The fused kernel (:mod:`repro.engine.fused`) removed allocation overhead
-but stays dense clock-driven: every step pays a full ``(n_pixels,
-n_neurons)`` matrix-vector product plus per-step timer arithmetic over all
-neurons, whether or not anything happens.  This module exploits the
-temporal sparsity of rate-coded input — the direction of the lazy/
-event-driven plasticity work surveyed in PAPERS.md — in four ways:
+but stays dense clock-driven: every input step pays a full ``(n_pixels,
+n_neurons)`` matrix-vector product, and every step pays timer arithmetic
+over all neurons.  This module exploits the sparsity of rate-coded input —
+the event-driven direction Bautembach et al. describe (PAPERS.md,
+arXiv:2107.04092) — in three ways, while stepping every step with the
+dense loop's membrane, threshold and theta arithmetic:
 
 **Sparse input events.**  The pre-generated raster (same ``generate_train``
 draw as the fused path, so the ``encoding`` RNG stream is consumed
@@ -14,49 +15,26 @@ identically) is converted to per-step event column lists
 gathers and sums only the spiking rows of the conductance matrix — a few
 row reads instead of a dense BLAS ``vec @ matrix``.
 
-**Closed-form jumps.**  Between input events nothing external changes, so
-the forward-Euler recurrence is affine with a geometrically decaying drive
-and has a closed form.  With ``β = 1 + b·dt`` (membrane decay per step) and
-``γ = exp(-dt/τ_I)`` (current decay per step), advancing ``m`` quiet steps
-at once:
+**Integer timer state.**  Refractory and WTA-inhibition timers are kept as
+integer expiry *steps* (no per-step float decrement over the population);
+the regime masks they imply are refreshed only when a timer is set or
+expires.  Float timer state is synchronised back into the network at the
+end of each presentation, so the engines stay interchangeable between
+images.
 
-    ``v  ←  β^m v + a·dt·S + c·dt·(γ·I)·G  [- c·dt·I_inh·S on inhibited]``
-    ``I  ←  γ^m I``        ``θ  ←  θ_d^m θ``
-    ``S = (1 - β^m)/(1 - β)``      ``G = (β^m - γ^m)/(β - γ)``
-
-(the per-neuron generalisation of the single-neuron analytic oracle in
-:mod:`repro.engine.event_driven`).  The per-step reset clamp commutes with
-the jump because the drive decays monotonically: once a membrane clamps it
-stays clamped for the rest of the span, so one clamp at the end is exact.
-
-**Jump bounding.**  A jump may not skip over an output spike.  Before each
-jump a conservative threshold-crossing predictor bounds every membrane over
-the span by ``max(v, v̂)`` with ``v̂ = (a + c·γ·I)/(-b)`` (the fixed point
-of the first quiet step's drive, an upper bound because the drive only
-decays) and compares against the lowest reachable threshold ``v_th +
-min(θ)·θ_d^(m-1)`` minus a safety margin.  If any non-blocked neuron could
-cross, the span is stepped densely (with exact per-step spike detection)
-instead of jumped — no spike can be missed, at worst a jump is forgone.
-
-**Lazy plasticity and timer state.**  ``last_pre`` is written only at event
-steps (a sparse scatter over the few spiking channels, not a masked write
-over all 784); refractory and WTA-inhibition timers are kept as integer
-expiry *steps* (no per-step float decrement over the population — regime
-masks are refreshed only when a timer is set or expires); ``θ`` decays in
-one ``θ_d^m`` scalar power per jump.  Float timer state is synchronised
-back into the network at the end of each presentation, so the engines stay
-interchangeable between images.
+**Lazy plasticity.**  ``last_pre`` is written only at event steps (a sparse
+scatter over the few spiking channels, not a masked write over all 784).
 
 Contract — **spike-trajectory equivalence**, not bit-identity: under pinned
 seeds the engine must produce the same spike trains (hence identical
 ``learning``-stream consumption) and conductances within a documented
 tolerance (:data:`CONDUCTANCE_ATOL`); the fused kernel remains the
-bit-exact oracle.  The closed forms evaluate the same real-number
-recurrence the dense loop iterates, so membrane deviations are at the
-floating-point rearrangement level (``~1e-12`` relative); weight updates
-depend only on spike times, timers and the ``learning`` stream, so in
-practice conductances come out exactly equal whenever the spike trains
-match.  ``tests/test_event_train.py`` pins both, and
+bit-exact oracle.  The one floating-point difference from the dense loop
+is the order in which the gather adds three or more spiking rows (the BLAS
+matvec may group them differently); weight updates depend only on spike
+times, timers and the ``learning`` stream, so in practice conductances and
+thetas come out exactly equal whenever the spike trains match.
+``tests/test_event_train.py`` pins both, and
 ``scripts/bench_training.py --check`` re-verifies equivalence in-harness.
 """
 
@@ -76,7 +54,7 @@ from repro.engine.plasticity import (
     resolve_fast_rule,
     stochastic_rule_columns,
 )
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.learning.stochastic import LTDMode, StochasticSTDP
 from repro.network.wta import WTANetwork
 
@@ -87,49 +65,18 @@ if TYPE_CHECKING:
 #: path (the documented part of the spike-trajectory-equivalence contract).
 #: In practice conductances match exactly when the spike trains match —
 #: weight updates read spike timers and the ``learning`` stream, never the
-#: analytically-advanced membrane state — so the tolerance only guards the
-#: comparison against future value-equivalent refactors.
+#: membrane state — so the tolerance only guards the comparison against
+#: future value-equivalent refactors.
 CONDUCTANCE_ATOL = 1e-9
-
-#: Safety margin (mV) subtracted from the lowest reachable threshold in the
-#: jump predictor.  Closed-form membranes deviate from dense stepping at the
-#: ~1e-12 relative level (~1e-10 mV at the paper's operating point); any
-#: membrane within the margin of threshold forces dense stepping, so the
-#: margin trades a few forgone jumps for immunity to rearrangement error.
-CROSSING_MARGIN = 1e-6
 
 
 @dataclass
 class EventTrainStats:
-    """Occupancy and skipping counters accumulated across ``run`` calls."""
+    """Input-raster occupancy counters accumulated across ``run`` calls."""
 
-    steps_total: int = 0
-    #: Steps advanced inside closed-form jumps (no per-step work at all).
-    steps_skipped: int = 0
-    #: Steps advanced explicitly (input events or predictor-flagged spans).
-    steps_stepped: int = 0
-    #: Number of closed-form jumps taken.
-    jumps: int = 0
-    #: Steps carrying at least one input event.
-    input_event_steps: int = 0
-    #: Steps on which at least one output spike fired.
-    spike_steps: int = 0
     #: Raster cells = presentations * steps * channels; active = spiking.
     raster_cells: int = 0
     raster_active_cells: int = 0
-
-    @property
-    def skipped_fraction(self) -> float:
-        """Fraction of all steps absorbed by closed-form jumps."""
-        return self.steps_skipped / self.steps_total if self.steps_total else 0.0
-
-    @property
-    def raster_cell_occupancy(self) -> float:
-        return self.raster_active_cells / self.raster_cells if self.raster_cells else 0.0
-
-    @property
-    def input_step_occupancy(self) -> float:
-        return self.input_event_steps / self.steps_total if self.steps_total else 0.0
 
 
 def _expiry_steps(duration_ms: float, dt_ms: float) -> int:
@@ -159,12 +106,6 @@ class EventPresentation:
     def __init__(self, network: WTANetwork) -> None:
         self._ops = backend_ops()
         xp = self._ops.xp
-        if network.config.lif.b >= 0.0:
-            raise ConfigurationError(
-                "event-accelerated stepping requires a leaky membrane (b < 0): "
-                "the closed forms and the crossing predictor rely on a stable "
-                f"fixed point, got b={network.config.lif.b}"
-            )
         self.net = network
         cfg = network.config
         self._wta = cfg.wta
@@ -185,7 +126,7 @@ class EventPresentation:
             LTDMode.BOTH,
         )
 
-        self.stats = EventTrainStats()
+        self.occupancy = EventTrainStats()
 
         # Preallocated work buffers on the kernel's backend.  ``_pre_mask``
         # stays host-resident: it is consumed only by the fallback reference
@@ -199,7 +140,6 @@ class EventPresentation:
         self._blocked = xp.empty(n, dtype=bool)
         self._inh_mask = xp.empty(n, dtype=bool)
         self._spikes = xp.empty(n, dtype=bool)
-        self._danger = xp.empty(n, dtype=bool)
         self._losers = xp.empty(n, dtype=bool)
         # Host-side: consumed by the host STDP scatter.
         self._pre_mask = np.empty(network.n_pixels, dtype=bool)  # lint-ok: R6
@@ -231,8 +171,7 @@ class EventPresentation:
         the presentation into encode / integrate / stdp / wta sections.
 
         *out_counts* (int64, length ``n_neurons``) accumulates each
-        neuron's post-arbitration spike count; jumps cannot skip an output
-        spike, so counting only at explicit steps is exhaustive.
+        neuron's post-arbitration spike count.
         """
         if n_steps < 0:
             raise SimulationError(f"n_steps must be >= 0, got {n_steps}")
@@ -241,25 +180,11 @@ class EventPresentation:
         wta = self._wta
         clock = time.perf_counter
 
-        beta = 1.0 + lif.b * dt_ms
-        if not 0.0 < beta < 1.0:
-            raise SimulationError(
-                f"event-accelerated stepping needs a stable Euler step "
-                f"(0 < 1 + b*dt < 1), got 1 + ({lif.b})*({dt_ms}) = {beta}"
-            )
-
         if profiler is not None:
             _t0 = clock()
         net.present_image(image)
         raster = net.encoder.generate_train(n_steps, dt_ms, net.rngs.encoding)
         sparse = sparsify(raster)
-        # The spike-time grid: the same float accumulation as the dense
-        # loops, precomputed so jumps can land mid-presentation exactly.
-        t_grid = np.empty(n_steps + 1, dtype=np.float64)  # host clock  # lint-ok: R6
-        t_acc = t_ms
-        for i in range(n_steps + 1):
-            t_grid[i] = t_acc
-            t_acc += dt_ms
         if profiler is not None:
             profiler.add("encode", clock() - _t0)
 
@@ -280,7 +205,6 @@ class EventPresentation:
         inh_steps = _expiry_steps(t_inh, dt_ms) + 1
         a, b, c = lif.a, lif.b, lif.c
         v_reset, v_threshold = lif.v_reset, lif.v_threshold
-        neg_b_inv = 1.0 / (-b)
 
         # State arrays: the network's live arrays on the host backend
         # (identity transfers), uploaded mirrors on a device backend with a
@@ -307,7 +231,6 @@ class EventPresentation:
         blocked = self._blocked
         inh_mask = self._inh_mask
         spikes = self._spikes
-        danger = self._danger
         losers = self._losers
         ref_end = self._ref_end
         inh_end = self._inh_end
@@ -335,31 +258,18 @@ class EventPresentation:
         subtractive = self._subtractive
         conductance_model = self._conductance_model
 
-        stats = self.stats
-        stats.steps_total += n_steps
-        stats.input_event_steps += int(sparse.event_steps.size)
-        stats.raster_cells += n_steps * sparse.n_channels
-        stats.raster_active_cells += sparse.n_events
+        self.occupancy.raster_cells += n_steps * sparse.n_channels
+        self.occupancy.raster_active_cells += sparse.n_events
 
-        event_steps = sparse.event_steps
-        n_events = event_steps.size
-        offsets = sparse.offsets
+        offsets = sparse.offsets.tolist()
         channels = sparse.channels
-        empty_rows = channels[:0]
 
         total_spikes = 0
-        evt_ptr = 0
-        j = 0
         regimes_dirty = True
         next_expiry = 0
         blocked_any = False
         inh_any = False
-        # Once the predictor flags a span, step it densely without
-        # re-predicting every step; an output spike resets the flag (the
-        # spiker is then refractory and thresholds moved, so a jump may
-        # become safe again).
-        no_jump_until = 0
-        while j < n_steps:
+        for j in range(n_steps):
             if regimes_dirty or j >= next_expiry:
                 # Refresh regime masks; they stay valid until the earliest
                 # pending expiry (or the next output spike sets new timers).
@@ -374,78 +284,12 @@ class EventPresentation:
                 next_expiry = min(nr, ni)
                 regimes_dirty = False
 
-            while evt_ptr < n_events and event_steps[evt_ptr] < j:
-                evt_ptr += 1
-            next_event = int(event_steps[evt_ptr]) if evt_ptr < n_events else n_steps
-
-            if next_event > j and j >= no_jump_until:
-                # --- quiescent span [j, seg_end): jump or step densely ---
-                seg_end = min(next_event, next_expiry)
-                m = seg_end - j
-                if profiler is not None:
-                    _t0 = clock()
-                beta_m = beta**m
-                # Conservative crossing predictor: bound every membrane over
-                # the span by max(v, fixed point of the strongest drive) and
-                # compare against the lowest reachable threshold.
-                theta_floor = float(theta.min()) * (
-                    theta_decay ** (m - 1) if adapting else 1.0
-                )
-                thr_floor = v_threshold + theta_floor - CROSSING_MARGIN
-                np.multiply(current, c * gamma, out=tmp)
-                tmp += a
-                tmp *= neg_b_inv
-                np.maximum(tmp, v, out=tmp)
-                np.greater_equal(tmp, thr_floor, out=danger)
-                if blocked_any:
-                    danger[blocked] = False
-                if not danger.any():
-                    # --- closed-form jump over m steps --------------------
-                    s_sum = (1.0 - beta_m) / (1.0 - beta)
-                    v *= beta_m
-                    v += a * dt_ms * s_sum
-                    if has_decay:
-                        gamma_m = gamma**m
-                        if abs(beta - gamma) > 1e-12:
-                            geom = (beta_m - gamma_m) / (beta - gamma)
-                        else:
-                            geom = m * beta ** (m - 1)
-                        np.multiply(current, (c * dt_ms * gamma) * geom, out=tmp)
-                        v += tmp
-                        current *= gamma_m
-                    else:
-                        current.fill(0.0)
-                    if subtractive and inh_any:
-                        v[inh_mask] -= (inh_strength * c * dt_ms) * s_sum
-                    if blocked_any:
-                        v[blocked] = v_reset
-                    np.maximum(v, v_reset, out=v)
-                    if adapting:
-                        theta *= theta_decay**m
-                    stats.steps_skipped += m
-                    stats.jumps += 1
-                    j = seg_end
-                    if profiler is not None:
-                        profiler.add("integrate", clock() - _t0)
-                    continue
-                if profiler is not None:
-                    profiler.add("integrate", clock() - _t0, calls=0)
-                # A crossing is possible: fall through and step this span
-                # densely, one step at a time, with exact spike detection.
-                no_jump_until = seg_end
-                rows = empty_rows
-            elif next_event > j:
-                rows = empty_rows
-            else:
-                rows = channels[offsets[j] : offsets[j + 1]]
-
-            # --- one explicit step (input event or dangerous span) -------
             if profiler is not None:
                 _t0 = clock()
-            t_now = t_grid[j]
+            rows = channels[offsets[j] : offsets[j + 1]]
             k = rows.size
             if k:
-                timers._last_pre[rows] = t_now
+                timers._last_pre[rows] = t_ms
                 if k == 1:
                     np.multiply(g[rows[0]], self._amplitude, out=inj)
                 else:
@@ -497,7 +341,7 @@ class EventPresentation:
                     theta[spikes] += theta_plus
             if profiler is not None:
                 _t1 = clock()
-                profiler.add("integrate", _t1 - _t0, calls=0)
+                profiler.add("integrate", _t1 - _t0)
 
             if single_winner and n_fired > 1:
                 contenders = np.flatnonzero(spikes)
@@ -527,7 +371,7 @@ class EventPresentation:
                         if spikes_h is None:
                             spikes_h = ops.to_host(spikes)
                         rule.step(
-                            net.synapses, timers, pre_mask, spikes_h, t_now, rng_learning
+                            net.synapses, timers, pre_mask, spikes_h, t_ms, rng_learning
                         )
                         if not on_host:
                             # The reference path may touch the whole matrix.
@@ -537,11 +381,11 @@ class EventPresentation:
                         spikes_h = ops.to_host(spikes)
                     if fast_rule == "stochastic":
                         stochastic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_now, rng_learning
+                            rule, net.synapses, timers, spikes_h, t_ms, rng_learning
                         )
                     else:
                         deterministic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_now, rng_learning
+                            rule, net.synapses, timers, spikes_h, t_ms, rng_learning
                         )
                     if not on_host:
                         cols = np.flatnonzero(spikes_h)
@@ -549,7 +393,7 @@ class EventPresentation:
             if n_fired:
                 if spikes_h is None:
                     spikes_h = ops.to_host(spikes)
-                timers._last_post[spikes_h] = t_now
+                timers._last_post[spikes_h] = t_ms
                 if out_counts is not None:
                     out_counts[spikes_h] += 1
             if profiler is not None:
@@ -563,14 +407,11 @@ class EventPresentation:
                     np.multiply(losers, j + inh_steps, out=scratch)
                     np.maximum(inh_end, scratch, out=inh_end)
                 regimes_dirty = True
-                no_jump_until = 0
-                stats.spike_steps += 1
             if profiler is not None:
                 profiler.add("wta", clock() - _t3)
 
             total_spikes += n_fired
-            stats.steps_stepped += 1
-            j += 1
+            t_ms += dt_ms
 
         # Export the integer timers back into the float state so the dense
         # engines (and `rest()`) see exactly what per-step decrements would
@@ -592,4 +433,4 @@ class EventPresentation:
             np.copyto(neurons._v, ops.to_host(v))
             np.copyto(neurons._theta, ops.to_host(theta))
 
-        return total_spikes, t_grid[n_steps]
+        return total_spikes, t_ms

@@ -208,7 +208,7 @@ class EventEngine(PresentationEngine):
     spike trains under pinned seeds (hence bit-identical integer response
     matrices in evaluation), conductances within ``CONDUCTANCE_ATOL``.
     Exposes the kernel's :class:`~repro.engine.event_train.EventTrainStats`
-    as :attr:`stats` for the trainer's occupancy counters.
+    as :attr:`occupancy` for the trainer's raster-occupancy counters.
     """
 
     name = "event"
@@ -220,8 +220,8 @@ class EventEngine(PresentationEngine):
         self._kernel = EventPresentation(network)
 
     @property
-    def stats(self) -> EventTrainStats:
-        return self._kernel.stats
+    def occupancy(self) -> EventTrainStats:
+        return self._kernel.occupancy
 
     def run(
         self,
@@ -278,13 +278,13 @@ class QFusedEngine(PresentationEngine):
 class QEventEngine(PresentationEngine):
     """The event-driven integer kernel (:class:`~repro.engine.qevent.QEventPresentation`).
 
-    Composes the event tier's sparse-event/closed-form-jump loop with the
-    qfused tier's uint8/uint16 code storage (requires a fixed-point
-    quantization config of at most 16 total bits).  Spike-trajectory
-    equivalent to — and in practice code-bit-identical with — the dense
-    ``qfused`` kernel; the float shadow twin (``storage="float"``) remains
-    the stochastic-rounding oracle.  Exposes the kernel's
-    :class:`~repro.engine.event_train.EventTrainStats` as :attr:`stats`.
+    Composes the event tier's sparse-event loop with the qfused tier's
+    uint8/uint16 code storage (requires a fixed-point quantization config
+    of at most 16 total bits).  Spike-trajectory equivalent to — and in
+    practice code- and theta-bit-identical with — the dense ``qfused``
+    kernel; the float shadow twin (``storage="float"``) remains the
+    stochastic-rounding oracle.  Exposes the kernel's
+    :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`.
     """
 
     name = "qevent"
@@ -296,8 +296,8 @@ class QEventEngine(PresentationEngine):
         self._kernel = QEventPresentation(network)
 
     @property
-    def stats(self) -> EventTrainStats:
-        return self._kernel.stats
+    def occupancy(self) -> EventTrainStats:
+        return self._kernel.occupancy
 
     @property
     def codes(self) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Event-driven integer-native training: sparse events over Q-format codes.
 
 The two fastest training tiers in this repo optimise along orthogonal axes.
-The event kernel (:mod:`repro.engine.event_train`) exploits *temporal*
-sparsity: per-step event column lists instead of dense rasters, closed-form
-LIF/current/theta jumps across quiescent spans, integer expiry-step timers.
+The event kernel (:mod:`repro.engine.event_train`) exploits *input*
+sparsity: per-step event column lists instead of dense rasters, integer
+expiry-step timers.
 The qfused kernel (:mod:`repro.engine.qfused`) exploits *numeric* redundancy:
 conductances held as uint8/uint16 Q-format codes end to end, with eq.-(8)
 stochastic rounding fused into the STDP scatter as an integer
@@ -19,10 +19,12 @@ inference engines say the optimisations *multiply* rather than add:
   is bit-identical to both the dense qfused gather and the float path's
   ``(raster @ g) * amplitude`` — while touching an eighth (uint8) of the
   memory the float gather reads;
-- **closed-form jumps** — membranes, currents and thresholds are float64
-  state in every tier, so the event kernel's analytic jumps, conservative
-  crossing predictor and integer expiry-step timers carry over unchanged
-  (the jump math never reads the conductances);
+- **integer timers and cached regimes** — membranes, currents and
+  thresholds are float64 state in every tier and advance every step with
+  the dense kernels' arithmetic; refractory and inhibition timers are
+  integer expiry steps, the subtractive-mode refractory set is a small
+  index array with a FIFO of expiries, and the inhibition term is a cached
+  drive vector rebuilt only when its mask changes;
 - **lazy code-domain plasticity** — STDP lands only at post-spike steps,
   only on the spiking columns, directly in the code domain
   (:func:`~repro.engine.plasticity.quantized_stochastic_columns` /
@@ -40,9 +42,9 @@ Equivalence contract (``tests/test_qevent.py`` and the
 integer functions of spike times, timers and the ``learning``/``qrounding``
 streams — **bit-identical conductance codes**, across every supported
 format width and rounding mode.  The declared registry tier is
-spike-equivalence (membranes deviate at the float-rearrangement level, as
-for the float event kernel); the code matrix is checked at
-``conductance_atol=0.0``.
+spike-equivalence, with the code matrix checked at
+``conductance_atol=0.0``; the integer drive sums are exact and every step
+runs the dense arithmetic, so thetas come out bit-identical too.
 
 Backend discipline follows the other kernels: codes, neuron-state mirrors
 and work buffers live on the :class:`~repro.backend.ops.Ops` backend bound
@@ -57,18 +59,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 import numpy as np
 
 from repro.backend import backend_ops
 from repro.encoding.events import sparsify
-from repro.engine.event_train import (
-    CROSSING_MARGIN,
-    EventTrainStats,
-    _expiry_steps,
-)
+from repro.engine.event_train import EventTrainStats, _expiry_steps
 from repro.engine.plasticity import (
     quantized_deterministic_columns,
     quantized_stochastic_columns,
@@ -86,14 +83,6 @@ if TYPE_CHECKING:
 #: as :data:`repro.engine.qfused.STORAGE_MODES`).
 STORAGE_MODES = ("int", "float")
 
-#: Shortest quiescent span worth offering to the crossing predictor.  The
-#: predictor's bound costs about as much as one dense step, so a one-step
-#: jump can never pay for itself; at high input occupancy (mostly one-step
-#: gaps) skipping those attempts is what keeps the sparse path ahead of
-#: the dense qfused kernel.  Jumping or stepping a span is semantically
-#: interchangeable — dense stepping *is* the reference semantics.
-JUMP_MIN_SPAN = 2
-
 
 class QEventPresentation:
     """Event-driven presentation kernel over integer Q-format codes.
@@ -101,9 +90,7 @@ class QEventPresentation:
     Construct once per training run and call :meth:`run` once per image.
     Between presentations ``network.synapses.g`` stays authoritative (codes
     are re-encoded at entry and decoded back at exit, as in the qfused
-    kernel); during a presentation the code array is the live learned state
-    and the float membrane/current/theta state advances by the event
-    kernel's closed-form jumps.
+    kernel); during a presentation the code array is the live learned state.
     """
 
     def __init__(self, network: WTANetwork, storage: str = "int") -> None:
@@ -112,12 +99,6 @@ class QEventPresentation:
         if storage not in STORAGE_MODES:
             raise ConfigurationError(
                 f"qevent storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
-        if network.config.lif.b >= 0.0:
-            raise ConfigurationError(
-                "event-accelerated stepping requires a leaky membrane (b < 0): "
-                "the closed forms and the crossing predictor rely on a stable "
-                f"fixed point, got b={network.config.lif.b}"
             )
         self._stochastic_rule = resolve_quantized_rule(network) == "stochastic"
 
@@ -143,7 +124,7 @@ class QEventPresentation:
         self._codes = xp.zeros(g_shape, dtype=code_dtype)
         self._acc_dtype = np.dtype(np.int64) if storage == "int" else np.dtype(np.float64)
 
-        self.stats = EventTrainStats()
+        self.occupancy = EventTrainStats()
 
         # Preallocated work buffers (the event kernel's set), resident on
         # the backend the kernel steps on.
@@ -156,7 +137,6 @@ class QEventPresentation:
         self._blocked = xp.empty(n, dtype=bool)
         self._inh_mask = xp.empty(n, dtype=bool)
         self._spikes = xp.empty(n, dtype=bool)
-        self._danger = xp.empty(n, dtype=bool)
         self._losers = xp.empty(n, dtype=bool)
         self._ref_end = xp.zeros(n, dtype=np.int64)
         self._inh_end = xp.zeros(n, dtype=np.int64)
@@ -205,13 +185,6 @@ class QEventPresentation:
         acc_dtype = self._acc_dtype
         conn_mask = net.synapses.connectivity
 
-        beta = 1.0 + lif.b * dt_ms
-        if not 0.0 < beta < 1.0:
-            raise SimulationError(
-                f"event-accelerated stepping needs a stable Euler step "
-                f"(0 < 1 + b*dt < 1), got 1 + ({lif.b})*({dt_ms}) = {beta}"
-            )
-
         # Boundary sync in: live float values are on the storage grid, so
         # the encode is an exact rescaling (qfused kernel contract), routed
         # through the backend's own conversion so the codes land device-side.
@@ -225,12 +198,6 @@ class QEventPresentation:
         net.present_image(image)
         raster = net.encoder.generate_train(n_steps, dt_ms, net.rngs.encoding)
         sparse = sparsify(raster)
-        # The spike-time grid: the same float accumulation as the dense
-        # loops, precomputed so jumps can land mid-presentation exactly.
-        # Kept as Python floats — per-step numpy indexing would box a
-        # fresh scalar on every explicit step.  ``accumulate`` performs the
-        # identical left-fold of repeated ``+ dt_ms`` additions.
-        t_grid = list(accumulate(chain((t_ms,), repeat(dt_ms, n_steps))))
         if profiler is not None:
             profiler.add("encode", clock() - _t0)
 
@@ -256,7 +223,6 @@ class QEventPresentation:
         inh_steps = _expiry_steps(t_inh, dt_ms) + 1
         a, b, c = lif.a, lif.b, lif.c
         v_reset, v_threshold = lif.v_reset, lif.v_threshold
-        neg_b_inv = 1.0 / (-b)
 
         # State arrays: the network's live arrays on the host backend
         # (identity transfers, mutated in place), uploaded mirrors on a
@@ -275,7 +241,6 @@ class QEventPresentation:
         blocked = self._blocked
         inh_mask = self._inh_mask
         spikes = self._spikes
-        danger = self._danger
         losers = self._losers
         ref_end = self._ref_end
         inh_end = self._inh_end
@@ -316,32 +281,22 @@ class QEventPresentation:
         subtractive = self._subtractive
         conductance_model = self._conductance_model
 
-        stats = self.stats
-        stats.steps_total += n_steps
-        stats.input_event_steps += int(sparse.event_steps.size)
-        stats.raster_cells += n_steps * sparse.n_channels
-        stats.raster_active_cells += sparse.n_events
+        self.occupancy.raster_cells += n_steps * sparse.n_channels
+        self.occupancy.raster_active_cells += sparse.n_events
 
         # Plain Python ints everywhere the loop reads per-step metadata:
         # numpy scalar indexing would pay a boxing conversion per
         # iteration.  ``rows_at[j]`` holds each step's spiking-row view
         # (the shared ``empty_rows`` object on quiescent steps, so the loop
-        # classifies a step with one identity test); ``next_event_at[j]``
-        # is the first event step >= j (``n_steps`` when none remain),
-        # precomputed in one vectorised searchsorted instead of an in-loop
-        # event-pointer scan.
+        # classifies a step with one identity test).
         offsets = sparse.offsets.tolist()
         channels = sparse.channels
         empty_rows = channels[:0]
         rows_at = [empty_rows] * n_steps
         for s in sparse.event_steps.tolist():
             rows_at[s] = channels[offsets[s] : offsets[s + 1]]
-        next_event_at = np.append(sparse.event_steps, n_steps)[
-            np.searchsorted(sparse.event_steps, np.arange(n_steps))  # host index  # lint-ok: R6
-        ].tolist()
 
         total_spikes = 0
-        j = 0
 
         # Initial regime state at step 0 (``end > 0``  <=>  flagged now).
         # A mask is non-empty exactly when its masked minimum beat the
@@ -385,10 +340,7 @@ class QEventPresentation:
         else:
             blk = blocked
 
-        # Once the predictor flags a span, step it densely without
-        # re-predicting every step; an output spike resets the flag.
-        no_jump_until = 0
-        while j < n_steps:
+        for j in range(n_steps):
             if j >= next_expiry:
                 if subtractive:
                     if j >= next_ref:
@@ -437,77 +389,11 @@ class QEventPresentation:
                     blocked_any = nr < big or inh_any
                     next_expiry = min(nr, ni)
 
-            rows = rows_at[j]
-
-            if rows is empty_rows and j >= no_jump_until:
-                seg_end = next_event_at[j]
-                if next_expiry < seg_end:
-                    seg_end = next_expiry
-                m = seg_end - j
-                if m >= JUMP_MIN_SPAN:
-                    # --- quiescent span [j, seg_end): jump or step densely
-                    if profiler is not None:
-                        _t0 = clock()
-                    beta_m = beta**m
-                    # Conservative crossing predictor: bound every membrane
-                    # over the span by max(v, fixed point of the strongest
-                    # drive) and compare against the lowest reachable
-                    # threshold.
-                    theta_floor = float(theta.min()) * (
-                        theta_decay ** (m - 1) if adapting else 1.0
-                    )
-                    thr_floor = v_threshold + theta_floor - CROSSING_MARGIN
-                    np.multiply(current, c * gamma, out=tmp)
-                    tmp += a
-                    tmp *= neg_b_inv
-                    np.maximum(tmp, v, out=tmp)
-                    np.greater_equal(tmp, thr_floor, out=danger)
-                    if blocked_any:
-                        danger[blk] = False
-                    if not danger.any():
-                        # --- closed-form jump over m steps ----------------
-                        s_sum = (1.0 - beta_m) / (1.0 - beta)
-                        v *= beta_m
-                        v += a * dt_ms * s_sum
-                        if has_decay:
-                            gamma_m = gamma**m
-                            if abs(beta - gamma) > 1e-12:
-                                geom = (beta_m - gamma_m) / (beta - gamma)
-                            else:
-                                geom = m * beta ** (m - 1)
-                            np.multiply(
-                                current, (c * dt_ms * gamma) * geom, out=tmp
-                            )
-                            v += tmp
-                            current *= gamma_m
-                        else:
-                            current.fill(0.0)
-                        if subtractive and inh_any:
-                            v[inh_mask] -= (inh_strength * c * dt_ms) * s_sum
-                        if blocked_any:
-                            v[blk] = v_reset
-                        np.maximum(v, v_reset, out=v)
-                        if adapting:
-                            theta *= theta_decay**m
-                        stats.steps_skipped += m
-                        stats.jumps += 1
-                        j = seg_end
-                        if profiler is not None:
-                            profiler.add("integrate", clock() - _t0)
-                        continue
-                    if profiler is not None:
-                        profiler.add("integrate", clock() - _t0, calls=0)
-                    # A crossing is possible: fall through and step this
-                    # span densely, one step at a time, with exact spike
-                    # detection.
-                    no_jump_until = seg_end
-
-            # --- one explicit step (input event or dangerous span) -------
             if profiler is not None:
                 _t0 = clock()
+            rows = rows_at[j]
             if rows is not empty_rows:
-                t_now = t_grid[j]
-                last_pre[rows] = t_now
+                last_pre[rows] = t_ms
                 # Sparse integer drive: gather + int64 sum over the spiking
                 # rows of the code matrix, one exact power-of-two scale.
                 codec.gather_drive(codes, rows, inj_scale, inj, acc_dtype)
@@ -548,7 +434,6 @@ class QEventPresentation:
                 spikes[blk] = False
             n_fired = int(np.count_nonzero(spikes))
             if n_fired:
-                t_now = t_grid[j]
                 v[spikes] = v_reset
                 ref_end[spikes] = j + ref_steps
                 # Refractoriness lands on every contender *before* WTA
@@ -575,7 +460,7 @@ class QEventPresentation:
                     theta[spikes] += theta_plus
             if profiler is not None:
                 _t1 = clock()
-                profiler.add("integrate", _t1 - _t0, calls=0)
+                profiler.add("integrate", _t1 - _t0)
 
             if single_winner and n_fired > 1:
                 contenders = np.flatnonzero(spikes)
@@ -600,15 +485,15 @@ class QEventPresentation:
                 if learning:
                     if stochastic_rule:
                         quantized_stochastic_columns(
-                            rule, codes, codec, timers, spikes_h, t_now,
+                            rule, codes, codec, timers, spikes_h, t_ms,
                             rng_learning, rng_rounding, conn_mask, ops=ops,
                         )
                     else:
                         quantized_deterministic_columns(
-                            rule, codes, codec, timers, spikes_h, t_now,
+                            rule, codes, codec, timers, spikes_h, t_ms,
                             rng_rounding, conn_mask, ops=ops,
                         )
-                last_post[spikes_h] = t_now
+                last_post[spikes_h] = t_ms
                 if out_counts is not None:
                     out_counts[spikes_h] += 1
             if profiler is not None:
@@ -638,14 +523,11 @@ class QEventPresentation:
                             blocked_any = True
                         next_expiry = min(next_expiry, j + inh_steps)
                         next_inh = min(next_inh, j + inh_steps)
-                no_jump_until = 0
-                stats.spike_steps += 1
             if profiler is not None:
                 profiler.add("wta", clock() - _t3)
 
             total_spikes += n_fired
-            stats.steps_stepped += 1
-            j += 1
+            t_ms += dt_ms
 
         # Export the integer timers back into the float state so the dense
         # engines (and `rest()`) see exactly what per-step decrements would
@@ -670,4 +552,4 @@ class QEventPresentation:
             np.copyto(net._current, ops.to_host(current))
             np.copyto(neurons._v, ops.to_host(v))
             np.copyto(neurons._theta, ops.to_host(theta))
-        return total_spikes, t_grid[n_steps]
+        return total_spikes, t_ms

@@ -301,7 +301,7 @@ register_engine(EngineSpec(
     supports_batch=False,
     equivalence=Equivalence.SPIKE_EQUIVALENT,
     backends=("numpy", "guard"),
-    summary="sparse events + closed-form jumps across quiescent spans",
+    summary="sparse input gathers + integer expiry timers",
 ))
 register_engine(EngineSpec(
     name="batched",
@@ -329,7 +329,7 @@ register_engine(EngineSpec(
     supports_batch=False,
     equivalence=Equivalence.SPIKE_EQUIVALENT,
     backends=("numpy", "guard"),
-    summary="event-driven integer kernel: sparse gathers + closed-form jumps on Q-format codes",
+    summary="event-driven integer kernel: sparse gathers + integer timers on Q-format codes",
     precisions=("uint8", "uint16"),
 ))
 register_engine(EngineSpec(

@@ -88,7 +88,9 @@ def _open_payload(path: Path) -> Dict[str, np.ndarray]:
     try:
         with np.load(path, allow_pickle=False) as data:
             payload = {name: np.array(data[name]) for name in data.files}
-    except (zipfile.BadZipFile, OSError, ValueError, KeyError) as exc:
+    except (zipfile.BadZipFile, NotImplementedError, OSError, ValueError, KeyError) as exc:
+        # zipfile raises NotImplementedError when a damaged header names an
+        # unsupported zip version or compression method.
         raise CheckpointError(
             f"{path} is not a readable checkpoint archive (truncated or "
             f"corrupt): {exc}"

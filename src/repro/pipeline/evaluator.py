@@ -20,9 +20,8 @@ reference under pinned seeds, which is why it is the default.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,9 +33,6 @@ from repro.network.inference import classify_batch
 from repro.network.labeling import NeuronLabeler
 from repro.network.wta import WTANetwork
 from repro.pipeline.progress import NullProgress
-
-#: Sentinel distinguishing "``batched`` not passed" from ``True``/``False``.
-_BATCHED_UNSET = object()
 
 
 @dataclass
@@ -65,7 +61,6 @@ class Evaluator:
         t_present_ms: Optional[float] = None,
         progress=None,
         engine: Optional[str] = None,
-        batched: Union[bool, object] = _BATCHED_UNSET,
     ) -> None:
         self.network = network
         self.n_classes = n_classes
@@ -77,15 +72,6 @@ class Evaluator:
             else network.config.simulation.t_learn_ms
         )
         self.progress = progress if progress is not None else NullProgress()
-        if batched is not _BATCHED_UNSET:
-            warnings.warn(
-                "Evaluator(batched=...) is deprecated; pass engine='batched' "
-                "(or another registry engine name) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine is None:
-                engine = "batched" if batched else "reference"
         #: Engine name for :meth:`collect_responses`; ``None`` defers to the
         #: config's ``engine.eval`` selection (default ``"fused"``).
         self.engine = engine

@@ -9,9 +9,8 @@ bookkeeping and a conductance snapshot for the figure benches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from repro.network.inference import classify_batch
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import EvaluationResult, Evaluator
 from repro.pipeline.trainer import TrainingLog, UnsupervisedTrainer
-
-#: Sentinel distinguishing "``batched_eval`` not passed" from ``True``/``False``.
-_BATCHED_EVAL_UNSET = object()
 
 
 @dataclass
@@ -80,7 +76,6 @@ def run_experiment(
     eval_t_present_ms: Optional[float] = None,
     train_engine: Optional[str] = None,
     eval_engine: Optional[str] = None,
-    batched_eval: Union[bool, object] = _BATCHED_EVAL_UNSET,
     resume_from=None,
     autosave=None,
     sentinel=None,
@@ -97,8 +92,7 @@ def run_experiment(
     :mod:`repro.engine.registry`; when ``None`` the config's
     :class:`~repro.config.parameters.EngineConfig` decides (default
     ``"fused"`` for both — bit-identical to the reference loop under the
-    config's seed).  ``batched_eval`` is the deprecated boolean alias for
-    ``eval_engine="batched"``.
+    config's seed).
 
     ``resume_from`` / ``autosave`` / ``sentinel`` / ``on_engine_fault``
     forward to :meth:`~repro.pipeline.trainer.UnsupervisedTrainer.train` —
@@ -106,15 +100,6 @@ def run_experiment(
     invariant monitoring, graceful engine degradation); see
     :mod:`repro.resilience`.
     """
-    if batched_eval is not _BATCHED_EVAL_UNSET:
-        warnings.warn(
-            "run_experiment(batched_eval=...) is deprecated; pass "
-            "eval_engine='batched' (or another registry engine name) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if eval_engine is None:
-            eval_engine = "batched" if batched_eval else "reference"
     if n_labeling is None:
         n_labeling = max(dataset.test_images.shape[0] // 10, dataset.n_classes)
     label_imgs, label_lbls, infer_imgs, infer_lbls = dataset.labeling_split(n_labeling)

@@ -62,9 +62,6 @@ from repro.pipeline.experiment import run_experiment
 
 ConfigFactory = Callable[[int], ExperimentConfig]
 
-#: Sentinel distinguishing "``batched_eval`` not passed" from ``True``/``False``.
-_BATCHED_EVAL_UNSET = object()
-
 
 class SweepCellTimeout(ReproError):
     """No in-flight sweep cell completed within ``worker_timeout_s``."""
@@ -130,7 +127,6 @@ class ParameterSweep:
         ltd_mode: LTDMode = LTDMode.POST_EVENT,
         train_engine: Optional[str] = None,
         eval_engine: Optional[str] = "batched",
-        batched_eval: Union[bool, object] = _BATCHED_EVAL_UNSET,
         n_workers: Optional[int] = None,
         max_retries: int = 0,
         retry_backoff_s: float = 0.0,
@@ -151,14 +147,6 @@ class ParameterSweep:
             raise ReproError(
                 f"worker_timeout_s must be positive, got {worker_timeout_s}"
             )
-        if batched_eval is not _BATCHED_EVAL_UNSET:
-            warnings.warn(
-                "ParameterSweep(batched_eval=...) is deprecated; pass "
-                "eval_engine='batched' (or another registry engine name) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            eval_engine = "batched" if batched_eval else "reference"
         self.dataset = dataset
         self.study = SeedStudy(list(seeds))
         self.n_labeling = n_labeling

@@ -11,9 +11,7 @@ and 8b.
 The presentation itself is delegated to an engine resolved by name through
 :mod:`repro.engine.registry` (``"reference"``, ``"fused"``, ``"event"``, or
 anything registered later); the config's
-:class:`~repro.config.parameters.EngineConfig` supplies the default.  The
-legacy ``fast=`` boolean flag is a deprecated alias onto the same registry
-names.
+:class:`~repro.config.parameters.EngineConfig` supplies the default.
 
 Resilience hooks (all opt-in, zero cost when unused; see
 :mod:`repro.resilience`):
@@ -51,24 +49,6 @@ if TYPE_CHECKING:
     from repro.resilience.run_state import TrainingRunState
     from repro.resilience.sentinel import NumericHealthSentinel
 
-#: Sentinel distinguishing "``fast`` not passed" from every legal value.
-_FAST_UNSET = object()
-
-
-def _engine_name_from_fast(fast: Union[bool, str]) -> str:
-    """Map the deprecated ``fast=`` flag onto a registry engine name."""
-    if fast is False:
-        return "reference"
-    if fast is True or fast == "fused":
-        return "fused"
-    if fast == "event":
-        return "event"
-    raise SimulationError(
-        f"unknown fast engine {fast!r}: use False (reference), "
-        f"True/'fused' (bit-identical kernel) or 'event' "
-        f"(spike-trajectory-equivalent kernel)"
-    )
-
 
 @dataclass
 class TrainingLog:
@@ -81,10 +61,6 @@ class TrainingLog:
     #: Output spikes per presented image.
     spikes_per_image: List[int] = field(default_factory=list)
     normalizations: int = 0
-    #: Steps absorbed by the event engine's closed-form jumps (zero for the
-    #: dense reference/fused engines, which step every one of
-    #: ``total_steps`` explicitly).
-    steps_skipped: int = 0
     #: Input raster occupancy counters (populated by the event engine):
     #: total ``(step, channel)`` cells presented and how many were active.
     raster_cells: int = 0
@@ -95,11 +71,6 @@ class TrainingLog:
         if not self.spikes_per_image:
             return 0.0
         return float(np.mean(self.spikes_per_image))
-
-    @property
-    def skipped_fraction(self) -> float:
-        """Fraction of simulation steps jumped over analytically."""
-        return self.steps_skipped / self.total_steps if self.total_steps else 0.0
 
     @property
     def raster_occupancy(self) -> float:
@@ -134,7 +105,6 @@ class UnsupervisedTrainer:
         images: np.ndarray,
         epochs: int = 1,
         on_image_end: Optional[Callable[[int, TrainingLog], None]] = None,
-        fast: Union[bool, str, object] = _FAST_UNSET,
         engine: Optional[Union[str, Any]] = None,
         resume_from: Optional[Union[str, "TrainingRunState"]] = None,
         autosave: Optional["AutosavePolicy"] = None,
@@ -157,12 +127,8 @@ class UnsupervisedTrainer:
         A pre-built engine *instance* (anything with the
         ``run(image, t_ms, n_steps, dt_ms)`` presentation protocol) is also
         accepted and used as-is, bypassing registry resolution.
-
-        ``fast`` is the deprecated boolean/str alias for the same choice
-        (``False`` → ``"reference"``, ``True`` → ``"fused"``, ``"event"`` →
-        ``"event"``); it emits a :class:`DeprecationWarning` and delegates
-        to the registry.  ``scripts/bench_training.py`` records the
-        measured engine trajectory.
+        ``scripts/bench_training.py`` records the measured engine
+        trajectory.
 
         ``resume_from`` is a v2 checkpoint path (or an in-memory
         :class:`~repro.resilience.run_state.TrainingRunState`): the
@@ -180,18 +146,6 @@ class UnsupervisedTrainer:
         :class:`~repro.errors.NumericHealthError` is never degraded away —
         a failed invariant means the state itself is suspect.
         """
-        if fast is not _FAST_UNSET:
-            warnings.warn(
-                "UnsupervisedTrainer.train(fast=...) is deprecated; pass "
-                "engine='reference'/'fused'/'event' (registry names) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine is not None:
-                raise SimulationError(
-                    "pass either engine= or the deprecated fast=, not both"
-                )
-            engine = _engine_name_from_fast(fast)
         if on_engine_fault not in ("raise", "degrade"):
             raise SimulationError(
                 f"on_engine_fault must be 'raise' or 'degrade', "
@@ -220,7 +174,7 @@ class UnsupervisedTrainer:
             # have no registry name of their own.
             kernel = engine_choice
             engine_name = getattr(kernel, "name", "") or type(kernel).__name__
-        kernel_stats = getattr(kernel, "stats", None)
+        occupancy = getattr(kernel, "occupancy", None)
 
         sim = self.network.config.simulation
         steps_per_image = sim.steps_per_image
@@ -231,9 +185,10 @@ class UnsupervisedTrainer:
         log = TrainingLog()
         t_ms = 0.0
         seen = 0
-        # Event-engine stats are absolute per kernel instance; a resumed or
-        # degraded run folds the pre-existing totals in via these offsets.
-        skipped_base = cells_base = active_base = 0
+        # Event-engine occupancy counters are absolute per kernel instance;
+        # a resumed or degraded run folds the pre-existing totals in via
+        # these offsets.
+        cells_base = active_base = 0
         if resume_from is not None:
             from repro.errors import CheckpointError
             from repro.resilience.run_state import load_run_state
@@ -254,7 +209,6 @@ class UnsupervisedTrainer:
             log = state.to_log()
             t_ms = state.t_ms
             seen = state.presentation_index
-            skipped_base = log.steps_skipped
             cells_base = log.raster_cells
             active_base = log.raster_active_cells
 
@@ -295,13 +249,12 @@ class UnsupervisedTrainer:
                 self.network.rest()
                 # The dying kernel's counters are already folded into the
                 # log at the last successful boundary; rebase on those.
-                skipped_base = log.steps_skipped
                 cells_base = log.raster_cells
                 active_base = log.raster_active_cells
                 engine_name = fallback
                 with use_backend(backend):
                     kernel = create_training_engine(engine_name, self.network)
-                kernel_stats = getattr(kernel, "stats", None)
+                occupancy = getattr(kernel, "occupancy", None)
                 continue
             self.network.rest()
             t_ms += sim.t_rest_ms
@@ -316,10 +269,9 @@ class UnsupervisedTrainer:
             log.total_steps += steps_per_image
             log.simulated_ms = seen * (sim.t_learn_ms + sim.t_rest_ms)
             log.spikes_per_image.append(spikes_this_image)
-            if kernel_stats is not None:
-                log.steps_skipped = skipped_base + kernel_stats.steps_skipped
-                log.raster_cells = cells_base + kernel_stats.raster_cells
-                log.raster_active_cells = active_base + kernel_stats.raster_active_cells
+            if occupancy is not None:
+                log.raster_cells = cells_base + occupancy.raster_cells
+                log.raster_active_cells = active_base + occupancy.raster_active_cells
             log.wall_seconds = time.perf_counter() - start
             if autosave is not None:
                 autosave.maybe_save(

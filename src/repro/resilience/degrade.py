@@ -1,9 +1,9 @@
 """Graceful engine degradation: fall down the equivalence ladder, not over.
 
 The engine registry orders the sequential training engines by how
-aggressively they optimise the same semantics: ``event`` (sparse +
-closed-form jumps) → ``fused`` (dense single-kernel) → ``reference`` (the
-per-step oracle).  When a fast engine faults mid-run — a bug tickled by an
+aggressively they optimise the same semantics: ``event`` (sparse input
+gathers) → ``fused`` (dense single-kernel) → ``reference`` (the per-step
+oracle).  When a fast engine faults mid-run — a bug tickled by an
 unusual input, an injected fault from the test harness — aborting an
 hours-long training run is the worst available outcome: the *reference*
 semantics are still perfectly computable.
@@ -24,7 +24,7 @@ from typing import List, Optional
 #: Fallback order of the sequential training engines (most to least
 #: optimised).  ``reference`` has no fallback: a fault there is a real
 #: error and propagates.  The integer tiers degrade within their own
-#: ladder first — ``qevent`` (sparse + jumps on codes) falls back to the
+#: ladder first — ``qevent`` (sparse gathers on codes) falls back to the
 #: dense ``qfused`` kernel, which falls back to ``fused`` (the same
 #: Q-format *simulated* on float64, valid for any quantization config).
 DEGRADATION_CHAIN = {

@@ -108,20 +108,6 @@ OUTCOMES: Tuple[str, ...] = (
 #: (cache corruption damages the dataset store, not a run).
 DATASET_ENGINE = "dataset"
 
-#: Engines whose degraded run must reproduce the clean same-engine run's
-#: conductances bit for bit: ``fused`` falls to the bit-identical
-#: ``reference``, ``qfused`` to ``fused`` (identical arithmetic under the
-#: workload's deterministic rounding), ``qevent`` to ``qfused`` (identical
-#: code streams).  ``event``'s fallback only matches to the closed-form
-#: jump tolerance.
-ENGINES_EXACT_CONDUCTANCES = frozenset({"fused", "qfused", "qevent"})
-#: Engines whose degraded run additionally reproduces theta bit for bit
-#: (``qevent``'s closed-form theta jumps reorder float products, so theta
-#: agrees only to ~1e-9 against its ``qfused`` fallback).
-ENGINES_EXACT_THETA = frozenset({"fused", "qfused"})
-#: Tolerance for the non-exact comparisons (the event tier's published
-#: closed-form-jump equivalence bound).
-DEGRADE_ATOL = 1e-9
 
 
 def _damage_seed(scenario_id: str) -> int:
@@ -700,23 +686,17 @@ class ScenarioRunner:
             1 for w in caught if issubclass(w.category, EngineDegradedWarning)
         )
 
-        g_exact = sc.engine in ENGINES_EXACT_CONDUCTANCES
-        theta_exact = sc.engine in ENGINES_EXACT_THETA
-        spikes_ok = tuple(log.spikes_per_image) == base.spikes
-        g_equal = np.array_equal(net.conductances, base.conductances)
-        theta_equal = np.array_equal(net.neurons.theta, base.theta)
-        g_ok = g_equal if g_exact else bool(
-            np.allclose(net.conductances, base.conductances, atol=DEGRADE_ATOL)
-        )
-        theta_ok = theta_equal if theta_exact else bool(
-            np.allclose(net.neurons.theta, base.theta, atol=DEGRADE_ATOL)
-        )
-        contract_holds = hops >= 1 and spikes_ok and g_ok and theta_ok
+        # Every fallback steps the same arithmetic on this workload: ``fused``
+        # falls to the bit-identical ``reference``, ``qfused`` to ``fused``
+        # (deterministic rounding), ``event``/``qevent`` to their dense
+        # twins.  So the degraded run must match the clean run bit for bit.
+        identical = self._matches_exactly(net, log.spikes_per_image, base)
+        contract_holds = hops >= 1 and identical
         return ScenarioOutcome(
             scenario=sc,
             outcome=OUTCOME_DEGRADED if contract_holds else OUTCOME_UNRECOVERED,
-            bit_identical=spikes_ok and g_equal and theta_equal,
-            expected_exact=g_exact and theta_exact,
+            bit_identical=identical,
+            expected_exact=True,
             hops=hops,
             degraded_to=chain[1] if hops >= 1 else None,
             detail=(

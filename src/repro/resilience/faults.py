@@ -370,8 +370,8 @@ class FaultyEngine:
         return get_engine_spec(self.name)
 
     @property
-    def stats(self) -> Optional[object]:
-        return getattr(self._inner, "stats", None)
+    def occupancy(self) -> Optional[object]:
+        return getattr(self._inner, "occupancy", None)
 
     def attach_sentinel(self, sentinel: object) -> "FaultyEngine":
         self.sentinel = sentinel

@@ -58,7 +58,6 @@ class TrainingRunState:
     total_steps: int = 0
     simulated_ms: float = 0.0
     normalizations: int = 0
-    steps_skipped: int = 0
     raster_cells: int = 0
     raster_active_cells: int = 0
     spikes_per_image: List[int] = field(default_factory=list)
@@ -106,7 +105,6 @@ class TrainingRunState:
             total_steps=log.total_steps,
             simulated_ms=log.simulated_ms,
             normalizations=log.normalizations,
-            steps_skipped=log.steps_skipped,
             raster_cells=log.raster_cells,
             raster_active_cells=log.raster_active_cells,
             spikes_per_image=list(log.spikes_per_image),
@@ -129,7 +127,6 @@ class TrainingRunState:
             "total_steps": self.total_steps,
             "simulated_ms": self.simulated_ms,
             "normalizations": self.normalizations,
-            "steps_skipped": self.steps_skipped,
             "raster_cells": self.raster_cells,
             "raster_active_cells": self.raster_active_cells,
             "extra": self.extra,
@@ -148,7 +145,11 @@ class TrainingRunState:
         neuron_labels: Optional[np.ndarray] = None,
         source: Optional[str] = None,
     ) -> "TrainingRunState":
-        """Rebuild a state from decoded checkpoint fields (validating them)."""
+        """Rebuild a state from decoded checkpoint fields (validating them).
+
+        Run keys this build does not read — counters older builds stored —
+        are ignored, so their autosaves still resume.
+        """
         version = run.get("version")
         if version != RUN_STATE_VERSION:
             raise CheckpointError(
@@ -170,7 +171,6 @@ class TrainingRunState:
                 total_steps=int(run["total_steps"]),
                 simulated_ms=float(run["simulated_ms"]),
                 normalizations=int(run["normalizations"]),
-                steps_skipped=int(run["steps_skipped"]),
                 raster_cells=int(run["raster_cells"]),
                 raster_active_cells=int(run["raster_active_cells"]),
                 spikes_per_image=[int(s) for s in spikes_per_image],
@@ -194,7 +194,6 @@ class TrainingRunState:
             total_steps=self.total_steps,
             simulated_ms=self.simulated_ms,
             normalizations=self.normalizations,
-            steps_skipped=self.steps_skipped,
             raster_cells=self.raster_cells,
             raster_active_cells=self.raster_active_cells,
         )

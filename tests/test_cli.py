@@ -33,7 +33,7 @@ class TestRun:
                 "--size", "8",
                 "--epochs", "1",
                 "--quiet",
-                "--batched-eval",
+                "--eval-engine", "batched",
                 "--save", str(tmp_path / "net.npz"),
                 "--save-config", str(tmp_path / "cfg.json"),
                 "--show-maps", "1",
@@ -137,18 +137,6 @@ class TestEngines:
     def test_run_rejects_unregistered_engine_name(self):
         with pytest.raises(SystemExit):  # argparse choices
             main(self._TINY + ["--engine", "warp"])
-
-    def test_batched_eval_flag_is_deprecated_alias(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--batched-eval is deprecated"):
-            code = main(self._TINY + ["--batched-eval"])
-        assert code == 0
-        assert "accuracy" in capsys.readouterr().out
-
-    def test_batched_eval_conflicts_with_other_eval_engine(self, capsys):
-        with pytest.warns(DeprecationWarning):
-            code = main(self._TINY + ["--batched-eval", "--eval-engine", "fused"])
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
 
     def test_evaluate_accepts_engine_flag(self, capsys, tmp_path):
         path = tmp_path / "net.npz"

@@ -88,6 +88,18 @@ class TestIntegrityDigest:
         with pytest.raises(DatasetError):
             load_saved_dataset(path)
 
+    def test_damaged_zip_version_field_raises_typed_error(self, tmp_path):
+        """A flipped "version needed to extract" byte makes zipfile raise
+        NotImplementedError; the loader reports it as DatasetError."""
+        ds = load_dataset("mnist", n_train=6, n_test=4, size=8, seed=0)
+        path = tmp_path / "ds.npz"
+        save_dataset(path, ds)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"PK\x01\x02") + 6] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(DatasetError, match="truncated or corrupt"):
+            load_saved_dataset(path)
+
     def test_pre_digest_entry_rejected(self, tmp_path):
         """A v1-era entry without a stored digest cannot be trusted."""
         ds = load_dataset("mnist", n_train=6, n_test=4, size=8, seed=0)

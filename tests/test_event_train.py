@@ -6,27 +6,28 @@ produce the same per-image spike counts as the reference loop and the
 fused kernel under identical :class:`~repro.engine.rng.RngStreams` seeds,
 with conductances within :data:`CONDUCTANCE_ATOL`, across storage formats,
 rounding modes, learning rules, LTD modes, encoders, synapse models and
-adaptive-threshold settings.  (Bit-identity of membranes is explicitly
-*not* promised — the closed-form jumps rearrange floating point — which is
-why the assertions below compare spikes exactly but conductances and
-thetas within tolerance.)
+adaptive-threshold settings.  (Bit-identity is explicitly *not* promised —
+the sparse gather may add three or more spiking rows in a different order
+than the dense BLAS matvec — which is why the equivalence assertions below
+compare spikes exactly but conductances and thetas within tolerance.)
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.config.parameters import RoundingMode, STDPKind
+from repro.config.parameters import QuantizationConfig, RoundingMode, STDPKind
 from repro.config.presets import get_preset
 from repro.encoding.events import sparsify
 from repro.engine.event_train import CONDUCTANCE_ATOL, EventPresentation
+from repro.engine.fused import FusedPresentation
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
+from repro.pipeline.evaluator import Evaluator
 from repro.pipeline.trainer import UnsupervisedTrainer
 
 
@@ -129,48 +130,81 @@ class TestSpikeTrajectoryEquivalence:
         assert np.array_equal(net_fus.conductances, net_evt.conductances)
 
 
-class TestJumping:
-    def test_sparse_input_gets_jumped(self, tiny_config, tiny_dataset):
-        """With a zero-rate background most steps are input-quiescent and
-        the engine must absorb a substantial share of them analytically."""
+class TestQuietInput:
+    @pytest.mark.parametrize(
+        "engine, dense, fmt, rounding",
+        [
+            ("event", "fused", None, None),
+            ("qevent", "qfused", "Q1.7", RoundingMode.NEAREST),
+            ("qevent", "qfused", "Q1.7", RoundingMode.STOCHASTIC),
+            ("qevent", "qfused", "Q8.8", RoundingMode.NEAREST),
+            ("qevent", "qfused", "Q8.8", RoundingMode.STOCHASTIC),
+        ],
+        ids=[
+            "event",
+            "qevent-Q1.7-nearest",
+            "qevent-Q1.7-stochastic",
+            "qevent-Q8.8-nearest",
+            "qevent-Q8.8-stochastic",
+        ],
+    )
+    def test_matches_dense_twin(
+        self, tiny_config, tiny_dataset, engine, dense, fmt, rounding
+    ):
+        """With a zero-rate background most steps carry no input event.
+        The event kernels still step every one of them with the dense
+        arithmetic, so they match their dense twins bit for bit: spikes,
+        learned conductances (hence codes), thetas and evaluation
+        responses."""
         cfg = replace(
             tiny_config, encoding=replace(tiny_config.encoding, f_min_hz=0.0, f_max_hz=10.0)
         )
+        if fmt is not None:
+            cfg = replace(cfg, quantization=QuantizationConfig(fmt=fmt, rounding=rounding))
         images = tiny_dataset.train_images[:6]
-        net, log = _train(cfg, images, engine="event")
-        assert log.steps_skipped > 0
-        assert log.steps_skipped >= 0.2 * log.total_steps
-        # ...and still be equivalent while doing so.
-        net_ref, log_ref = _train(cfg, images, engine="reference")
-        assert log_ref.spikes_per_image == log.spikes_per_image
-        assert np.max(np.abs(net_ref.conductances - net.conductances)) <= CONDUCTANCE_ATOL
 
-    def test_silent_presentation_is_one_jump(self, tiny_config):
-        """An all-black image emits no events at f_min=0: the whole
-        presentation collapses into jumps, no explicit steps at all."""
-        cfg = replace(
-            tiny_config, encoding=replace(tiny_config.encoding, f_min_hz=0.0, f_max_hz=10.0)
-        )
-        net = WTANetwork(cfg, n_pixels=64)
-        kernel = EventPresentation(net)
-        spikes, t_end = kernel.run(np.zeros((8, 8)), 0.0, 50, 1.0)
-        assert spikes == 0
-        assert t_end == 50.0
-        assert kernel.stats.steps_skipped == 50
-        assert kernel.stats.steps_stepped == 0
+        def run(name):
+            net, log = _train(cfg, images, engine=name)
+            net.freeze()
+            responses = Evaluator(net, t_present_ms=50.0, engine=name).collect_responses(
+                tiny_dataset.test_images[:4]
+            )
+            return log.spikes_per_image, net.conductances, net.neurons.theta, responses
 
-    def test_stats_accumulate_across_runs(self, tiny_config, small_images):
-        net = WTANetwork(tiny_config, n_pixels=small_images[0].size)
-        kernel = EventPresentation(net)
-        kernel.run(small_images[0], 0.0, 50, 1.0)
-        first_total = kernel.stats.steps_total
-        kernel.run(small_images[1], 55.0, 50, 1.0)
-        assert kernel.stats.steps_total == first_total + 50
-        assert (
-            kernel.stats.steps_skipped + kernel.stats.steps_stepped
-            == kernel.stats.steps_total
-        )
-        assert 0.0 < kernel.stats.raster_cell_occupancy < 1.0
+        spikes, g, theta, responses = run(engine)
+        d_spikes, d_g, d_theta, d_responses = run(dense)
+        assert sum(spikes) > 0 and responses.sum() > 0
+        assert spikes == d_spikes
+        assert np.array_equal(g, d_g)
+        assert np.array_equal(theta, d_theta)
+        assert np.array_equal(responses, d_responses)
+
+    def test_silent_presentation_matches_dense_twin(self, tiny_config, small_images):
+        """An all-black image emits no events at f_min=0.  The event kernel
+        gets an empty raster, fires nothing, and still steps the whole
+        presentation: membranes, currents, thetas and conductances come out
+        exactly as the fused kernel leaves them."""
+        cfg = replace(tiny_config, encoding=replace(tiny_config.encoding, f_min_hz=0.0))
+        silent = np.zeros_like(small_images[0])
+        results = []
+        for kernel_cls in (FusedPresentation, EventPresentation):
+            net = WTANetwork(cfg, n_pixels=silent.size)
+            kernel = kernel_cls(net)
+            _, t_ms = kernel.run(small_images[0], 0.0, 50, 1.0)
+            net.rest()
+            spikes, t_end = kernel.run(silent, t_ms, 50, 1.0)
+            assert spikes == 0
+            assert t_end == 100.0
+            state = (net.neurons.v, net._current, net.neurons.theta, net.conductances)
+            results.append((kernel, [np.array(a, copy=True) for a in state]))
+        (_, dense), (event_kernel, event) = results
+        for d, e in zip(dense, event):
+            assert np.array_equal(d, e)
+        assert event_kernel.occupancy.raster_cells == 2 * 50 * silent.size
+        # Every recorded input event came from the first image, whose
+        # output spikes left thetas for the silent steps to decay.
+        assert 0 < event_kernel.occupancy.raster_active_cells
+        assert dense[2].any()
 
 
 class TestTrainingLogCounters:
@@ -179,26 +213,17 @@ class TestTrainingLogCounters:
         assert log.raster_cells == log.total_steps * small_images[0].size
         assert 0 < log.raster_active_cells < log.raster_cells
         assert 0.0 < log.raster_occupancy < 1.0
-        assert 0.0 <= log.skipped_fraction <= 1.0
 
     @pytest.mark.parametrize("engine", ["reference", "fused"])
     def test_dense_engines_report_zero(self, tiny_config, small_images, engine):
         _, log = _train(tiny_config, small_images, engine=engine)
-        assert log.steps_skipped == 0
         assert log.raster_cells == 0
         assert log.raster_occupancy == 0.0
-        assert log.skipped_fraction == 0.0
 
     def test_unknown_engine_rejected(self, tiny_config, small_images):
         net = WTANetwork(tiny_config, n_pixels=small_images[0].size)
         with pytest.raises(ConfigurationError):
             UnsupervisedTrainer(net).train(small_images, engine="warp")
-
-    def test_unknown_fast_value_keeps_simulation_error(self, tiny_config, small_images):
-        net = WTANetwork(tiny_config, n_pixels=small_images[0].size)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError):
-                UnsupervisedTrainer(net).train(small_images, fast="warp")
 
 
 class TestSparsify:
@@ -257,23 +282,8 @@ class TestKernelGuards:
             host_net.neurons._inhibited_left, dev_net.neurons._inhibited_left
         )
 
-    def test_rejects_non_leaky_membrane(self, tiny_config):
-        # ExperimentConfig validation already forbids b >= 0, so smuggle the
-        # value past it to prove the kernel's own defence-in-depth guard.
-        net = WTANetwork(copy.deepcopy(tiny_config), n_pixels=64)
-        object.__setattr__(net.config.lif, "b", 0.0)
-        with pytest.raises(ConfigurationError):
-            EventPresentation(net)
-
     def test_rejects_negative_steps(self, tiny_config, small_images):
         net = WTANetwork(tiny_config, n_pixels=64)
         kernel = EventPresentation(net)
         with pytest.raises(SimulationError):
             kernel.run(small_images[0], 0.0, -1, 1.0)
-
-    def test_rejects_unstable_step(self, tiny_config, small_images):
-        net = WTANetwork(tiny_config, n_pixels=64)
-        kernel = EventPresentation(net)
-        unstable_dt = 2.0 / abs(tiny_config.lif.b) + 1.0
-        with pytest.raises(SimulationError):
-            kernel.run(small_images[0], 0.0, 10, unstable_dt)

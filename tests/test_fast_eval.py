@@ -1,10 +1,10 @@
-"""Fast-path evaluation: bit-identity, defaults, and deprecated aliases."""
+"""Fast-path evaluation: bit-identity, defaults and engine selection."""
 
 import numpy as np
 import pytest
 
 from repro.config.parameters import EngineConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
 from repro.pipeline.experiment import run_experiment
@@ -104,56 +104,6 @@ class TestExperimentEngineEquivalence:
         assert ref.accuracy == fused.accuracy
         assert np.array_equal(ref.evaluation.predictions, fused.evaluation.predictions)
         assert np.array_equal(ref.conductances, fused.conductances)
-
-
-class TestDeprecatedAliases:
-    def test_trainer_fast_flag_warns_and_maps(self, tiny_config, tiny_dataset):
-        net = WTANetwork(tiny_config, n_pixels=tiny_dataset.n_pixels)
-        with pytest.warns(DeprecationWarning, match="fast=.*deprecated"):
-            log = UnsupervisedTrainer(net).train(tiny_dataset.train_images[:2], fast=True)
-        assert log.images_seen == 2
-
-    def test_trainer_fast_unknown_value_keeps_simulation_error(
-        self, tiny_config, tiny_dataset
-    ):
-        net = WTANetwork(tiny_config, n_pixels=tiny_dataset.n_pixels)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError, match="unknown fast engine"):
-                UnsupervisedTrainer(net).train(tiny_dataset.train_images[:1], fast="warp")
-
-    def test_trainer_fast_and_engine_conflict(self, tiny_config, tiny_dataset):
-        net = WTANetwork(tiny_config, n_pixels=tiny_dataset.n_pixels)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError, match="not both"):
-                UnsupervisedTrainer(net).train(
-                    tiny_dataset.train_images[:1], fast=True, engine="fused"
-                )
-
-    def test_evaluator_batched_flag_warns_and_maps(self, trained_network, small_images):
-        with pytest.warns(DeprecationWarning, match="batched=.*deprecated"):
-            evaluator = Evaluator(trained_network, batched=True)
-        assert evaluator.engine == "batched"
-        responses = evaluator.collect_responses(small_images)
-        assert responses.shape[0] == small_images.shape[0]
-
-    def test_evaluator_batched_false_maps_to_reference(self, trained_network):
-        with pytest.warns(DeprecationWarning):
-            evaluator = Evaluator(trained_network, batched=False)
-        assert evaluator.engine == "reference"
-
-    def test_run_experiment_batched_eval_warns(self, tiny_config, tiny_dataset):
-        with pytest.warns(DeprecationWarning, match="batched_eval.*deprecated"):
-            result = run_experiment(
-                tiny_config, tiny_dataset, n_labeling=10, batched_eval=True
-            )
-        assert 0.0 <= result.accuracy <= 1.0
-
-    def test_sweep_batched_eval_warns(self, tiny_dataset):
-        from repro.pipeline.sweep import ParameterSweep
-
-        with pytest.warns(DeprecationWarning, match="batched_eval.*deprecated"):
-            sweep = ParameterSweep(tiny_dataset, seeds=(0,), batched_eval=True)
-        assert sweep.eval_engine == "batched"
 
 
 class TestEngineConfig:

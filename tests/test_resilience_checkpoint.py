@@ -210,6 +210,17 @@ class TestRejection:
         with pytest.raises(CheckpointError):
             load_run_checkpoint(path)
 
+    def test_damaged_zip_version_field(self, tmp_path, run_state):
+        """A flipped "version needed to extract" byte makes zipfile raise
+        NotImplementedError; the loader reports a corrupt archive."""
+        path = tmp_path / "run.npz"
+        save_run_checkpoint(path, run_state)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"PK\x01\x02") + 6] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated or corrupt"):
+            load_run_checkpoint(path)
+
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "future.npz"
         np.savez(path, magic=np.array("repro-wta-checkpoint-v99"))

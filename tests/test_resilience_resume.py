@@ -7,6 +7,8 @@ thresholds and spike counts to the uninterrupted run — for every learning
 engine.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import UnsupervisedTrainer
 from repro.resilience import AutosavePolicy
 from repro.resilience.faults import CrashFault, SimulatedCrash
+from repro.resilience.run_state import RUN_STATE_VERSION
 
 
 def _train_full(config, images, engine, epochs=1):
@@ -60,8 +63,42 @@ class TestBitIdenticalResume:
         assert log.spikes_per_image == base_log.spikes_per_image
         assert log.total_steps == base_log.total_steps
         assert log.images_seen == base_log.images_seen
-        if engine == "event":
-            assert log.steps_skipped == base_log.steps_skipped
+        assert log.raster_cells == base_log.raster_cells
+        assert log.raster_active_cells == base_log.raster_active_cells
+
+    def test_older_autosave_with_extra_run_field_resumes(
+        self, tmp_path, tiny_config, tiny_dataset
+    ):
+        """Autosaves from builds whose event kernels jumped over quiet steps
+        carry a ``steps_skipped`` run field.  The loader ignores it at the
+        same run-state version, and the run resumes bit-identically."""
+        images = tiny_dataset.train_images[:6]
+        baseline, base_log = _train_full(tiny_config, images, "event")
+        path = tmp_path / "auto.npz"
+        net = WTANetwork(tiny_config, images[0].size)
+        with pytest.raises(SimulatedCrash):
+            UnsupervisedTrainer(net).train(
+                images, engine="event",
+                autosave=AutosavePolicy(path, every_images=1),
+                on_image_end=CrashFault(at_presentation=3),
+            )
+        with np.load(path) as archive:
+            payload = dict(archive)
+        run = json.loads(str(payload["run_json"]))
+        assert run["version"] == RUN_STATE_VERSION == 1
+        run["steps_skipped"] = 57
+        payload["run_json"] = np.array(json.dumps(run))
+        np.savez(path, **payload)
+
+        state = load_run_checkpoint(path)
+        assert "steps_skipped" not in state.run_fields()
+        resumed = WTANetwork(tiny_config, images[0].size)
+        log = UnsupervisedTrainer(resumed).train(
+            images, engine="event", resume_from=str(path)
+        )
+        assert np.array_equal(resumed.conductances, baseline.conductances)
+        assert np.array_equal(resumed.neurons.theta, baseline.neurons.theta)
+        assert log.spikes_per_image == base_log.spikes_per_image
 
     def test_resume_across_epoch_boundary(self, tmp_path, tiny_config, tiny_dataset):
         """Crash in the second epoch: the flat presentation index resumes
