@@ -23,7 +23,7 @@
 - :mod:`repro.engine.event_train` — the event-accelerated training tier:
   sparse input gathers, integer expiry timers, lazy plasticity state;
   spike-trajectory equivalent to the fused oracle (registry name
-  ``"event"``).
+  ``"event"``); also the lock-step chunk the event tiers evaluate with.
 - :mod:`repro.engine.plasticity` — the column-restricted STDP application
   shared by both fast kernels.
 - :mod:`repro.engine.monitors` — spike/state/conductance recording.

@@ -91,7 +91,7 @@ class BatchedInference:
             batch = batch[None]
         if batch.ndim != 3:
             raise SimulationError(f"images must be 2-D or 3-D, got shape {batch.shape}")
-        flat = batch.reshape(batch.shape[0], -1)
+        flat = batch.reshape(batch.shape[0], batch.shape[1] * batch.shape[2])
         if flat.shape[1] != self.n_pixels:
             raise SimulationError(
                 f"images have {flat.shape[1]} pixels, network expects {self.n_pixels}"

@@ -1,4 +1,4 @@
-"""Event-accelerated training: sparse input gathers and integer timers.
+"""Event-accelerated training and lock-step evaluation: sparse gathers, integer timers.
 
 The fused kernel (:mod:`repro.engine.fused`) removed allocation overhead
 but stays dense clock-driven: every input step pays a full ``(n_pixels,
@@ -36,6 +36,13 @@ times, timers and the ``learning`` stream, so in practice conductances and
 thetas come out exactly equal whenever the spike trains match.
 ``tests/test_event_train.py`` pins both, and
 ``scripts/bench_training.py --check`` re-verifies equivalence in-harness.
+
+**Lock-step evaluation.**  Evaluation does not present through
+:meth:`EventPresentation.run`: frozen presentations are independent, so
+:class:`LockstepChunk` steps a chunk of them together with this kernel's
+arithmetic, bit-identical to presenting them one at a time (see
+:class:`repro.engine.presentation.LockstepEvaluation`, which serves both
+``event`` and ``qevent``).
 """
 
 from __future__ import annotations
@@ -43,12 +50,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.backend import backend_ops
-from repro.encoding.events import sparsify
+from repro.encoding.events import SparseRaster, sparsify
 from repro.engine.plasticity import (
     deterministic_rule_columns,
     resolve_fast_rule,
@@ -434,3 +441,200 @@ class EventPresentation:
             np.copyto(neurons._theta, ops.to_host(theta))
 
         return total_spikes, t_ms
+
+
+# ----------------------------------------------------------------------
+# lock-step evaluation
+# ----------------------------------------------------------------------
+
+#: Images a :class:`LockstepChunk` steps together.  Each step costs about
+#: twenty whole-array ufunc calls for the chunk plus one row-gather sum per
+#: image, so the chunk shares the ufunc call overhead; at 1000 neurons any
+#: chunk from 8 to 64 images ran equally fast.  Memory is O(chunk x
+#: n_neurons) plus the chunk's input events.
+LOCKSTEP_IMAGES = 32
+
+
+class LockstepChunk:
+    """Steps a chunk of frozen presentations together on ``(chunk, n_neurons)`` arrays.
+
+    The lock-step evaluator of the event tiers
+    (:class:`~repro.engine.presentation.LockstepEvaluation`) draws each
+    image's input events and hands a chunk of them to :meth:`run`.  Inside
+    ``evaluation_mode`` every presentation starts from the rested state and
+    reads only frozen conductances and thresholds, so the images are
+    independent and advance together with the event kernel's arithmetic:
+    integer expiry timers, subtractive or blocking inhibition, and a single
+    winner per image.  Each image's drive is the kernel's own row-order sum
+    over the spiking rows of the float view ``synapses.g``; on-grid
+    conductances sum exactly in any order, so that view gives the ``qevent``
+    kernel's integer-code drive too.
+
+    The buffers live on the backend bound at construction, as in the
+    kernels.  Conductances and thresholds upload once per evaluation and
+    each chunk's event index once, so host-to-device traffic does not grow
+    with ``n_steps``; the response counts download once per chunk.
+    """
+
+    def __init__(self, network: WTANetwork, n_images: int, dt_ms: float) -> None:
+        self._ops = ops = backend_ops()
+        xp = ops.xp
+        cfg = network.config
+        self._lif = cfg.lif
+        self._wta = cfg.wta
+        self._dt_ms = dt_ms
+        self._amplitude = network.amplitude
+        self._scale_denom = cfg.wta.e_excitatory - cfg.lif.v_reset
+        self._gamma = network.current_decay(dt_ms) if cfg.wta.current_tau_ms > 0.0 else None
+        self._inh_strength = network.neurons.inhibition_strength
+        self._ref_steps = _expiry_steps(cfg.lif.refractory_ms, dt_ms)
+        # Inhibition survives one step longer than its raw duration, as in
+        # the kernels.
+        self._inh_steps = _expiry_steps(cfg.wta.t_inh_ms, dt_ms) + 1
+        self._g = ops.to_device(network.synapses.g)
+        # Adaptation is frozen, so the threshold is constant.
+        self._thr = ops.to_device(network.neurons.theta) + cfg.lif.v_threshold
+
+        shape = (n_images, cfg.wta.n_neurons)
+        self._v = xp.empty(shape, dtype=np.float64)
+        self._current = xp.empty(shape, dtype=np.float64)
+        self._inj = xp.empty(shape, dtype=np.float64)
+        self._scale = xp.empty(shape, dtype=np.float64)
+        self._eff = xp.empty(shape, dtype=np.float64)
+        self._dv = xp.empty(shape, dtype=np.float64)
+        self._tmp = xp.empty(shape, dtype=np.float64)
+        self._blocked = xp.empty(shape, dtype=bool)
+        self._inhibited = xp.empty(shape, dtype=bool)
+        self._spikes = xp.empty(shape, dtype=bool)
+        self._ref_end = xp.empty(shape, dtype=np.int64)
+        self._inh_end = xp.empty(shape, dtype=np.int64)
+        self._counts = xp.empty(shape, dtype=np.int64)
+
+    def run(self, events: List[SparseRaster]) -> np.ndarray:
+        """Present the chunk whose per-image event lists are *events*; host spike counts."""
+        ops = self._ops
+        lif = self._lif
+        wta = self._wta
+        dt_ms = self._dt_ms
+        a, b, c = lif.a, lif.b, lif.c
+        v_reset = lif.v_reset
+        amplitude = self._amplitude
+        gamma = self._gamma
+        conductance_model = wta.synapse_model == "conductance"
+        e_excitatory = wta.e_excitatory
+        scale_denom = self._scale_denom
+        inh_strength = self._inh_strength
+        subtractive = inh_strength > 0.0
+        inhibiting = wta.t_inh_ms > 0.0
+        single_winner = wta.single_winner
+        ref_steps = self._ref_steps
+        inh_steps = self._inh_steps
+        g = self._g
+        thr = self._thr
+
+        n = len(events)
+        n_neurons = wta.n_neurons
+        # The rested state every presentation starts from.
+        v = self._v[:n]
+        v.fill(lif.v_init)
+        current = self._current[:n]
+        current.fill(0.0)
+        ref_end = self._ref_end[:n]
+        ref_end.fill(0)
+        inh_end = self._inh_end[:n]
+        inh_end.fill(0)
+        counts = self._counts[:n]
+        counts.fill(0)
+        inj = self._inj[:n]
+        scale = self._scale[:n]
+        eff = self._eff[:n]
+        dv = self._dv[:n]
+        tmp = self._tmp[:n]
+        blocked = self._blocked[:n]
+        inhibited = self._inhibited[:n]
+        spikes = self._spikes[:n]
+        # Flat views for scatters at spike positions.
+        v_flat = v.reshape(-1)
+        ref_flat = ref_end.reshape(-1)
+        inh_flat = inh_end.reshape(-1)
+        counts_flat = counts.reshape(-1)
+
+        # One upload of the chunk's event index; image i's rows at step j
+        # are channels[bounds[i][j]:bounds[i][j + 1]].
+        channels = ops.to_device(np.concatenate([e.channels for e in events]))
+        bounds = []
+        base = 0
+        for e in events:
+            bounds.append((e.offsets + base).tolist())
+            base += e.n_events
+        inj_rows = list(inj)
+
+        add_rows = np.add.reduce
+        for j in range(events[0].n_steps):
+            # Drive: per image, the kernel's row-order gather sum
+            # (``np.sum`` of a float64 array is this ``np.add.reduce``).
+            # An empty gather sums to 0.0, which the updates below leave
+            # exact.
+            for inj_row, bound in zip(inj_rows, bounds):
+                add_rows(g[channels[bound[j] : bound[j + 1]]], axis=0, out=inj_row)
+            inj *= amplitude
+            if conductance_model:
+                np.subtract(e_excitatory, v, out=scale)
+                scale /= scale_denom
+                np.maximum(scale, 0.0, out=scale)
+                inj *= scale
+            if gamma is not None:
+                current *= gamma
+                current += inj
+            else:
+                np.copyto(current, inj)
+
+            # Membranes.  The kernels zero the blocked neurons' drive
+            # first; their membranes are pinned to v_reset below whatever
+            # the drive, so the zeroing is skipped here.
+            np.greater(ref_end, j, out=blocked)
+            drive = current
+            if inhibiting:
+                np.greater(inh_end, j, out=inhibited)
+                if subtractive:
+                    # inh_strength on inhibited neurons, 0.0 elsewhere
+                    # (x - 0.0 == x), as in the qevent kernel.
+                    np.multiply(inhibited, inh_strength, out=eff)
+                    np.subtract(current, eff, out=eff)
+                    drive = eff
+                else:
+                    np.logical_or(blocked, inhibited, out=blocked)
+            np.multiply(v, b, out=dv)
+            dv += a
+            np.multiply(drive, c, out=tmp)
+            dv += tmp
+            dv *= dt_ms
+            v += dv
+            np.copyto(v, v_reset, where=blocked)
+            np.maximum(v, v_reset, out=v)
+
+            np.greater_equal(v, thr, out=spikes)
+            np.copyto(spikes, False, where=blocked)
+            if not np.count_nonzero(spikes):
+                continue
+            fired = np.flatnonzero(spikes)
+            v_flat[fired] = v_reset
+            ref_flat[fired] = j + ref_steps
+            winners: np.ndarray = fired
+            images = np.unique(fired // n_neurons)
+            if single_winner and images.size < fired.size:
+                # Per image, the contender with the largest current wins
+                # (lowest index on ties, as argmax over the contenders).
+                contest = np.where(spikes[images], current[images], -np.inf)
+                winners = images * n_neurons + np.argmax(contest, axis=1)
+            counts_flat[winners] += 1
+            if inhibiting:
+                # Every neuron of a firing image but its winners is
+                # inhibited until j + inh_steps, never shortened.
+                kept = inh_flat[winners]
+                rows = inh_end[images]
+                np.maximum(rows, j + inh_steps, out=rows)
+                inh_end[images] = rows
+                inh_flat[winners] = kept
+
+        return ops.to_host(counts)

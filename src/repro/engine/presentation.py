@@ -15,14 +15,17 @@ network and exposes two operations:
 
 The base class implements ``collect_responses`` as the canonical
 image-at-a-time loop *on top of* ``run`` with an ``out_counts``
-accumulator, so the fused and event kernels serve evaluation through the
-exact same code path as training.  Because those kernels consume the
+accumulator, so the reference, fused and qfused kernels serve evaluation
+through the code path they train with.  Because those kernels consume the
 ``encoding`` RNG stream in the same order as per-step draws and plasticity
 is frozen, their evaluation responses are **bit-identical** to the
 reference evaluation loop under pinned seeds — fast evaluation is a free
-replacement, not a statistical approximation.  (The ``batched`` engine
-overrides ``collect_responses`` wholesale: it draws from a batch-shaped
-stream and is statistically, not bit-, equivalent.)
+replacement, not a statistical approximation.  The event tiers override
+``collect_responses`` with :class:`LockstepEvaluation`, which steps a
+chunk of independent frozen presentations at a time and stays
+bit-identical to the per-image loop.  (The ``batched`` engine overrides
+it wholesale: it draws from a batch-shaped stream and is statistically,
+not bit-, equivalent.)
 """
 
 from __future__ import annotations
@@ -40,6 +43,16 @@ if TYPE_CHECKING:
     from repro.engine.registry import EngineSpec
     from repro.network.wta import WTANetwork
     from repro.resilience.sentinel import NumericHealthSentinel
+
+
+def image_batch(images: np.ndarray) -> np.ndarray:
+    """*images* as an ``(n_images, height, width)`` batch; a 2-D image is a batch of one."""
+    batch = np.asarray(images)
+    if batch.ndim == 2:
+        batch = batch[None]
+    if batch.ndim != 3:
+        raise SimulationError(f"images must be 2-D or 3-D, got shape {batch.shape}")
+    return batch
 
 
 class PresentationEngine:
@@ -112,11 +125,7 @@ class PresentationEngine:
         """
         progress = progress if progress is not None else NullProgress()
         network = self.network
-        batch = np.asarray(images)
-        if batch.ndim == 2:
-            batch = batch[None]
-        if batch.ndim != 3:
-            raise SimulationError(f"images must be 2-D or 3-D, got shape {batch.shape}")
+        batch = image_batch(images)
         sim = network.config.simulation
         dt = sim.dt_ms
         steps = int(round(t_present_ms / dt))
@@ -201,14 +210,78 @@ class FusedEngine(PresentationEngine):
         )
 
 
-class EventEngine(PresentationEngine):
+class LockstepEvaluation(PresentationEngine):
+    """Evaluation that steps a chunk of images at a time (the event tiers).
+
+    Bit-identical to the base-class per-image loop, which the other
+    sequential engines keep and the tests use as the oracle: the same
+    responses, RNG stream positions, network state, sentinel calls and
+    progress calls.  Each image's raster comes from the same
+    ``present_image`` + ``generate_train`` calls, in the same order, as the
+    per-image loop; :class:`~repro.engine.event_train.LockstepChunk` then
+    advances :data:`~repro.engine.event_train.LOCKSTEP_IMAGES` images at a
+    time on arrays of its own, so the network's state stays as
+    ``evaluation_mode`` rested it.  That rested and frozen state is all the
+    sentinel reads, so each image's check runs as soon as its raster is
+    drawn: a trip raises at the same presentation with the RNG streams
+    where the per-image loop leaves them.  Progress is reported once per
+    image after its chunk is stepped.
+    """
+
+    def collect_responses(
+        self,
+        images: np.ndarray,
+        t_present_ms: float,
+        progress: Optional[NullProgress] = None,
+        label: str = "responses",
+    ) -> np.ndarray:
+        from repro.encoding.events import sparsify
+        from repro.engine.event_train import LOCKSTEP_IMAGES, LockstepChunk
+
+        progress = progress if progress is not None else NullProgress()
+        network = self.network
+        batch = image_batch(images)
+        sim = network.config.simulation
+        dt = sim.dt_ms
+        steps = int(round(t_present_ms / dt))
+        n_images = batch.shape[0]
+        responses = np.zeros((n_images, network.config.wta.n_neurons), dtype=np.int64)
+
+        progress.start(n_images, label)
+        with network.evaluation_mode() as net:
+            if n_images and steps < 0:
+                raise SimulationError(f"n_steps must be >= 0, got {steps}")
+            chunk = LockstepChunk(net, min(n_images, LOCKSTEP_IMAGES), dt)
+            t_ms = 0.0
+            for start in range(0, n_images, LOCKSTEP_IMAGES):
+                stop = min(start + LOCKSTEP_IMAGES, n_images)
+                events = []
+                for idx in range(start, stop):
+                    net.present_image(batch[idx])
+                    events.append(
+                        sparsify(net.encoder.generate_train(steps, dt, net.rngs.encoding))
+                    )
+                    if self.sentinel is not None:
+                        for _ in range(steps):
+                            t_ms += dt
+                        t_ms += sim.t_rest_ms
+                        self.sentinel.after_presentation(net, t_ms, idx)
+                responses[start:stop] = chunk.run(events)
+                for idx in range(start, stop):
+                    progress.update(idx + 1)
+        progress.finish()
+        return responses
+
+
+class EventEngine(LockstepEvaluation):
     """The event-accelerated kernel (:class:`~repro.engine.event_train.EventPresentation`).
 
     Spike-trajectory equivalent to the fused/reference path: identical
-    spike trains under pinned seeds (hence bit-identical integer response
-    matrices in evaluation), conductances within ``CONDUCTANCE_ATOL``.
-    Exposes the kernel's :class:`~repro.engine.event_train.EventTrainStats`
-    as :attr:`occupancy` for the trainer's raster-occupancy counters.
+    spike trains under pinned seeds, conductances within
+    ``CONDUCTANCE_ATOL``.  Evaluates images in lock-step
+    (:class:`LockstepEvaluation`).  Exposes the kernel's
+    :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`
+    for the trainer's raster-occupancy counters.
     """
 
     name = "event"
@@ -275,7 +348,7 @@ class QFusedEngine(PresentationEngine):
         )
 
 
-class QEventEngine(PresentationEngine):
+class QEventEngine(LockstepEvaluation):
     """The event-driven integer kernel (:class:`~repro.engine.qevent.QEventPresentation`).
 
     Composes the event tier's sparse-event loop with the qfused tier's
@@ -283,7 +356,8 @@ class QEventEngine(PresentationEngine):
     of at most 16 total bits).  Spike-trajectory equivalent to — and in
     practice code- and theta-bit-identical with — the dense ``qfused``
     kernel; the float shadow twin (``storage="float"``) remains the
-    stochastic-rounding oracle.  Exposes the kernel's
+    stochastic-rounding oracle.  Evaluates images in lock-step over the
+    frozen float view (:class:`LockstepEvaluation`).  Exposes the kernel's
     :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`.
     """
 

@@ -102,7 +102,9 @@ def profile_wta_step(
 
     Runs *n_steps* over *image* splitting each step into the encode /
     propagate / neurons / learning phases.  The phase structure mirrors
-    ``advance``; results are indicative (instrumentation adds overhead).
+    ``advance``, whose :meth:`~repro.network.wta.WTANetwork.drive` is the
+    propagate phase; timings are indicative (instrumentation adds
+    overhead).
     """
     if n_steps < 1:
         raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
@@ -114,12 +116,7 @@ def profile_wta_step(
             input_spikes = network.encoder.step(dt_ms, network.rngs.encoding)
             network.timers.record_pre(input_spikes, t_ms)
         with profiler.section("propagate"):
-            injected = (input_spikes.astype(np.float64) @ network.synapses.g) * network.amplitude
-            tau = network.config.wta.current_tau_ms
-            if tau > 0.0:
-                network._current = network._current * np.exp(-dt_ms / tau) + injected
-            else:
-                network._current = injected
+            network.drive(input_spikes, dt_ms)
         with profiler.section("neurons"):
             post = network.neurons.step(network._current, dt_ms)
             if network.config.wta.single_winner and np.count_nonzero(post) > 1:

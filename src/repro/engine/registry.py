@@ -298,10 +298,10 @@ register_engine(EngineSpec(
     name="event",
     factory="repro.engine.presentation:EventEngine",
     supports_learning=True,
-    supports_batch=False,
+    supports_batch=True,
     equivalence=Equivalence.SPIKE_EQUIVALENT,
     backends=("numpy", "guard"),
-    summary="sparse input gathers + integer expiry timers",
+    summary="sparse input gathers + integer expiry timers; lock-step evaluation",
 ))
 register_engine(EngineSpec(
     name="batched",
@@ -326,10 +326,10 @@ register_engine(EngineSpec(
     name="qevent",
     factory="repro.engine.presentation:QEventEngine",
     supports_learning=True,
-    supports_batch=False,
+    supports_batch=True,
     equivalence=Equivalence.SPIKE_EQUIVALENT,
     backends=("numpy", "guard"),
-    summary="event-driven integer kernel: sparse gathers + integer timers on Q-format codes",
+    summary="sparse gathers + integer timers on Q-format codes; lock-step evaluation",
     precisions=("uint8", "uint16"),
 ))
 register_engine(EngineSpec(

@@ -51,6 +51,7 @@ STREAM_CONSUMERS = {
     "encoding": (
         "engine/event_train.py",
         "engine/fused.py",
+        "engine/presentation.py",
         "engine/profiler.py",
         "engine/qevent.py",
         "engine/qfused.py",

@@ -152,11 +152,8 @@ class WTANetwork:
     # engine protocol
     # ------------------------------------------------------------------
 
-    def advance(self, t_ms: float, dt_ms: float) -> StepResult:
-        """One simulation step of the full loop (Fig. 2 flowchart)."""
-        input_spikes = self.encoder.step(dt_ms, self.rngs.encoding)
-        self.timers.record_pre(input_spikes, t_ms)
-
+    def drive(self, input_spikes: np.ndarray, dt_ms: float) -> None:
+        """Inject one step of *input_spikes* into the synaptic current (eq. 3)."""
         injected = (input_spikes.astype(np.float64) @ self.synapses.g) * self.amplitude
         if self.config.wta.synapse_model == "conductance":
             # Voltage-dependent driving force, normalised to match the
@@ -168,6 +165,12 @@ class WTANetwork:
             self._current = self._current * self.current_decay(dt_ms) + injected
         else:
             self._current = injected
+
+    def advance(self, t_ms: float, dt_ms: float) -> StepResult:
+        """One simulation step of the full loop (Fig. 2 flowchart)."""
+        input_spikes = self.encoder.step(dt_ms, self.rngs.encoding)
+        self.timers.record_pre(input_spikes, t_ms)
+        self.drive(input_spikes, dt_ms)
 
         post_spikes = self.neurons.step(self._current, dt_ms)
 

@@ -12,10 +12,11 @@ The paper's procedure after training:
 :meth:`Evaluator.collect_responses` for reuse (labeling, inference and the
 mid-training accuracy probe all need per-image response vectors).  The
 response collection itself is delegated to a presentation engine resolved
-by name through :mod:`repro.engine.registry`; the ``"fused"`` and
-``"event"`` engines run the same plasticity-frozen loop as ``"reference"``
-but several times faster, and ``"fused"`` is bit-identical to the
-reference under pinned seeds, which is why it is the default.
+by name through :mod:`repro.engine.registry`.  ``"fused"`` runs the same
+plasticity-frozen per-image loop as ``"reference"`` several times faster
+and is bit-identical to it under pinned seeds, which is why it is the
+default; ``"event"`` and ``"qevent"`` step a chunk of images in lock-step,
+bit-identical to their own per-image loop.
 """
 
 from __future__ import annotations

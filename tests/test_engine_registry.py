@@ -44,6 +44,7 @@ class TestRegistry:
         assert get_engine_spec("reference").supports_learning
         assert get_engine_spec("fused").equivalence is Equivalence.BIT_EXACT
         assert get_engine_spec("event").equivalence is Equivalence.SPIKE_EQUIVALENT
+        assert get_engine_spec("event").supports_batch
         batched = get_engine_spec("batched")
         assert not batched.supports_learning
         assert batched.supports_batch
@@ -92,7 +93,7 @@ class TestRegistry:
     def test_qevent_spec_declares_integer_event_tier(self):
         spec = get_engine_spec("qevent")
         assert spec.supports_learning
-        assert not spec.supports_batch
+        assert spec.supports_batch
         assert spec.equivalence is Equivalence.SPIKE_EQUIVALENT
         assert spec.precisions == ("uint8", "uint16")
 

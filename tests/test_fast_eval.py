@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.config.parameters import EngineConfig
+from repro.config.parameters import EngineConfig, RoundingMode
+from repro.config.presets import get_preset
+from repro.engine.registry import available_engines
 from repro.errors import ConfigurationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
@@ -49,6 +51,24 @@ class TestFastEvalBitIdentity:
             small_images[0]
         )
         assert responses.shape == (1, trained_network.config.wta.n_neurons)
+
+
+class TestResponseShape:
+    @pytest.mark.parametrize("n_images", [0, None, 3], ids=["empty", "2-d", "3-d"])
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_every_engine_returns_int64_counts_per_image(
+        self, tiny_dataset, engine, n_images
+    ):
+        """A Q1.7 config every engine accepts; an empty batch is (0, n)."""
+        cfg = get_preset("8bit", rounding=RoundingMode.NEAREST, n_neurons=8)
+        net = WTANetwork(cfg, n_pixels=tiny_dataset.n_pixels)
+        images = tiny_dataset.test_images
+        batch = images[0] if n_images is None else images[:n_images]
+        responses = Evaluator(net, t_present_ms=20.0, engine=engine).collect_responses(
+            batch
+        )
+        assert responses.shape == (1 if n_images is None else n_images, 8)
+        assert responses.dtype == np.int64
 
 
 class TestEngineSelection:

@@ -1,10 +1,13 @@
 """Tests for the step profiler."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.config.presets import get_preset
+from repro.engine.presentation import ReferenceEngine
 from repro.engine.profiler import StepProfiler, profile_presentation, profile_wta_step
 from repro.errors import SimulationError
 from repro.network.wta import WTANetwork
@@ -106,6 +109,22 @@ class TestPresentationProfile:
             net, np.full((8, 8), 255, dtype=np.uint8), engine="fused", n_steps=200
         )
         assert not np.array_equal(net.conductances, before)
+
+    @pytest.mark.parametrize("synapse_model", ["current", "conductance"])
+    def test_reference_profile_matches_reference_engine(self, tiny_dataset, synapse_model):
+        """The profiled reference presentation is the reference engine's,
+        driving force included: same conductances and thresholds."""
+        cfg = get_preset("high_frequency", n_neurons=16, seed=3)
+        cfg = replace(cfg, wta=replace(cfg.wta, synapse_model=synapse_model))
+        image = tiny_dataset.train_images[0]
+        profiled = WTANetwork(cfg, 64)
+        profile_presentation(profiled, image, engine="reference", n_steps=100)
+        stepped = WTANetwork(cfg, 64)
+        ReferenceEngine(stepped).run(image, 0.0, 100, 1.0)
+        stepped.rest()
+        assert not np.array_equal(stepped.conductances, WTANetwork(cfg, 64).conductances)
+        assert np.array_equal(profiled.conductances, stepped.conductances)
+        assert np.array_equal(profiled.neurons.theta, stepped.neurons.theta)
 
     def test_reference_engine_delegates(self, tiny_config, tiny_dataset):
         net = WTANetwork(tiny_config, 64)
