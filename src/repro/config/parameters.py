@@ -378,12 +378,12 @@ class EngineConfig:
 
     Names resolve through :mod:`repro.engine.registry`; unknown names fail
     here, at construction time, with the registered alternatives listed.
-    The defaults select the fused kernel for both phases — **bit-identical**
-    to the reference loop under the config's seeds (the registry's declared
-    and test-pinned contract) at several times the throughput.  Select
-    ``"reference"`` to run the oracle loop itself, ``"event"`` for the
-    sparse-input training tier, or ``"batched"`` for image-parallel
-    (statistically equivalent) evaluation.
+    The defaults select the float gather kernel (``"fused"``) for both
+    phases — **bit-identical** to the reference loop under the config's
+    seeds (the registry's declared and test-pinned contract) at several
+    times the throughput.  Select ``"reference"`` to run the oracle loop
+    itself, ``"qfused"`` to train a fixed-point config on integer codes, or
+    ``"batched"`` for image-parallel (statistically equivalent) evaluation.
 
     ``backend`` names the array backend the engines execute on (``"numpy"``,
     ``"guard"``, ``"cupy"``); ``None`` keeps the process-level selection

@@ -1,19 +1,18 @@
 """Sparse event-list view of a pre-generated input spike raster.
 
-The clock-driven kernels treat the input raster as a dense ``(n_steps,
-n_channels)`` boolean matrix and pay a full matrix-vector product per step.
-At the paper's rate-coding parameters the raster is extremely sparse
+A pre-generated input raster is a dense ``(n_steps, n_channels)`` boolean
+matrix.  At the paper's rate-coding parameters it is extremely sparse
 *per channel* (a 78 Hz channel fires on ~8% of 1 ms steps; a 1 Hz
-background channel on ~0.1%), so the event-accelerated engine wants the
-transpose view: *which channels fire at each step*, plus *which steps carry
-any event at all*.
+background channel on ~0.1%), so the gather kernels want the transpose
+view: *which channels fire at each step*, plus *which steps carry any
+event at all*.
 
 :func:`sparsify` converts a raster from ``generate_train`` (leaving the
 encoding RNG stream untouched — the draw already happened) into a
 :class:`SparseRaster`: a CSR-like concatenated channel-index array with
 per-step offsets.  The occupancy statistics it exposes are the measured
-counterparts of the sparsity assumptions the event engine relies on, and
-are surfaced through ``TrainingLog`` and ``scripts/bench_training.py``.
+counterparts of the sparsity assumptions the gather kernels rely on, and
+are surfaced through ``TrainingLog``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 - :mod:`repro.engine.registry` — the presentation-engine registry: named
   engines with declared capabilities and equivalence tiers, the single
-  seam trainer/evaluator/experiment/CLI/bench resolve engines through.
+  seam trainer/evaluator/experiment/CLI/benchmark resolve engines through.
 - :mod:`repro.engine.presentation` — the :class:`PresentationEngine`
-  protocol and the built-in reference / fused / event / batched adapters
+  protocol and the built-in reference / fused / qfused / batched adapters
   spanning training and (plasticity-frozen, bit-identical) evaluation.
 - :mod:`repro.engine.rng` — named, independently-seeded random streams (the
   CUDA RNG substitute; see DESIGN.md).
@@ -16,16 +16,14 @@
   implementation used to cross-validate spiking activity and to measure the
   vectorised engine's speedup (the Fig. 4 comparison role CARLsim plays in
   the paper).
-- :mod:`repro.engine.fused` — the fused training fast path: one image
-  presentation per kernel call, pre-generated spike trains and
-  allocation-free in-place stepping, bit-identical to the reference loop
-  (registry name ``"fused"``).
-- :mod:`repro.engine.event_train` — the event-accelerated training tier:
-  sparse input gathers, integer expiry timers, lazy plasticity state;
-  spike-trajectory equivalent to the fused oracle (registry name
-  ``"event"``); also the lock-step chunk the event tiers evaluate with.
+- :mod:`repro.engine.event_train` — the float gather kernel (registry name
+  ``"fused"``): sparse input gathers summed in row order, integer expiry
+  timers, lazy plasticity state; bit-identical to the reference loop.  Also
+  the lock-step chunk both gather kernels evaluate with.
+- :mod:`repro.engine.qevent` — the integer gather kernel (registry name
+  ``"qfused"``): the same loop over uint8/uint16 Q-format codes.
 - :mod:`repro.engine.plasticity` — the column-restricted STDP application
-  shared by both fast kernels.
+  shared by both gather kernels.
 - :mod:`repro.engine.monitors` — spike/state/conductance recording.
 
 Attributes resolve lazily (PEP 562): importing :mod:`repro.engine` — or
@@ -40,10 +38,9 @@ from typing import Any, Dict, List
 #: Public name -> defining submodule, resolved on first attribute access.
 _EXPORTS: Dict[str, str] = {
     "BatchedInference": "repro.engine.batched",
-    "CONDUCTANCE_ATOL": "repro.engine.event_train",
+    "CONDUCTANCE_ATOL": "repro.engine.registry",
     "EventPresentation": "repro.engine.event_train",
     "EventTrainStats": "repro.engine.event_train",
-    "FusedPresentation": "repro.engine.fused",
     "SimulationClock": "repro.engine.clock",
     "CurrentStep": "repro.engine.event_driven",
     "EventDrivenLIF": "repro.engine.event_driven",
@@ -71,7 +68,6 @@ _EXPORTS: Dict[str, str] = {
     "PresentationEngine": "repro.engine.presentation",
     "ReferenceEngine": "repro.engine.presentation",
     "FusedEngine": "repro.engine.presentation",
-    "EventEngine": "repro.engine.presentation",
     "BatchedEngine": "repro.engine.presentation",
 }
 

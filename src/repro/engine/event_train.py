@@ -1,48 +1,41 @@
-"""Event-accelerated training and lock-step evaluation: sparse gathers, integer timers.
+"""The float gather kernel (registry name ``fused``) and lock-step evaluation.
 
-The fused kernel (:mod:`repro.engine.fused`) removed allocation overhead
-but stays dense clock-driven: every input step pays a full ``(n_pixels,
-n_neurons)`` matrix-vector product, and every step pays timer arithmetic
-over all neurons.  This module exploits the sparsity of rate-coded input —
-the event-driven direction Bautembach et al. describe (PAPERS.md,
-arXiv:2107.04092) — in three ways, while stepping every step with the
-dense loop's membrane, threshold and theta arithmetic:
+One presentation per :meth:`EventPresentation.run` call: the input raster
+is drawn up front and every step advances membranes, currents and
+thresholds with the reference loop's arithmetic.  The kernel exploits the
+sparsity of rate-coded input — the event-driven direction Bautembach et al.
+describe (PAPERS.md, arXiv:2107.04092) — in three ways:
 
-**Sparse input events.**  The pre-generated raster (same ``generate_train``
-draw as the fused path, so the ``encoding`` RNG stream is consumed
-identically) is converted to per-step event column lists
-(:func:`repro.encoding.events.sparsify`).  Injection at an event step
-gathers and sums only the spiking rows of the conductance matrix — a few
-row reads instead of a dense BLAS ``vec @ matrix``.
+**Sparse input gathers.**  The pre-generated raster (the same
+``generate_train`` draw the reference loop's per-step draws make, so the
+``encoding`` RNG stream is consumed identically) is converted to per-step
+event column lists (:func:`repro.encoding.events.sparsify`).  Injection at
+an event step sums only the spiking rows of the conductance matrix, in row
+order — a few row reads instead of a dense ``vec @ matrix``.
 
 **Integer timer state.**  Refractory and WTA-inhibition timers are kept as
 integer expiry *steps* (no per-step float decrement over the population);
 the regime masks they imply are refreshed only when a timer is set or
 expires.  Float timer state is synchronised back into the network at the
-end of each presentation, so the engines stay interchangeable between
-images.
+end of each presentation, so engines stay interchangeable between images.
 
 **Lazy plasticity.**  ``last_pre`` is written only at event steps (a sparse
 scatter over the few spiking channels, not a masked write over all 784).
 
-Contract — **spike-trajectory equivalence**, not bit-identity: under pinned
-seeds the engine must produce the same spike trains (hence identical
-``learning``-stream consumption) and conductances within a documented
-tolerance (:data:`CONDUCTANCE_ATOL`); the fused kernel remains the
-bit-exact oracle.  The one floating-point difference from the dense loop
-is the order in which the gather adds three or more spiking rows (the BLAS
-matvec may group them differently); weight updates depend only on spike
-times, timers and the ``learning`` stream, so in practice conductances and
-thetas come out exactly equal whenever the spike trains match.
-``tests/test_event_train.py`` pins both, and
-``scripts/bench_training.py --check`` re-verifies equivalence in-harness.
+Contract — **bit-exact** to the reference loop under pinned seeds:
+conductances, thetas, membranes, currents, timers and spike counts.
+:meth:`~repro.network.wta.WTANetwork.drive` sums eq. 3 over the active
+rows in the same row order (``np.add.reduce(g[rows], axis=0)``), so no
+result depends on how a BLAS build groups a matrix-vector product, and
+weight updates read only spike times, timers and the ``learning`` stream.
+``tests/test_fused.py`` and ``tests/test_event_train.py`` pin it.
 
 **Lock-step evaluation.**  Evaluation does not present through
 :meth:`EventPresentation.run`: frozen presentations are independent, so
 :class:`LockstepChunk` steps a chunk of them together with this kernel's
 arithmetic, bit-identical to presenting them one at a time (see
 :class:`repro.engine.presentation.LockstepEvaluation`, which serves both
-``event`` and ``qevent``).
+``fused`` and ``qfused``).
 """
 
 from __future__ import annotations
@@ -68,15 +61,6 @@ from repro.network.wta import WTANetwork
 if TYPE_CHECKING:
     from repro.engine.profiler import StepProfiler
 
-#: Absolute tolerance on learned conductances versus the fused/reference
-#: path (the documented part of the spike-trajectory-equivalence contract).
-#: In practice conductances match exactly when the spike trains match —
-#: weight updates read spike timers and the ``learning`` stream, never the
-#: membrane state — so the tolerance only guards the comparison against
-#: future value-equivalent refactors.
-CONDUCTANCE_ATOL = 1e-9
-
-
 @dataclass
 class EventTrainStats:
     """Input-raster occupancy counters accumulated across ``run`` calls."""
@@ -89,7 +73,7 @@ class EventTrainStats:
 def _expiry_steps(duration_ms: float, dt_ms: float) -> int:
     """How many steps a timer of *duration_ms* keeps its neuron flagged.
 
-    Mirrors the dense loop's ``left > 0`` test against per-step ``dt``
+    Mirrors the reference loop's ``left > 0`` test against per-step ``dt``
     decrements: a timer set to ``d`` stays positive for ``ceil(d/dt)``
     decrements (exact when ``d`` is a multiple of ``dt``, which the paper's
     1 ms grid always is; the epsilon guards against ``d/dt`` landing a ulp
@@ -101,13 +85,13 @@ def _expiry_steps(duration_ms: float, dt_ms: float) -> int:
 
 
 class EventPresentation:
-    """Event-accelerated drop-in for :class:`~repro.engine.fused.FusedPresentation`.
+    """The float gather kernel behind the ``fused`` engine.
 
     Construct once per training run and call :meth:`run` once per image.
     The kernel reads and mutates the live network state and consumes the
     ``encoding`` and ``learning`` RNG streams in the same order as the
-    dense engines, so presentations can interleave with the reference and
-    fused paths; see the module docstring for the equivalence contract.
+    reference loop, so presentations can interleave with it; see the
+    module docstring for the equivalence contract.
     """
 
     def __init__(self, network: WTANetwork) -> None:
@@ -169,10 +153,11 @@ class EventPresentation:
     ) -> Tuple[int, float]:
         """Present *image* for *n_steps* steps of *dt_ms*, starting at *t_ms*.
 
-        Returns ``(total_output_spikes, t_ms_after)`` — the same protocol as
-        :meth:`FusedPresentation.run`.  Spike times handed to the STDP
-        timers come from the same repeated ``+ dt_ms`` float accumulation
-        the dense loops perform, so timer contents match exactly.
+        Returns ``(total_output_spikes, t_ms_after)`` — the protocol of
+        :meth:`~repro.engine.presentation.PresentationEngine.run`.  Spike
+        times handed to the STDP timers come from the same repeated
+        ``+ dt_ms`` float accumulation the reference loop performs, so timer
+        contents match exactly.
 
         *profiler* (a :class:`~repro.engine.profiler.StepProfiler`) splits
         the presentation into encode / integrate / stdp / wta sections.
@@ -207,7 +192,7 @@ class EventPresentation:
         t_inh = wta.t_inh_ms
         single_winner = wta.single_winner
         ref_steps = _expiry_steps(lif.refractory_ms, dt_ms)
-        # Inhibition is applied after the dense loop's timer decrement, so
+        # Inhibition is applied after the reference loop's timer decrement, so
         # it survives one step longer than its raw duration (see tests).
         inh_steps = _expiry_steps(t_inh, dt_ms) + 1
         a, b, c = lif.a, lif.b, lif.c
@@ -420,8 +405,8 @@ class EventPresentation:
             total_spikes += n_fired
             t_ms += dt_ms
 
-        # Export the integer timers back into the float state so the dense
-        # engines (and `rest()`) see exactly what per-step decrements would
+        # Export the integer timers back into the float state so the
+        # reference engine (and `rest()`) see exactly what per-step decrements would
         # have left behind.  The float timers are host state, so a device
         # backend downloads the expiry steps first (same arithmetic after).
         ref_export = ref_end if on_host else ops.to_host(ref_end)
@@ -458,17 +443,17 @@ LOCKSTEP_IMAGES = 32
 class LockstepChunk:
     """Steps a chunk of frozen presentations together on ``(chunk, n_neurons)`` arrays.
 
-    The lock-step evaluator of the event tiers
+    The lock-step evaluator of the gather kernels
     (:class:`~repro.engine.presentation.LockstepEvaluation`) draws each
     image's input events and hands a chunk of them to :meth:`run`.  Inside
     ``evaluation_mode`` every presentation starts from the rested state and
     reads only frozen conductances and thresholds, so the images are
-    independent and advance together with the event kernel's arithmetic:
+    independent and advance together with the gather kernel's arithmetic:
     integer expiry timers, subtractive or blocking inhibition, and a single
     winner per image.  Each image's drive is the kernel's own row-order sum
     over the spiking rows of the float view ``synapses.g``; on-grid
-    conductances sum exactly in any order, so that view gives the ``qevent``
-    kernel's integer-code drive too.
+    conductances sum exactly in any order, so that view gives the integer
+    kernel's code drive too.
 
     The buffers live on the backend bound at construction, as in the
     kernels.  Conductances and thresholds upload once per evaluation and
@@ -598,7 +583,7 @@ class LockstepChunk:
                 np.greater(inh_end, j, out=inhibited)
                 if subtractive:
                     # inh_strength on inhibited neurons, 0.0 elsewhere
-                    # (x - 0.0 == x), as in the qevent kernel.
+                    # (x - 0.0 == x), as in the integer kernel.
                     np.multiply(inhibited, inh_strength, out=eff)
                     np.subtract(current, eff, out=eff)
                     drive = eff

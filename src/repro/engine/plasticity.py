@@ -1,8 +1,8 @@
-"""Column-restricted STDP application shared by the fast training kernels.
+"""Column-restricted STDP application shared by the gather kernels.
 
-Both the fused clock-driven kernel (:mod:`repro.engine.fused`) and the
-event-accelerated kernel (:mod:`repro.engine.event_train`) exploit the same
-observation: at a post-synaptic spike the STDP rules only change the
+The float gather kernel (:mod:`repro.engine.event_train`) and the integer
+one (:mod:`repro.engine.qevent`) exploit the same observation: at a
+post-synaptic spike the STDP rules only change the
 *spiking columns* of the conductance matrix, so the full-matrix
 delta/quantise round trip in ``ConductanceMatrix.apply_delta`` can be
 replaced by :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta_columns`
@@ -18,7 +18,7 @@ and the kernels fall back to the reference rule object.
 The Bernoulli draw shapes in the stochastic rule are ``(n_pre, k)`` in the
 reference implementation already, so consuming the ``learning`` stream
 identically is free; bit-identity of both the conductances and the RNG
-stream position is part of the fused kernel's contract and covered by
+stream position is part of the ``fused`` engine's contract and covered by
 ``tests/test_fused.py``.
 """
 
@@ -127,7 +127,7 @@ def deterministic_rule_columns(
 def resolve_quantized_rule(network: WTANetwork) -> str:
     """Which code-domain column path serves *network*'s rule, or raise.
 
-    The integer-native training kernels (``qfused``, ``qevent``) serve
+    The integer-native training kernel (``qfused``) serves
     exactly the column-restricted rules: plain deterministic STDP, or
     stochastic STDP with post-event LTD.  The pair-LTD modes touch the
     learning stream at pre-spike steps through the full-matrix reference
@@ -143,13 +143,13 @@ def resolve_quantized_rule(network: WTANetwork) -> str:
     raise ConfigurationError(
         "the integer-native engines serve the column-restricted STDP rules "
         "only (stdp.kind='deterministic', or 'stochastic' with "
-        "ltd_mode='post_event'); pair-LTD modes need the full-matrix "
-        "reference path of the 'fused' engine"
+        "ltd_mode='post_event'); pair-LTD modes need the float 'fused' "
+        "engine, which runs them through the reference rule"
     )
 
 
 # ----------------------------------------------------------------------
-# code-domain variants (the integer ``qfused``/``qevent`` tier)
+# code-domain variants (the integer ``qfused`` tier)
 # ----------------------------------------------------------------------
 #
 # Same column restriction, generalised over the storage dtype: conductances

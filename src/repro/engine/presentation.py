@@ -15,17 +15,14 @@ network and exposes two operations:
 
 The base class implements ``collect_responses`` as the canonical
 image-at-a-time loop *on top of* ``run`` with an ``out_counts``
-accumulator, so the reference, fused and qfused kernels serve evaluation
-through the code path they train with.  Because those kernels consume the
-``encoding`` RNG stream in the same order as per-step draws and plasticity
-is frozen, their evaluation responses are **bit-identical** to the
-reference evaluation loop under pinned seeds — fast evaluation is a free
-replacement, not a statistical approximation.  The event tiers override
-``collect_responses`` with :class:`LockstepEvaluation`, which steps a
-chunk of independent frozen presentations at a time and stays
-bit-identical to the per-image loop.  (The ``batched`` engine overrides
-it wholesale: it draws from a batch-shaped stream and is statistically,
-not bit-, equivalent.)
+accumulator; the reference engine evaluates through it.  The ``fused``
+and ``qfused`` gather kernels override it with :class:`LockstepEvaluation`,
+which steps a chunk of independent frozen presentations at a time and is
+**bit-identical** to that per-image loop — the same responses and the same
+``encoding`` stream positions — so fast evaluation is a free replacement,
+not a statistical approximation.  (The ``batched`` engine overrides it
+wholesale: it draws from a batch-shaped stream and is statistically, not
+bit-, equivalent.)
 """
 
 from __future__ import annotations
@@ -181,40 +178,11 @@ class ReferenceEngine(PresentationEngine):
         return total_spikes, t_ms
 
 
-class FusedEngine(PresentationEngine):
-    """The dense fused kernel (:class:`~repro.engine.fused.FusedPresentation`).
-
-    Bit-identical to the reference engine for both training and evaluation
-    under pinned seeds.
-    """
-
-    name = "fused"
-
-    def __init__(self, network: WTANetwork) -> None:
-        super().__init__(network)
-        from repro.engine.fused import FusedPresentation
-
-        self._kernel = FusedPresentation(network)
-
-    def run(
-        self,
-        image: np.ndarray,
-        t_ms: float,
-        n_steps: int,
-        dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
-        out_counts: Optional[np.ndarray] = None,
-    ) -> Tuple[int, float]:
-        return self._kernel.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
-
-
 class LockstepEvaluation(PresentationEngine):
-    """Evaluation that steps a chunk of images at a time (the event tiers).
+    """Evaluation that steps a chunk of images at a time (the gather kernels).
 
-    Bit-identical to the base-class per-image loop, which the other
-    sequential engines keep and the tests use as the oracle: the same
+    Bit-identical to the base-class per-image loop, which the reference
+    engine keeps and the tests use as the oracle: the same
     responses, RNG stream positions, network state, sentinel calls and
     progress calls.  Each image's raster comes from the same
     ``present_image`` + ``generate_train`` calls, in the same order, as the
@@ -273,18 +241,19 @@ class LockstepEvaluation(PresentationEngine):
         return responses
 
 
-class EventEngine(LockstepEvaluation):
-    """The event-accelerated kernel (:class:`~repro.engine.event_train.EventPresentation`).
+class FusedEngine(LockstepEvaluation):
+    """The float gather kernel (:class:`~repro.engine.event_train.EventPresentation`).
 
-    Spike-trajectory equivalent to the fused/reference path: identical
-    spike trains under pinned seeds, conductances within
-    ``CONDUCTANCE_ATOL``.  Evaluates images in lock-step
-    (:class:`LockstepEvaluation`).  Exposes the kernel's
+    Bit-identical to the reference engine under pinned seeds: it steps
+    every step with the reference arithmetic and sums eq. 3 over the
+    active input rows in the same row order as
+    :meth:`~repro.network.wta.WTANetwork.drive`.  Evaluates images in
+    lock-step (:class:`LockstepEvaluation`).  Exposes the kernel's
     :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`
     for the trainer's raster-occupancy counters.
     """
 
-    name = "event"
+    name = "fused"
 
     def __init__(self, network: WTANetwork) -> None:
         super().__init__(network)
@@ -310,58 +279,22 @@ class EventEngine(LockstepEvaluation):
         )
 
 
-class QFusedEngine(PresentationEngine):
-    """The integer-native kernel (:class:`~repro.engine.qfused.QFusedPresentation`).
+class QFusedEngine(LockstepEvaluation):
+    """The integer gather kernel (:class:`~repro.engine.qevent.QEventPresentation`).
 
-    Conductances live as uint8/uint16 Q-format codes for the whole
-    presentation (requires a fixed-point quantization config of at most 16
-    total bits).  Bit-identical to the fused path under truncate/nearest
-    rounding and in evaluation; under stochastic rounding the eq.-8 draws
-    move to the dedicated ``qrounding`` stream, so the declared tier is
-    spike-equivalence, verified against the kernel's float shadow twin.
-    """
-
-    name = "qfused"
-
-    def __init__(self, network: WTANetwork) -> None:
-        super().__init__(network)
-        from repro.engine.qfused import QFusedPresentation
-
-        self._kernel = QFusedPresentation(network)
-
-    @property
-    def codes(self) -> np.ndarray:
-        """The live Q-format code matrix of the underlying kernel."""
-        return self._kernel.codes
-
-    def run(
-        self,
-        image: np.ndarray,
-        t_ms: float,
-        n_steps: int,
-        dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
-        out_counts: Optional[np.ndarray] = None,
-    ) -> Tuple[int, float]:
-        return self._kernel.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
-
-
-class QEventEngine(LockstepEvaluation):
-    """The event-driven integer kernel (:class:`~repro.engine.qevent.QEventPresentation`).
-
-    Composes the event tier's sparse-event loop with the qfused tier's
-    uint8/uint16 code storage (requires a fixed-point quantization config
-    of at most 16 total bits).  Spike-trajectory equivalent to — and in
-    practice code- and theta-bit-identical with — the dense ``qfused``
-    kernel; the float shadow twin (``storage="float"``) remains the
-    stochastic-rounding oracle.  Evaluates images in lock-step over the
-    frozen float view (:class:`LockstepEvaluation`).  Exposes the kernel's
+    Runs the float gather kernel's loop with conductances held as
+    uint8/uint16 Q-format codes (requires a fixed-point quantization
+    config of at most 16 total bits).  Bit-identical to the reference
+    engine when rounding draws no random numbers (truncate/nearest) and in
+    evaluation; under stochastic rounding the eq.-8 draws move to the
+    dedicated ``qrounding`` stream, so the declared tier is
+    spike-equivalence and the float shadow twin (``storage="float"``) is
+    the oracle.  Evaluates images in lock-step over the frozen float view
+    (:class:`LockstepEvaluation`).  Exposes the kernel's
     :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`.
     """
 
-    name = "qevent"
+    name = "qfused"
 
     def __init__(self, network: WTANetwork) -> None:
         super().__init__(network)

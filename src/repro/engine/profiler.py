@@ -16,10 +16,10 @@ steps and returns the per-section totals — used by the engine bench and
 available for users chasing their own bottlenecks.
 
 :func:`profile_presentation` extends the same breakdown to the fast
-training kernels: the fused and event engines accept a profiler and report
+training kernels: the fused and qfused engines accept a profiler and report
 presentation-granularity ``encode`` / ``integrate`` / ``stdp`` / ``wta``
-sections, so the Fig. 4 where-does-the-time-go story covers all three
-training engines (the reference engine keeps its per-step ``encode`` /
+sections, so the Fig. 4 where-does-the-time-go story covers every
+training engine (the reference engine keeps its per-step ``encode`` /
 ``propagate`` / ``neurons`` / ``learning`` phases, which mirror
 ``advance``'s structure rather than the kernels').
 """
@@ -59,7 +59,7 @@ class StepProfiler:
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Accumulate *seconds* into *name* without a context manager.
 
-        The fused/event kernels time their sections with raw
+        The gather kernels time their sections with raw
         ``perf_counter`` reads (a ``with`` block per step would distort the
         very loop being measured) and deposit the spans here.  ``calls=0``
         lets a section that is split across several spans within one step
@@ -148,7 +148,7 @@ def profile_presentation(
     """Per-section breakdown of one image presentation on a chosen engine.
 
     *engine* is any learning-capable registry name (``"reference"``,
-    ``"fused"``, ``"event"``, ...).  The kernels report ``encode`` /
+    ``"fused"``, ``"qfused"``, ...).  The kernels report ``encode`` /
     ``integrate`` / ``stdp`` / ``wta`` sections; ``"reference"`` delegates
     to :func:`profile_wta_step` and keeps its ``encode`` / ``propagate`` /
     ``neurons`` / ``learning`` phases.  The presentation really runs (state

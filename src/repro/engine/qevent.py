@@ -1,58 +1,57 @@
-"""Event-driven integer-native training: sparse events over Q-format codes.
+"""The integer gather kernel (registry name ``qfused``): sparse events over Q-format codes.
 
-The two fastest training tiers in this repo optimise along orthogonal axes.
-The event kernel (:mod:`repro.engine.event_train`) exploits *input*
+The float gather kernel (:mod:`repro.engine.event_train`) exploits *input*
 sparsity: per-step event column lists instead of dense rasters, integer
-expiry-step timers.
-The qfused kernel (:mod:`repro.engine.qfused`) exploits *numeric* redundancy:
-conductances held as uint8/uint16 Q-format codes end to end, with eq.-(8)
-stochastic rounding fused into the STDP scatter as an integer
-compare-against-random.  This module composes the two — the regime where the
-lazy/event-driven plasticity literature (PAPERS.md) and the integer-SIMD
-inference engines say the optimisations *multiply* rather than add:
+expiry-step timers.  This kernel runs the same loop with the conductances
+held as uint8/uint16 Q-format **codes** (``k`` such that ``G = k * 2^-n``,
+via :class:`~repro.quantization.codec.QCodec`) for the whole presentation,
+exploiting *numeric* redundancy too — the regime L-SPINE's integer SIMD
+engine targets:
 
 - **sparse integer drive** — at an input-event step the synaptic drive is a
   row gather over the *code* matrix (:meth:`~repro.quantization.codec.QCodec.gather_drive`):
   an int64 column sum over the few spiking rows, scaled once by
   ``resolution * amplitude``.  On-grid code sums below ``2^53`` are exact and
   the scale factor is a power-of-two multiple of the amplitude, so the drive
-  is bit-identical to both the dense qfused gather and the float path's
-  ``(raster @ g) * amplitude`` — while touching an eighth (uint8) of the
-  memory the float gather reads;
+  is bit-identical to the reference loop's row-order float sum
+  ``np.add.reduce(g[rows], axis=0) * amplitude`` — while touching an eighth
+  (uint8) of the memory the float gather reads;
 - **integer timers and cached regimes** — membranes, currents and
-  thresholds are float64 state in every tier and advance every step with
-  the dense kernels' arithmetic; refractory and inhibition timers are
-  integer expiry steps, the subtractive-mode refractory set is a small
-  index array with a FIFO of expiries, and the inhibition term is a cached
-  drive vector rebuilt only when its mask changes;
+  thresholds are float64 state and advance every step with the reference
+  arithmetic; refractory and inhibition timers are integer expiry steps,
+  the subtractive-mode refractory set is a small index array with a FIFO of
+  expiries, and the inhibition term is a cached drive vector rebuilt only
+  when its mask changes;
 - **lazy code-domain plasticity** — STDP lands only at post-spike steps,
   only on the spiking columns, directly in the code domain
   (:func:`~repro.engine.plasticity.quantized_stochastic_columns` /
   :func:`~repro.engine.plasticity.quantized_deterministic_columns`): eq.-(8)
-  stochastic rounding draws **one uniform per changed synapse** from the
-  dedicated ``qrounding`` stream — the same stream discipline as qfused, so
-  the sparse path consumes exactly as many rounding draws as the dense path
-  on the same spike trajectory, and qfused's float shadow twin remains the
-  oracle here too (``storage="float"`` runs the identical algorithm with
-  integer-valued float64 codes).
+  stochastic rounding is an integer compare-against-random drawing **one
+  uniform per changed synapse** from the dedicated ``qrounding`` stream,
+  instead of the full-matrix draw the float-simulated path makes per
+  update.
 
-Equivalence contract (``tests/test_qevent.py`` and the
-``bench_training --check`` gate): identical spike trains to the dense
-``qfused`` kernel under pinned seeds, and — because code updates are pure
-integer functions of spike times, timers and the ``learning``/``qrounding``
-streams — **bit-identical conductance codes**, across every supported
-format width and rounding mode.  The declared registry tier is
-spike-equivalence, with the code matrix checked at
-``conductance_atol=0.0``; the integer drive sums are exact and every step
-runs the dense arithmetic, so thetas come out bit-identical too.
+Equivalence contract (``tests/test_qfused.py`` and ``tests/test_qevent.py``):
 
-Backend discipline follows the other kernels: codes, neuron-state mirrors
+- with truncate/nearest rounding — and in evaluation always — results are
+  **bit-identical** to the reference loop under pinned seeds: the rounding
+  draws nothing, so both compute the same arithmetic on the same draws;
+- with stochastic rounding the RNG accounting intentionally differs from
+  the float-simulated path (that is the point), so the oracle is the
+  *shadow twin*: the same kernel with ``storage="float"``, which runs the
+  identical algorithm on integer-valued float64 codes.  Spikes, codes and
+  thetas match it bit for bit.  The declared registry tier is
+  spike-equivalence.
+
+Backend discipline follows the float kernel: codes, neuron-state mirrors
 and work buffers live on the :class:`~repro.backend.ops.Ops` backend bound
 at construction; the raster, event lists, spike timers and every RNG draw
 stay host-side (the ``qrounding`` stream arrives as a
 :class:`~repro.engine.rng.DeviceRng` on device backends, so draws remain
 host-ordered), and the float view of ``synapses.g`` plus the float timers
-are re-synchronised on the host at :meth:`run` exit.
+are re-synchronised on the host at :meth:`run` exit, so everything outside
+a presentation (weight normalisation, checkpoints, monitors, the health
+sentinel) keeps seeing ordinary float conductances.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ if TYPE_CHECKING:
     from repro.engine.profiler import StepProfiler
 
 #: Storage modes: ``"int"`` is the real tier; ``"float"`` is the shadow
-#: twin used as the stochastic-rounding equivalence oracle (same contract
-#: as :data:`repro.engine.qfused.STORAGE_MODES`).
+#: twin used as the stochastic-rounding equivalence oracle.
 STORAGE_MODES = ("int", "float")
 
 
@@ -89,8 +87,8 @@ class QEventPresentation:
 
     Construct once per training run and call :meth:`run` once per image.
     Between presentations ``network.synapses.g`` stays authoritative (codes
-    are re-encoded at entry and decoded back at exit, as in the qfused
-    kernel); during a presentation the code array is the live learned state.
+    are re-encoded at entry and decoded back at exit); during a
+    presentation the code array is the live learned state.
     """
 
     def __init__(self, network: WTANetwork, storage: str = "int") -> None:
@@ -98,20 +96,20 @@ class QEventPresentation:
         xp = self._ops.xp
         if storage not in STORAGE_MODES:
             raise ConfigurationError(
-                f"qevent storage must be one of {STORAGE_MODES}, got {storage!r}"
+                f"qfused storage must be one of {STORAGE_MODES}, got {storage!r}"
             )
         self._stochastic_rule = resolve_quantized_rule(network) == "stochastic"
 
         self.net = network
         self.storage = storage
-        self.codec = require_codec(network.synapses.quantizer, "qevent")
+        self.codec = require_codec(network.synapses.quantizer, "qfused")
         cfg = network.config
         self._wta = cfg.wta
         self._lif = cfg.lif
         n = cfg.wta.n_neurons
 
-        # Loop-invariant constants (see the qfused kernel: `resolution *
-        # amplitude` only shifts the amplitude's exponent, so it is exact).
+        # Loop-invariant constants (`resolution * amplitude` only shifts the
+        # amplitude's exponent, so it is exact).
         self._inj_scale = self.codec.resolution * network.amplitude
         self._conductance_model = cfg.wta.synapse_model == "conductance"
         self._scale_denom = cfg.wta.e_excitatory - cfg.lif.v_reset
@@ -172,7 +170,7 @@ class QEventPresentation:
         ``synapses.g`` on entry and decoded back on exit (the float view is
         authoritative between presentations); spike times handed to the
         STDP timers come from the same repeated ``+ dt_ms`` accumulation
-        the dense loops perform.
+        the reference loop performs.
         """
         if n_steps < 0:
             raise SimulationError(f"n_steps must be >= 0, got {n_steps}")
@@ -186,7 +184,7 @@ class QEventPresentation:
         conn_mask = net.synapses.connectivity
 
         # Boundary sync in: live float values are on the storage grid, so
-        # the encode is an exact rescaling (qfused kernel contract), routed
+        # the encode is an exact rescaling, routed
         # through the backend's own conversion so the codes land device-side.
         ops = self._ops
         on_host = ops.is_host
@@ -218,7 +216,7 @@ class QEventPresentation:
         # device backend the stream arrives wrapped so draws upload.
         rng_rounding = net.rngs.device_stream("qrounding", ops)
         ref_steps = _expiry_steps(lif.refractory_ms, dt_ms)
-        # Inhibition is applied after the dense loop's timer decrement, so
+        # Inhibition is applied after the reference loop's timer decrement, so
         # it survives one step longer than its raw duration.
         inh_steps = _expiry_steps(t_inh, dt_ms) + 1
         a, b, c = lif.a, lif.b, lif.c
@@ -437,7 +435,7 @@ class QEventPresentation:
                 v[spikes] = v_reset
                 ref_end[spikes] = j + ref_steps
                 # Refractoriness lands on every contender *before* WTA
-                # arbitration (the dense kernels set their timers here too),
+                # arbitration (the reference loop sets its timers here too),
                 # so the blocked set must grow from the pre-WTA spike set.
                 if ref_steps > 1:
                     if subtractive:
@@ -475,8 +473,8 @@ class QEventPresentation:
             # --- lazy code-domain plasticity ----------------------------
             # The column-restricted scatter touches only the spiking
             # columns, rounding each changed synapse with one qrounding
-            # draw — the same draws, in the same order, as the dense
-            # qfused kernel on the same spike trajectory.  Timers and the
+            # draw, in column order — the draws the float shadow twin makes
+            # on the same spike trajectory.  Timers and the
             # Bernoulli draws are host subsystems, so the spike mask is
             # downloaded at fired steps and the helpers upload the
             # host-computed masks through the explicit ops seam.
@@ -529,8 +527,8 @@ class QEventPresentation:
             total_spikes += n_fired
             t_ms += dt_ms
 
-        # Export the integer timers back into the float state so the dense
-        # engines (and `rest()`) see exactly what per-step decrements would
+        # Export the integer timers back into the float state so the
+        # reference engine (and `rest()`) see exactly what per-step decrements would
         # have left behind.  The float timers are host state, so a device
         # backend downloads the expiry steps first (same arithmetic after).
         ref_export = ref_end if on_host else ops.to_host(ref_end)

@@ -2,18 +2,21 @@
 
 Training and evaluation both boil down to *presenting images to the
 network*; what differs is the execution strategy — the per-step reference
-loop, the fused dense kernel, the event-accelerated kernel, the
-image-parallel batched engine, and whatever comes next (CuPy, sharded,
-remote).  Before this module each call site (trainer, evaluator,
-experiment, CLI, bench) selected a strategy with its own ``fast=`` /
-``batched=`` booleans; the registry replaces all of that with resolution by
-**name** plus a declared capability record per engine:
+loop, the float and integer gather kernels, the image-parallel batched
+engines, and whatever comes next (CuPy, sharded, remote).  Each call site
+(trainer, evaluator, experiment, CLI, benchmark) resolves a strategy by
+**name** against a declared capability record per engine:
 
 - ``supports_learning`` — can the engine drive plasticity (training)?
 - ``supports_batch`` — does it advance many images in lock-step?
 - ``equivalence`` — the contract versus the reference loop
   (:class:`Equivalence` tier);
 - ``backends`` — array backends the engine can execute on.
+
+The built-in engines are one kernel per precision plus the oracle:
+``reference`` (the per-step loop), ``fused`` (the float gather kernel,
+bit-exact to ``reference``), ``qfused`` (the same loop on integer Q-format
+codes) and the evaluation-only ``batched``/``qbatched``.
 
 Engines are registered as :class:`EngineSpec` records carrying a *lazy*
 ``"module:Class"`` factory path, so this module imports nothing heavy and
@@ -23,8 +26,8 @@ no call site changes needed, which is the multi-backend seam the ROADMAP
 asks for.
 
 :func:`check_equivalence` turns each declared tier into concrete
-assertions; ``scripts/bench_training.py --check`` and the test suite use it
-to verify any engine pair's contract instead of hand-rolled comparisons.
+assertions; the benchmark and the test suite use it to verify any engine
+pair's contract instead of hand-rolled comparisons.
 :func:`check_backend_equivalence` pins the orthogonal axis: the *same*
 engine on two declared backends must agree **bit for bit** regardless of
 its declared tier, because every kernel draws its randomness host-side
@@ -40,6 +43,10 @@ from importlib import import_module
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+
+#: Default absolute tolerance on float state (conductances, thetas) at the
+#: ``SPIKE_EQUIVALENT`` tier, where spike counts must still match exactly.
+CONDUCTANCE_ATOL = 1e-9
 
 
 class Equivalence(str, enum.Enum):
@@ -189,15 +196,13 @@ def check_equivalence(
     ``SPIKE_EQUIVALENT`` the integer artefacts (spike counts, response
     matrices) must still match exactly — they are functions of the spike
     trains alone — while float state may deviate up to *conductance_atol*
-    (default: :data:`repro.engine.event_train.CONDUCTANCE_ATOL`).
+    (default: :data:`CONDUCTANCE_ATOL`).
     """
     import numpy as np
 
     if spec.equivalence is Equivalence.STATISTICAL:
         return []
     if conductance_atol is None:
-        from repro.engine.event_train import CONDUCTANCE_ATOL
-
         conductance_atol = CONDUCTANCE_ATOL
 
     failures: List[str] = []
@@ -289,19 +294,10 @@ register_engine(EngineSpec(
     name="fused",
     factory="repro.engine.presentation:FusedEngine",
     supports_learning=True,
-    supports_batch=False,
-    equivalence=Equivalence.BIT_EXACT,
-    backends=("numpy", "guard", "cupy"),
-    summary="dense fused kernel: pre-generated rasters, in-place stepping",
-))
-register_engine(EngineSpec(
-    name="event",
-    factory="repro.engine.presentation:EventEngine",
-    supports_learning=True,
     supports_batch=True,
-    equivalence=Equivalence.SPIKE_EQUIVALENT,
+    equivalence=Equivalence.BIT_EXACT,
     backends=("numpy", "guard"),
-    summary="sparse input gathers + integer expiry timers; lock-step evaluation",
+    summary="float gather kernel: row-order input gathers, integer timers; lock-step evaluation",
 ))
 register_engine(EngineSpec(
     name="batched",
@@ -316,20 +312,10 @@ register_engine(EngineSpec(
     name="qfused",
     factory="repro.engine.presentation:QFusedEngine",
     supports_learning=True,
-    supports_batch=False,
-    equivalence=Equivalence.SPIKE_EQUIVALENT,
-    backends=("numpy", "guard", "cupy"),
-    summary="integer-native fused kernel: uint8/uint16 Q-format codes, fused eq.-8 rounding",
-    precisions=("uint8", "uint16"),
-))
-register_engine(EngineSpec(
-    name="qevent",
-    factory="repro.engine.presentation:QEventEngine",
-    supports_learning=True,
     supports_batch=True,
     equivalence=Equivalence.SPIKE_EQUIVALENT,
     backends=("numpy", "guard"),
-    summary="sparse gathers + integer timers on Q-format codes; lock-step evaluation",
+    summary="integer gather kernel on uint8/uint16 Q-format codes; lock-step evaluation",
     precisions=("uint8", "uint16"),
 ))
 register_engine(EngineSpec(

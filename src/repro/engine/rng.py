@@ -50,36 +50,31 @@ STREAM_CONSUMERS = {
     "init": ("network/builder.py", "network/wta.py"),
     "encoding": (
         "engine/event_train.py",
-        "engine/fused.py",
         "engine/presentation.py",
         "engine/profiler.py",
         "engine/qevent.py",
-        "engine/qfused.py",
         "network/builder.py",
         "network/wta.py",
     ),
     "learning": (
         "engine/event_train.py",
-        "engine/fused.py",
         "engine/profiler.py",
         "engine/qevent.py",
-        "engine/qfused.py",
         "network/builder.py",
         "network/wta.py",
     ),
     "rounding": ("cli.py", "io/checkpoint.py", "pipeline/trainer.py"),
     "misc": ("cli.py", "pipeline/evaluator.py", "pipeline/experiment.py"),
-    "qrounding": ("engine/qevent.py", "engine/qfused.py"),
+    "qrounding": ("engine/qevent.py",),
     "batched_eval": ("engine/batched.py", "engine/presentation.py"),
 }
 
-#: Engine tiers asserted bit-identical (the equivalence suites) must
-#: consume the same streams with the same conditionality, or draw-count
-#: parity — and with it bit-identity — dies.  R9 enforces each group.
-PARITY_GROUPS = (
-    ("engine/fused.py", "engine/event_train.py"),
-    ("engine/qfused.py", "engine/qevent.py"),
-)
+#: Kernel modules asserted bit-identical to one another (the equivalence
+#: suites) must consume the same streams with the same conditionality, or
+#: draw-count parity — and with it bit-identity — dies.  R9 enforces each
+#: group.  Empty: one kernel module per precision remains, and the float
+#: one's oracle is the reference loop in ``network/wta.py``.
+PARITY_GROUPS: Tuple[Tuple[str, ...], ...] = ()
 
 #: Streams intentionally without consumers, with the reason.  Removing a
 #: name from ``STREAM_NAMES`` would shift every later spawn child and

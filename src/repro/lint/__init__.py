@@ -2,7 +2,7 @@
 
 ``python -m repro lint`` enforces the conventions the engine registry's
 equivalence tiers depend on.  Bit-identity between the reference, fused and
-event execution paths only holds when every random draw flows through an
+qfused execution paths only holds when every random draw flows through an
 explicitly seeded :class:`~repro.engine.rng.RngStreams` stream and every hot
 buffer has a pinned dtype — properties a test suite can only sample, but an
 AST walk can prove for the whole tree.  Four rules:

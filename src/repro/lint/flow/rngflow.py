@@ -1,7 +1,7 @@
 """R9 — RNG-stream provenance: draws audited against the rng.py manifest.
 
-Bit-identity across engine tiers (the paper's fused-vs-event and
-qfused-vs-qevent equivalence claims) holds only if every named
+Bit-identity across engine tiers (the ``fused``-vs-``reference`` and
+``qfused``-vs-twin equivalence claims) holds only if every named
 ``RngStreams`` stream is drawn by exactly the documented call sites with
 matching draw counts.  The ground truth is declared as module-level
 literals in ``engine/rng.py`` itself — parsed from the AST by

@@ -34,14 +34,13 @@ R1_EXEMPT_SUFFIXES: Tuple[str, ...] = ("engine/rng.py",)
 R2_STRICT_DIRS: FrozenSet[str] = frozenset({"engine", "quantization"})
 
 #: Paths where R2 additionally polices silent float64 *upcasts*: the
-#: integer-native kernels (the dense and event-driven code-storage
-#: engines, and the batched engine whose qbatched path carries frozen
-#: codes) plus the whole quantization layer, where a dtype-less
+#: integer-native kernels (the code-storage gather kernel, and the batched
+#: engine whose qbatched path carries frozen codes) plus the whole
+#: quantization layer, where a dtype-less
 #: ``np.asarray``/``np.array`` or an ``astype(float)`` quietly promotes
 #: uint8/uint16 code arrays back to full-precision floats — the exact
 #: round trip the integer tier exists to eliminate.
 R2_INT_NATIVE_SUFFIXES: Tuple[str, ...] = (
-    "engine/qfused.py",
     "engine/qevent.py",
     "engine/batched.py",
 )
@@ -570,9 +569,7 @@ class R5ExceptionHygiene(_RuleVisitor):
 #: numpy directly would be pinned to the host no matter which backend the
 #: kernel runs on.
 R6_BACKEND_GENERIC_SUFFIXES: Tuple[str, ...] = (
-    "engine/fused.py",
     "engine/event_train.py",
-    "engine/qfused.py",
     "engine/qevent.py",
     "engine/batched.py",
     "engine/plasticity.py",

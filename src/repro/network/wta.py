@@ -153,8 +153,15 @@ class WTANetwork:
     # ------------------------------------------------------------------
 
     def drive(self, input_spikes: np.ndarray, dt_ms: float) -> None:
-        """Inject one step of *input_spikes* into the synaptic current (eq. 3)."""
-        injected = (input_spikes.astype(np.float64) @ self.synapses.g) * self.amplitude
+        """Inject one step of *input_spikes* into the synaptic current (eq. 3).
+
+        The active input rows are summed in row order — the gather kernels'
+        own order — rather than by a BLAS ``vec @ matrix``, whose grouping
+        of the additions depends on the BLAS build.  Every engine therefore
+        computes the same float drive bit for bit.
+        """
+        rows = np.flatnonzero(input_spikes)
+        injected = np.add.reduce(self.synapses.g[rows], axis=0) * self.amplitude
         if self.config.wta.synapse_model == "conductance":
             # Voltage-dependent driving force, normalised to match the
             # current model at the reset potential.

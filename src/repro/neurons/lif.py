@@ -76,7 +76,7 @@ class LIFPopulation(NeuronPopulation):
             # np.where mix below instead of being silently stripped.
             mask = mask.astype(bool, copy=False)
         else:
-            mask = np.asarray(mask, dtype=bool)  # lint-ok: R8
+            mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n,):
             raise SimulationError(f"mask must have shape ({self.n},), got {mask.shape}")
         np.maximum(self._inhibited_left, np.where(mask, duration_ms, 0.0), out=self._inhibited_left)

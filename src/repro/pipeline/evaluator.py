@@ -12,11 +12,10 @@ The paper's procedure after training:
 :meth:`Evaluator.collect_responses` for reuse (labeling, inference and the
 mid-training accuracy probe all need per-image response vectors).  The
 response collection itself is delegated to a presentation engine resolved
-by name through :mod:`repro.engine.registry`.  ``"fused"`` runs the same
-plasticity-frozen per-image loop as ``"reference"`` several times faster
-and is bit-identical to it under pinned seeds, which is why it is the
-default; ``"event"`` and ``"qevent"`` step a chunk of images in lock-step,
-bit-identical to their own per-image loop.
+by name through :mod:`repro.engine.registry`.  ``"fused"`` and
+``"qfused"`` step a chunk of plasticity-frozen presentations in lock-step,
+bit-identical to the ``"reference"`` per-image loop under pinned seeds and
+several times faster, which is why ``"fused"`` is the default.
 """
 
 from __future__ import annotations

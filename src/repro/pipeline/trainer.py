@@ -9,7 +9,7 @@ wall-clock time — the raw material of the run-time comparisons in Figs. 7b
 and 8b.
 
 The presentation itself is delegated to an engine resolved by name through
-:mod:`repro.engine.registry` (``"reference"``, ``"fused"``, ``"event"``, or
+:mod:`repro.engine.registry` (``"reference"``, ``"fused"``, ``"qfused"``, or
 anything registered later); the config's
 :class:`~repro.config.parameters.EngineConfig` supplies the default.
 
@@ -61,7 +61,7 @@ class TrainingLog:
     #: Output spikes per presented image.
     spikes_per_image: List[int] = field(default_factory=list)
     normalizations: int = 0
-    #: Input raster occupancy counters (populated by the event engine):
+    #: Input raster occupancy counters (populated by the gather kernels):
     #: total ``(step, channel)`` cells presented and how many were active.
     raster_cells: int = 0
     raster_active_cells: int = 0
@@ -127,8 +127,6 @@ class UnsupervisedTrainer:
         A pre-built engine *instance* (anything with the
         ``run(image, t_ms, n_steps, dt_ms)`` presentation protocol) is also
         accepted and used as-is, bypassing registry resolution.
-        ``scripts/bench_training.py`` records the measured engine
-        trajectory.
 
         ``resume_from`` is a v2 checkpoint path (or an in-memory
         :class:`~repro.resilience.run_state.TrainingRunState`): the
@@ -141,7 +139,7 @@ class UnsupervisedTrainer:
         ``on_engine_fault`` — ``"raise"`` propagates engine exceptions
         (default); ``"degrade"`` rolls the network back to the boundary
         snapshot, rebuilds the next engine down the degradation chain
-        (``event`` → ``fused`` → ``reference``), re-presents the image and
+        (``qfused`` → ``fused`` → ``reference``), re-presents the image and
         emits an :class:`~repro.resilience.degrade.EngineDegradedWarning`.
         :class:`~repro.errors.NumericHealthError` is never degraded away —
         a failed invariant means the state itself is suspect.
@@ -169,9 +167,9 @@ class UnsupervisedTrainer:
                 kernel = create_training_engine(engine_name, self.network)
         else:
             # A pre-built engine instance (anything implementing run());
-            # used by the bench harness and equivalence tests to drive
-            # configured kernels (e.g. the qfused float shadow twin) that
-            # have no registry name of their own.
+            # used by the equivalence tests to drive configured kernels
+            # (e.g. the qfused float shadow twin) that have no registry
+            # name of their own.
             kernel = engine_choice
             engine_name = getattr(kernel, "name", "") or type(kernel).__name__
         occupancy = getattr(kernel, "occupancy", None)

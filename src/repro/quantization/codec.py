@@ -268,7 +268,7 @@ class QCodec:
 def require_codec(quantizer: object, engine: str) -> QCodec:
     """The :class:`QCodec` for an integer-native *engine*, or a config error.
 
-    The integer tiers (``qfused``, ``qevent``, ``qbatched``) share the same
+    The integer tiers (``qfused``, ``qbatched``) share the same
     two admission requirements: a fixed-point quantization config, narrow
     enough for the unsigned code storage.  Violations raise
     :class:`~repro.errors.ConfigurationError` naming the engine and the fix.

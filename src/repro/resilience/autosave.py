@@ -9,8 +9,8 @@ protocol of :mod:`repro.io.checkpoint` — the file on disk is always a
 complete, loadable checkpoint, no matter when the process dies.
 
 The policy also accounts for its own cost (``seconds_spent``,
-``saves_written``), which ``scripts/bench_training.py`` reports as the
-autosave-overhead trajectory column and gates at 3 % of training wall-time.
+``saves_written``), so a caller can report autosave overhead as a share of
+training wall-time.
 """
 
 from __future__ import annotations

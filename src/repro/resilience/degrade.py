@@ -1,20 +1,21 @@
 """Graceful engine degradation: fall down the equivalence ladder, not over.
 
-The engine registry orders the sequential training engines by how
-aggressively they optimise the same semantics: ``event`` (sparse input
-gathers) → ``fused`` (dense single-kernel) → ``reference`` (the per-step
-oracle).  When a fast engine faults mid-run — a bug tickled by an
-unusual input, an injected fault from the test harness — aborting an
-hours-long training run is the worst available outcome: the *reference*
-semantics are still perfectly computable.
+The sequential training engines form one ladder from the most to the least
+specialised implementation of the same semantics: ``qfused`` (the integer
+gather kernel on Q-format codes) → ``fused`` (the float gather kernel) →
+``reference`` (the per-step oracle).  When a fast engine faults mid-run —
+a bug tickled by an unusual input, an injected fault from the test
+harness — aborting an hours-long training run is the worst available
+outcome: the *reference* semantics are still perfectly computable.
 
 :func:`next_tier` names each engine's fallback.  The trainer uses it
 (``on_engine_fault="degrade"``) to roll the network back to the last
 presentation-boundary snapshot, rebuild the next-tier engine and re-present
 the image, emitting an :class:`EngineDegradedWarning` so the downgrade is
-visible in logs.  Because ``fused`` is bit-identical to ``reference`` and
-``event`` is spike-trajectory-equivalent, a degraded run stays inside the
-published equivalence contract of the tier it lands on.
+visible in logs.  Because ``fused`` is bit-identical to ``reference``, and
+``qfused`` is too whenever its rounding draws no random numbers, a degraded
+run stays inside the published equivalence contract of the tier it lands
+on.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from typing import List, Optional
 
 #: Fallback order of the sequential training engines (most to least
 #: optimised).  ``reference`` has no fallback: a fault there is a real
-#: error and propagates.  The integer tiers degrade within their own
-#: ladder first — ``qevent`` (sparse gathers on codes) falls back to the
-#: dense ``qfused`` kernel, which falls back to ``fused`` (the same
+#: error and propagates.  ``qfused`` falls back to ``fused`` (the same
 #: Q-format *simulated* on float64, valid for any quantization config).
+#: ``event`` and ``qevent`` are retired engine names: they are no longer
+#: registered, and their entries only let :func:`degradation_path` walk
+#: from a retired name to the engine that replaced it.
 DEGRADATION_CHAIN = {
-    "qevent": "qfused",
     "qfused": "fused",
-    "event": "fused",
     "fused": "reference",
+    "qevent": "qfused",
+    "event": "fused",
 }
 
 
@@ -44,7 +46,7 @@ def next_tier(engine_name: str, engine: Optional[object] = None) -> Optional[str
 
     When the live *engine* object declares a ``degrade_to`` attribute (the
     fault-injection wrappers do, naming the tier below the engine they
-    wrap), that takes precedence — a wrapped ``event`` engine degrades into
+    wrap), that takes precedence — a wrapped ``qfused`` engine degrades into
     the real ``fused``, not into a chain lookup of its wrapper name.
     """
     declared = getattr(engine, "degrade_to", None)
@@ -56,10 +58,11 @@ def next_tier(engine_name: str, engine: Optional[object] = None) -> Optional[str
 def degradation_path(engine_name: str) -> List[str]:
     """The full fallback walk starting at *engine_name* (inclusive).
 
-    ``degradation_path("qevent") == ["qevent", "qfused", "fused",
-    "reference"]``; an engine outside the chain is its own single-element
-    path.  Used by the resilience-analysis harness to bound the number of
-    degradation hops a scenario may legitimately take.
+    ``degradation_path("qfused") == ["qfused", "fused", "reference"]``;
+    an engine outside the chain is its own single-element path.  Used by
+    the resilience-analysis harness to bound the number of degradation
+    hops a scenario may legitimately take, and by the benchmark to map a
+    requested engine to the first registered one on its path.
     """
     path = [engine_name]
     while path[-1] in DEGRADATION_CHAIN:

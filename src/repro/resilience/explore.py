@@ -53,7 +53,7 @@ from repro.config.parameters import (
 from repro.config.presets import get_preset
 from repro.datasets.cache import cached_load_dataset
 from repro.datasets.dataset import load_dataset
-from repro.engine.registry import get_engine_spec
+from repro.engine.registry import available_engines, get_engine_spec
 from repro.errors import CheckpointError, ConfigurationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import UnsupervisedTrainer
@@ -196,7 +196,7 @@ class FaultSpace:
     """
 
     kinds: Tuple[str, ...] = FAULT_KINDS
-    engines: Tuple[str, ...] = ("fused", "event", "qevent")
+    engines: Tuple[str, ...] = ("fused", "qfused")
     at_presentations: Tuple[int, ...] = (3, 6)
     autosave_cadences: Tuple[int, ...] = (2, 4)
     damage_modes: Tuple[str, ...] = DAMAGE_MODES
@@ -206,6 +206,13 @@ class FaultSpace:
             if kind not in FAULT_KINDS:
                 raise ConfigurationError(
                     f"unknown fault kind {kind!r}; known: {list(FAULT_KINDS)}"
+                )
+        learners = [n for n in available_engines() if get_engine_spec(n).supports_learning]
+        for engine in self.engines:
+            if engine not in learners:
+                raise ConfigurationError(
+                    f"fault space engine {engine!r} is not a registered learning "
+                    f"engine; registered learning engines: {', '.join(learners)}"
                 )
         for damage in self.damage_modes:
             if damage not in DAMAGE_MODES:
@@ -295,15 +302,15 @@ class FaultSpace:
 
 
 def default_space() -> FaultSpace:
-    """The default analysis space: 3 kinds × 3 engines × 2 injection points
-    × 2 cadences × 3 damage modes (44 scenarios)."""
+    """The default analysis space: 3 kinds × 2 engines × 2 injection points
+    × 2 cadences × 3 damage modes (30 scenarios)."""
     return FaultSpace()
 
 
 def smoke_space() -> FaultSpace:
-    """A small space for CI smoke runs (11 scenarios, float engines only)."""
+    """A small space for CI smoke runs (6 scenarios, float engine only)."""
     return FaultSpace(
-        engines=("fused", "event"),
+        engines=("fused",),
         at_presentations=(3,),
         autosave_cadences=(2, 4),
         damage_modes=(DAMAGE_NONE, DAMAGE_TRUNCATE),
@@ -322,7 +329,7 @@ class ScenarioWorkload:
     Mirrors the test suite's tiny fixtures: 8 WTA neurons over 8×8
     synthetic digits, 50 ms presentations.  Quantized engines get a
     Q-format config with **deterministic** rounding, because the
-    cross-tier degradation contract (qevent → qfused → fused) is
+    cross-tier degradation contract (qfused → fused → reference) is
     bit-identical only when rounding consumes no RNG.
     """
 
@@ -688,8 +695,8 @@ class ScenarioRunner:
 
         # Every fallback steps the same arithmetic on this workload: ``fused``
         # falls to the bit-identical ``reference``, ``qfused`` to ``fused``
-        # (deterministic rounding), ``event``/``qevent`` to their dense
-        # twins.  So the degraded run must match the clean run bit for bit.
+        # (deterministic rounding).  So the degraded run must match the
+        # clean run bit for bit.
         identical = self._matches_exactly(net, log.spikes_per_image, base)
         contract_holds = hops >= 1 and identical
         return ScenarioOutcome(

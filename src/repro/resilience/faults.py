@@ -444,7 +444,7 @@ def _faulty_factory(name: str) -> str:
 
 
 def install_faulty_engine(
-    inner: str = "event",
+    inner: str = "fused",
     fail_at: int = 1,
     fail_times: int = 1,
     mode: str = "raise",
@@ -507,8 +507,8 @@ def install_faulty_chain(
 ) -> List[str]:
     """Register one fault wrapper per tier so a run walks the whole chain.
 
-    ``install_faulty_chain(["qevent", "qfused", "fused"], fail_at=3)``
-    registers ``faulty-qevent`` → ``faulty-qfused`` → ``faulty-fused``,
+    ``install_faulty_chain(["qfused", "fused"], fail_at=3)``
+    registers ``faulty-qfused`` → ``faulty-fused``,
     where each wrapper degrades into the *next wrapper* and the last one
     into the real tier below its engine (``reference`` here).  The entry
     wrapper faults at presentation *fail_at*; every inner wrapper faults

@@ -33,9 +33,7 @@ from repro.pipeline.trainer import UnsupervisedTrainer
 TRAIN_GRID = [
     ("reference", False),
     ("fused", False),
-    ("event", False),
     ("qfused", True),
-    ("qevent", True),
 ]
 
 
@@ -111,7 +109,7 @@ class TestGuardEvaluationGrid:
                 assert transfer_stats().violations == 0
         assert np.array_equal(responses["numpy"], responses["guard"])
 
-    @pytest.mark.parametrize("engine", ["fused", "event"])
+    @pytest.mark.parametrize("engine", ["reference", "fused"])
     def test_sequential_evaluation_identical_across_backends(
         self, tiny_config, small_images, engine
     ):
@@ -147,7 +145,7 @@ class TestCheckBackendEquivalence:
         assert all("bit-identical" in f for f in failures)
 
     def test_undeclared_backend_is_flagged(self):
-        spec = get_engine_spec("event")  # declares numpy+guard, not cupy
+        spec = get_engine_spec("fused")  # declares numpy+guard, not cupy
         failures = check_backend_equivalence(spec, "cupy", {}, {})
         assert len(failures) == 1
         assert "does not declare backend" in failures[0]
@@ -169,7 +167,7 @@ class TestEngineConfigBackend:
 
     def test_undeclared_engine_backend_combo_rejected(self):
         with pytest.raises(ConfigurationError, match="does not execute"):
-            EngineConfig(train="event", eval="event", backend="cupy")
+            EngineConfig(train="fused", eval="fused", backend="cupy")
 
     def test_declared_combo_accepted(self):
         cfg = EngineConfig(train="fused", eval="batched", backend="guard")

@@ -103,7 +103,7 @@ class TestEngines:
     def test_engines_command_lists_capability_table(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        for name in ("reference", "fused", "qfused", "event", "batched"):
+        for name in ("reference", "fused", "qfused", "batched", "qbatched"):
             assert name in out
         for tier in ("bit_exact", "spike_equivalent", "statistical"):
             assert tier in out
@@ -111,7 +111,7 @@ class TestEngines:
         assert "uint8+uint16" in out
 
     def test_run_accepts_engine_flags(self, capsys):
-        code = main(self._TINY + ["--engine", "event", "--eval-engine", "batched"])
+        code = main(self._TINY + ["--engine", "reference", "--eval-engine", "batched"])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
@@ -143,6 +143,6 @@ class TestEngines:
         main(self._TINY + ["--save", str(path)])
         capsys.readouterr()
         code = main(["evaluate", str(path), "--n-test", "10", "--size", "8",
-                     "--engine", "event"])
+                     "--engine", "reference"])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out

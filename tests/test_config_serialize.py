@@ -72,7 +72,7 @@ class TestEngineConfigSerialization:
     def test_engine_config_round_trip(self):
         from repro.config.parameters import EngineConfig
 
-        cfg = EngineConfig(train="event", eval="batched")
+        cfg = EngineConfig(train="reference", eval="batched")
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_experiment_carries_engine_selection(self, tmp_path):
@@ -81,14 +81,14 @@ class TestEngineConfigSerialization:
 
         cfg = replace(
             get_preset("4bit", n_neurons=5),
-            engine=EngineConfig(train="reference", eval="event"),
+            engine=EngineConfig(train="reference", eval="qfused"),
         )
         path = tmp_path / "cfg.json"
         save_json(cfg, path)
         restored = load_json(path)
         assert restored == cfg
         assert restored.engine.train == "reference"
-        assert restored.engine.eval == "event"
+        assert restored.engine.eval == "qfused"
 
     def test_unknown_engine_name_rejected_on_load(self):
         data = config_to_dict(get_preset("4bit", n_neurons=5))

@@ -17,7 +17,6 @@ from repro.engine.registry import (
 )
 from repro.engine.presentation import (
     BatchedEngine,
-    EventEngine,
     FusedEngine,
     ReferenceEngine,
 )
@@ -33,18 +32,19 @@ def tiny_network(tiny_config):
 class TestRegistry:
     def test_builtin_engines_registered(self):
         assert available_engines() == (
-            "batched", "event", "fused", "qbatched", "qevent", "qfused", "reference"
+            "batched", "fused", "qbatched", "qfused", "reference"
         )
 
     def test_unknown_name_lists_registered_engines(self):
-        with pytest.raises(ConfigurationError, match="batched.*event.*fused.*reference"):
+        with pytest.raises(ConfigurationError, match="batched, fused, qbatched, qfused, reference"):
             get_engine_spec("warp")
 
     def test_specs_declare_capabilities(self):
         assert get_engine_spec("reference").supports_learning
-        assert get_engine_spec("fused").equivalence is Equivalence.BIT_EXACT
-        assert get_engine_spec("event").equivalence is Equivalence.SPIKE_EQUIVALENT
-        assert get_engine_spec("event").supports_batch
+        fused = get_engine_spec("fused")
+        assert fused.equivalence is Equivalence.BIT_EXACT
+        assert fused.supports_learning and fused.supports_batch
+        assert fused.backends == ("numpy", "guard")
         batched = get_engine_spec("batched")
         assert not batched.supports_learning
         assert batched.supports_batch
@@ -55,7 +55,6 @@ class TestRegistry:
         for name, cls in (
             ("reference", ReferenceEngine),
             ("fused", FusedEngine),
-            ("event", EventEngine),
             ("batched", BatchedEngine),
         ):
             engine = create_engine(name, tiny_network)
@@ -69,7 +68,7 @@ class TestRegistry:
 
     def test_training_engine_error_lists_learners(self, tiny_network):
         with pytest.raises(
-            ConfigurationError, match="event, fused, qevent, qfused, reference"
+            ConfigurationError, match="training engines: fused, qfused, reference"
         ):
             create_training_engine("batched", tiny_network)
 
@@ -86,16 +85,16 @@ class TestRegistry:
     def test_qfused_spec_declares_integer_tier(self):
         spec = get_engine_spec("qfused")
         assert spec.supports_learning
-        assert spec.equivalence is Equivalence.SPIKE_EQUIVALENT
-        assert spec.precisions == ("uint8", "uint16")
-        assert "float64" not in spec.precisions
-
-    def test_qevent_spec_declares_integer_event_tier(self):
-        spec = get_engine_spec("qevent")
-        assert spec.supports_learning
         assert spec.supports_batch
         assert spec.equivalence is Equivalence.SPIKE_EQUIVALENT
         assert spec.precisions == ("uint8", "uint16")
+        assert "float64" not in spec.precisions
+        assert spec.backends == ("numpy", "guard")
+
+    def test_retired_engine_names_are_unregistered(self):
+        for name in ("event", "qevent"):
+            with pytest.raises(ConfigurationError, match="unknown engine"):
+                get_engine_spec(name)
 
     def test_qbatched_spec_declares_integer_batch_tier(self):
         spec = get_engine_spec("qbatched")

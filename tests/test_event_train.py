@@ -1,15 +1,12 @@
-"""Equivalence and unit tests for the event-accelerated training engine.
+"""Equivalence and unit tests for the float gather kernel (engine ``fused``).
 
-The contract under test (see :mod:`repro.engine.event_train`):
-**spike-trajectory equivalence** — training with ``engine="event"`` must
-produce the same per-image spike counts as the reference loop and the
-fused kernel under identical :class:`~repro.engine.rng.RngStreams` seeds,
-with conductances within :data:`CONDUCTANCE_ATOL`, across storage formats,
-rounding modes, learning rules, LTD modes, encoders, synapse models and
-adaptive-threshold settings.  (Bit-identity is explicitly *not* promised —
-the sparse gather may add three or more spiking rows in a different order
-than the dense BLAS matvec — which is why the equivalence assertions below
-compare spikes exactly but conductances and thetas within tolerance.)
+The contract under test (see :mod:`repro.engine.event_train`): training with
+``engine="fused"`` must reproduce the reference loop **bit for bit** under
+identical :class:`~repro.engine.rng.RngStreams` seeds — per-image spike
+counts, conductances, thetas and the exported timers — across storage
+formats, rounding modes, learning rules, LTD modes, encoders, synapse models
+and adaptive-threshold settings.  Both sum eq. 3 over the active input rows
+in row order, so every comparison below is exact.
 """
 
 from __future__ import annotations
@@ -22,8 +19,9 @@ import pytest
 from repro.config.parameters import QuantizationConfig, RoundingMode, STDPKind
 from repro.config.presets import get_preset
 from repro.encoding.events import sparsify
-from repro.engine.event_train import CONDUCTANCE_ATOL, EventPresentation
-from repro.engine.fused import FusedPresentation
+from repro.engine.event_train import EventPresentation
+from repro.engine.presentation import ReferenceEngine
+from repro.engine.qevent import QEventPresentation
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
@@ -37,55 +35,55 @@ def _train(config, images, engine, **net_kwargs):
     return net, log
 
 
-def _assert_spike_equivalent(config, images, **net_kwargs):
+def _assert_bit_identical(config, images, **net_kwargs):
     net_ref, log_ref = _train(config, images, engine="reference", **net_kwargs)
-    net_evt, log_evt = _train(config, images, engine="event", **net_kwargs)
+    net_evt, log_evt = _train(config, images, engine="fused", **net_kwargs)
     assert log_ref.spikes_per_image == log_evt.spikes_per_image
     assert log_ref.total_steps == log_evt.total_steps
-    g_dev = np.max(np.abs(net_ref.conductances - net_evt.conductances))
-    assert g_dev <= CONDUCTANCE_ATOL
-    np.testing.assert_allclose(
-        net_ref.neurons.theta, net_evt.neurons.theta, rtol=1e-9, atol=1e-9
-    )
+    assert np.array_equal(net_ref.conductances, net_evt.conductances)
+    assert np.array_equal(net_ref.neurons.theta, net_evt.neurons.theta)
     # Exported timer state must match what per-step decrements left behind
     # (exact on the integer ms grid these configs use).
-    np.testing.assert_allclose(
-        net_ref.neurons._refractory_left, net_evt.neurons._refractory_left, atol=1e-9
+    assert np.array_equal(
+        net_ref.neurons._refractory_left, net_evt.neurons._refractory_left
     )
-    np.testing.assert_allclose(
-        net_ref.neurons._inhibited_left, net_evt.neurons._inhibited_left, atol=1e-9
+    assert np.array_equal(
+        net_ref.neurons._inhibited_left, net_evt.neurons._inhibited_left
     )
     # The comparison must mean something.
     assert sum(log_ref.spikes_per_image) > 0
 
 
 class TestSpikeTrajectoryEquivalence:
+    """Spike trajectories match the reference loop, and so does every float
+    state: the kernel is bit-exact, which implies spike equivalence."""
+
     def test_float32_stochastic(self, tiny_config, small_images):
-        _assert_spike_equivalent(tiny_config, small_images)
+        _assert_bit_identical(tiny_config, small_images)
 
     def test_q17_stochastic_rounding(self, tiny_config, small_images):
         """Q1.7 + stochastic rounding exercises the full-matrix rule fallback."""
         cfg = get_preset("8bit", n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=tiny_config.simulation)
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     def test_q17_nearest_rounding(self, tiny_config, small_images):
         """Q1.7 + nearest rounding exercises the column-restricted rule path."""
         cfg = get_preset("8bit", rounding=RoundingMode.NEAREST, n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=tiny_config.simulation)
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     def test_deterministic_stdp(self, tiny_config, small_images):
         cfg = get_preset("float32", stdp_kind=STDPKind.DETERMINISTIC, n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=tiny_config.simulation)
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     @pytest.mark.parametrize("ltd_mode", [LTDMode.PAIR, LTDMode.BOTH])
     def test_pair_ltd_modes(self, tiny_config, small_images, ltd_mode):
         """PAIR/BOTH consume learning RNG at pre-event steps — the engine
         must invoke the fallback rule at every input event, not just at
         output spikes."""
-        _assert_spike_equivalent(tiny_config, small_images, ltd_mode=ltd_mode)
+        _assert_bit_identical(tiny_config, small_images, ltd_mode=ltd_mode)
 
     def test_fast_adaptive_threshold(self, tiny_config, small_images):
         """A strongly adaptive threshold (fast decay, large increment)
@@ -99,95 +97,99 @@ class TestSpikeTrajectoryEquivalence:
                 ),
             ),
         )
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     def test_high_frequency_preset(self, tiny_config, small_images):
         """The Table I high-frequency row — the acceptance workload's rates."""
         cfg = get_preset("high_frequency", n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=replace(cfg.simulation, t_learn_ms=50.0, t_rest_ms=5.0))
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     def test_periodic_encoder(self, tiny_config, small_images):
         cfg = replace(tiny_config, encoding=replace(tiny_config.encoding, kind="periodic"))
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     def test_conductance_synapse_model(self, tiny_config, small_images):
         cfg = replace(tiny_config, wta=replace(tiny_config.wta, synapse_model="conductance"))
-        _assert_spike_equivalent(cfg, small_images)
+        _assert_bit_identical(cfg, small_images)
 
     def test_hard_inhibition(self, tiny_config, small_images):
         cfg = replace(tiny_config, wta=replace(tiny_config.wta, inhibition_strength=0.0))
-        _assert_spike_equivalent(cfg, small_images)
-
-    def test_matches_fused_exactly_in_practice(self, tiny_config, small_images):
-        """Weight updates read timers and the learning stream, never the
-        analytically-advanced membranes, so when the spike trains match the
-        conductances come out *exactly* equal (the tolerance is headroom,
-        not slack that is actually consumed)."""
-        net_fus, log_fus = _train(tiny_config, small_images, engine="fused")
-        net_evt, log_evt = _train(tiny_config, small_images, engine="event")
-        assert log_fus.spikes_per_image == log_evt.spikes_per_image
-        assert np.array_equal(net_fus.conductances, net_evt.conductances)
+        _assert_bit_identical(cfg, small_images)
 
 
 class TestQuietInput:
-    @pytest.mark.parametrize(
-        "engine, dense, fmt, rounding",
-        [
-            ("event", "fused", None, None),
-            ("qevent", "qfused", "Q1.7", RoundingMode.NEAREST),
-            ("qevent", "qfused", "Q1.7", RoundingMode.STOCHASTIC),
-            ("qevent", "qfused", "Q8.8", RoundingMode.NEAREST),
-            ("qevent", "qfused", "Q8.8", RoundingMode.STOCHASTIC),
-        ],
-        ids=[
-            "event",
-            "qevent-Q1.7-nearest",
-            "qevent-Q1.7-stochastic",
-            "qevent-Q8.8-nearest",
-            "qevent-Q8.8-stochastic",
-        ],
-    )
-    def test_matches_dense_twin(
-        self, tiny_config, tiny_dataset, engine, dense, fmt, rounding
-    ):
-        """With a zero-rate background most steps carry no input event.
-        The event kernels still step every one of them with the dense
-        arithmetic, so they match their dense twins bit for bit: spikes,
-        learned conductances (hence codes), thetas and evaluation
-        responses."""
-        cfg = replace(
-            tiny_config, encoding=replace(tiny_config.encoding, f_min_hz=0.0, f_max_hz=10.0)
-        )
+    @staticmethod
+    def _quiet(config, fmt=None, rounding=RoundingMode.NEAREST):
+        cfg = replace(config, encoding=replace(config.encoding, f_min_hz=0.0, f_max_hz=10.0))
         if fmt is not None:
             cfg = replace(cfg, quantization=QuantizationConfig(fmt=fmt, rounding=rounding))
+        return cfg
+
+    @staticmethod
+    def _run(cfg, tiny_dataset, train_engine, eval_engine):
+        """Spikes, conductances, thetas and frozen evaluation responses."""
         images = tiny_dataset.train_images[:6]
+        net, log = _train(cfg, images, engine=train_engine)
+        net.freeze()
+        responses = Evaluator(net, t_present_ms=50.0, engine=eval_engine).collect_responses(
+            tiny_dataset.test_images[:4]
+        )
+        return log.spikes_per_image, net.conductances, net.neurons.theta, responses
 
-        def run(name):
-            net, log = _train(cfg, images, engine=name)
-            net.freeze()
-            responses = Evaluator(net, t_present_ms=50.0, engine=name).collect_responses(
-                tiny_dataset.test_images[:4]
-            )
-            return log.spikes_per_image, net.conductances, net.neurons.theta, responses
-
-        spikes, g, theta, responses = run(engine)
-        d_spikes, d_g, d_theta, d_responses = run(dense)
+    @pytest.mark.parametrize(
+        "engine, fmt",
+        [("fused", None), ("qfused", "Q1.7"), ("qfused", "Q8.8")],
+        ids=["fused", "qfused-Q1.7-nearest", "qfused-Q8.8-nearest"],
+    )
+    def test_matches_reference(self, tiny_config, tiny_dataset, engine, fmt):
+        """With a zero-rate background most steps carry no input event.
+        The gather kernels still step every one of them with the reference
+        arithmetic, so they match the reference loop bit for bit: spikes,
+        learned conductances (hence codes), thetas and evaluation responses."""
+        cfg = self._quiet(tiny_config, fmt)
+        spikes, g, theta, responses = self._run(cfg, tiny_dataset, engine, engine)
+        r_spikes, r_g, r_theta, r_responses = self._run(
+            cfg, tiny_dataset, "reference", "reference"
+        )
         assert sum(spikes) > 0 and responses.sum() > 0
-        assert spikes == d_spikes
-        assert np.array_equal(g, d_g)
-        assert np.array_equal(theta, d_theta)
-        assert np.array_equal(responses, d_responses)
+        assert spikes == r_spikes
+        assert np.array_equal(g, r_g)
+        assert np.array_equal(theta, r_theta)
+        assert np.array_equal(responses, r_responses)
 
-    def test_silent_presentation_matches_dense_twin(self, tiny_config, small_images):
-        """An all-black image emits no events at f_min=0.  The event kernel
+    @pytest.mark.parametrize("fmt", ["Q1.7", "Q8.8"])
+    def test_matches_float_twin_under_stochastic_rounding(
+        self, tiny_config, tiny_dataset, fmt
+    ):
+        """Eq.-8 rounding draws from ``qrounding``, so the reference loop is
+        no oracle here; the float shadow twin steps the same quiet input to
+        the same spikes, codes, thetas and responses."""
+        cfg = self._quiet(tiny_config, fmt, RoundingMode.STOCHASTIC)
+        images = tiny_dataset.train_images[:6]
+        twin_net = WTANetwork(cfg, n_pixels=images[0].size)
+        twin = QEventPresentation(twin_net, storage="float")
+        twin_log = UnsupervisedTrainer(twin_net).train(images, engine=twin)
+        twin_net.freeze()
+        twin_responses = Evaluator(twin_net, t_present_ms=50.0, engine="qfused").collect_responses(
+            tiny_dataset.test_images[:4]
+        )
+        spikes, g, theta, responses = self._run(cfg, tiny_dataset, "qfused", "qfused")
+        assert sum(spikes) > 0 and responses.sum() > 0
+        assert spikes == twin_log.spikes_per_image
+        assert np.array_equal(g, twin_net.conductances)
+        assert np.array_equal(theta, twin_net.neurons.theta)
+        assert np.array_equal(responses, twin_responses)
+
+    def test_silent_presentation_matches_reference(self, tiny_config, small_images):
+        """An all-black image emits no events at f_min=0.  The gather kernel
         gets an empty raster, fires nothing, and still steps the whole
         presentation: membranes, currents, thetas and conductances come out
-        exactly as the fused kernel leaves them."""
+        exactly as the reference loop leaves them."""
         cfg = replace(tiny_config, encoding=replace(tiny_config.encoding, f_min_hz=0.0))
         silent = np.zeros_like(small_images[0])
         results = []
-        for kernel_cls in (FusedPresentation, EventPresentation):
+        for kernel_cls in (ReferenceEngine, EventPresentation):
             net = WTANetwork(cfg, n_pixels=silent.size)
             kernel = kernel_cls(net)
             _, t_ms = kernel.run(small_images[0], 0.0, 50, 1.0)
@@ -197,24 +199,25 @@ class TestQuietInput:
             assert t_end == 100.0
             state = (net.neurons.v, net._current, net.neurons.theta, net.conductances)
             results.append((kernel, [np.array(a, copy=True) for a in state]))
-        (_, dense), (event_kernel, event) = results
-        for d, e in zip(dense, event):
-            assert np.array_equal(d, e)
+        (_, reference), (event_kernel, event) = results
+        for r, e in zip(reference, event):
+            assert np.array_equal(r, e)
         assert event_kernel.occupancy.raster_cells == 2 * 50 * silent.size
         # Every recorded input event came from the first image, whose
         # output spikes left thetas for the silent steps to decay.
         assert 0 < event_kernel.occupancy.raster_active_cells
-        assert dense[2].any()
+        assert reference[2].any()
 
 
 class TestTrainingLogCounters:
     def test_event_engine_populates_counters(self, tiny_config, small_images):
-        _, log = _train(tiny_config, small_images, engine="event")
+        """The gather kernel behind ``fused`` counts its input raster."""
+        _, log = _train(tiny_config, small_images, engine="fused")
         assert log.raster_cells == log.total_steps * small_images[0].size
         assert 0 < log.raster_active_cells < log.raster_cells
         assert 0.0 < log.raster_occupancy < 1.0
 
-    @pytest.mark.parametrize("engine", ["reference", "fused"])
+    @pytest.mark.parametrize("engine", ["reference"])
     def test_dense_engines_report_zero(self, tiny_config, small_images, engine):
         _, log = _train(tiny_config, small_images, engine=engine)
         assert log.raster_cells == 0

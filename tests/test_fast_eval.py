@@ -33,11 +33,21 @@ class TestFastEvalBitIdentity:
         assert np.array_equal(ref, fused)
         assert ref.sum() > 0  # the comparison is not vacuous
 
-    def test_event_eval_matches_reference_bitwise(self, trained_network, small_images):
-        seed = trained_network.config.simulation.seed
-        ref = _responses(trained_network, small_images, "reference", seed)
-        event = _responses(trained_network, small_images, "event", seed)
-        assert np.array_equal(ref, event)
+    def test_qfused_eval_matches_reference_bitwise(self, tiny_config, tiny_dataset, small_images):
+        """Lock-step evaluation over integer codes: a Q1.7 network's
+        responses equal the reference per-image loop's."""
+        from dataclasses import replace
+
+        from repro.config.parameters import QuantizationConfig
+
+        config = replace(tiny_config, quantization=QuantizationConfig(fmt="Q1.7"))
+        net = WTANetwork(config, n_pixels=tiny_dataset.n_pixels)
+        UnsupervisedTrainer(net).train(tiny_dataset.train_images[:6], engine="qfused")
+        seed = config.simulation.seed
+        ref = _responses(net, small_images, "reference", seed)
+        qfused = _responses(net, small_images, "qfused", seed)
+        assert ref.sum() > 0
+        assert np.array_equal(ref, qfused)
 
     def test_eval_leaves_plasticity_state_untouched(self, trained_network, small_images):
         g_before = trained_network.conductances.copy()
@@ -109,7 +119,7 @@ class TestEngineSelection:
     def test_run_experiment_engine_overrides(self, tiny_config, tiny_dataset):
         result = run_experiment(
             tiny_config, tiny_dataset, n_labeling=10,
-            train_engine="event", eval_engine="batched",
+            train_engine="reference", eval_engine="batched",
         )
         assert 0.0 <= result.accuracy <= 1.0
 

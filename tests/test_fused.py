@@ -1,10 +1,13 @@
-"""Equivalence and unit tests for the fused training fast path.
+"""Equivalence and unit tests for the ``fused`` engine (the float gather kernel).
 
-The contract under test (see :mod:`repro.engine.fused`): training with
-``engine="fused"`` must produce **bit-identical** learned state — conductances,
-adaptive thresholds and per-image spike counts — to the reference step loop
-under identical :class:`~repro.engine.rng.RngStreams` seeds, across storage
-formats, rounding modes, learning rules, encoders and synapse models.
+The contract under test (see :mod:`repro.engine.event_train`): training with
+``engine="fused"`` must produce **bit-identical** state — conductances,
+adaptive thresholds, membranes, currents, refractory and inhibition timers
+and per-image spike counts — to the reference step loop under identical
+:class:`~repro.engine.rng.RngStreams` seeds, across storage formats,
+rounding modes, learning rules, encoders and synapse models.  Both sum
+eq. 3 over the active input rows in row order, so the comparison is exact
+whatever BLAS build numpy links.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config.parameters import RoundingMode, STDPKind
+from repro.config.parameters import QuantizationConfig, RoundingMode, STDPKind
 from repro.config.presets import get_preset
 from repro.encoding.periodic import PeriodicEncoder
 from repro.encoding.poisson import PoissonEncoder
-from repro.engine.fused import FusedPresentation
+from repro.engine.registry import create_training_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import UnsupervisedTrainer
@@ -38,6 +41,14 @@ def _assert_bit_identical(config, images):
     net_fus, log_fus = _train(config, images, engine="fused")
     assert np.array_equal(net_ref.conductances, net_fus.conductances)
     assert np.array_equal(net_ref.neurons.theta, net_fus.neurons.theta)
+    assert np.array_equal(net_ref.neurons.v, net_fus.neurons.v)
+    assert np.array_equal(net_ref._current, net_fus._current)
+    assert np.array_equal(
+        net_ref.neurons._refractory_left, net_fus.neurons._refractory_left
+    )
+    assert np.array_equal(
+        net_ref.neurons._inhibited_left, net_fus.neurons._inhibited_left
+    )
     assert log_ref.spikes_per_image == log_fus.spikes_per_image
     assert log_ref.total_steps == log_fus.total_steps
     # The presentations must have produced activity for the comparison to
@@ -53,6 +64,14 @@ class TestBitIdentity:
         """Q1.7 + stochastic rounding exercises the full-matrix rule fallback."""
         cfg = get_preset("8bit", n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=tiny_config.simulation)
+        _assert_bit_identical(cfg, small_images)
+
+    def test_q115_stochastic_rounding(self, tiny_config, small_images):
+        """A 16-bit format under stochastic rounding: off the fixed-LSB regime."""
+        cfg = replace(
+            tiny_config,
+            quantization=QuantizationConfig(fmt="Q1.15", rounding=RoundingMode.STOCHASTIC),
+        )
         _assert_bit_identical(cfg, small_images)
 
     def test_q17_nearest_rounding(self, tiny_config, small_images):
@@ -188,14 +207,14 @@ class TestConductanceDeltaPaths:
 
 class TestKernelGuards:
     def test_runs_on_guard_backend_bit_identically(self, tiny_config, small_images):
-        """The kernel is backend-generic now: the guard backend (device
+        """The engine is backend-generic: the guard backend (device
         semantics, mixing enforced) must reproduce the numpy backend's
         trajectory bit for bit with zero discipline violations."""
         import repro.backend as backend
         from repro.backend import guard
 
         host_net = WTANetwork(tiny_config, n_pixels=64)
-        host_kernel = FusedPresentation(host_net)
+        host_kernel = create_training_engine("fused", host_net)
         t = 0.0
         for image in small_images[:2]:
             _, t = host_kernel.run(image, t, 40, 1.0)
@@ -204,7 +223,7 @@ class TestKernelGuards:
         guard.reset_counters()
         try:
             backend.set_backend("guard")
-            dev_kernel = FusedPresentation(dev_net)
+            dev_kernel = create_training_engine("fused", dev_net)
             t = 0.0
             for image in small_images[:2]:
                 _, t = dev_kernel.run(image, t, 40, 1.0)
@@ -217,6 +236,6 @@ class TestKernelGuards:
 
     def test_rejects_negative_steps(self, tiny_config, small_images):
         net = WTANetwork(tiny_config, n_pixels=64)
-        kernel = FusedPresentation(net)
+        kernel = create_training_engine("fused", net)
         with pytest.raises(SimulationError):
             kernel.run(small_images[0], 0.0, -1, 1.0)

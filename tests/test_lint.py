@@ -116,18 +116,20 @@ def test_r2_int_native_flags_silent_upcasts():
 
 def test_r2_int_native_applies_to_the_qfused_kernel():
     source = "import numpy as np\n\n\ndef f(codes):\n    return np.asarray(codes)\n"
-    findings = lint_source(source, "src/repro/engine/qfused.py")
+    # The qfused engine's kernel lives in engine/qevent.py.
+    findings = lint_source(source, "src/repro/engine/qevent.py")
     assert [f.rule for f in findings if f.rule == "R2"] == ["R2"]
-    # The same conversion outside the integer-native scope draws no R2
-    # finding (it still trips R6's backend discipline in any kernel).
-    fused = lint_source(source, "src/repro/engine/fused.py")
+    # The same conversion outside the integer-native scope (the float
+    # kernel) draws no R2 finding (it still trips R6's backend discipline
+    # in any kernel).
+    fused = lint_source(source, "src/repro/engine/event_train.py")
     assert [f for f in fused if f.rule == "R2"] == []
 
 
 def test_r2_int_native_applies_to_the_qevent_and_qbatched_kernels():
-    """The event-driven code engine and the batched engine (whose qbatched
-    path carries frozen codes) sit in the same int-native R2 scope as
-    qfused: the full bad-upcast fixture must fire at both paths."""
+    """The integer gather kernel and the batched engine (whose qbatched
+    path carries frozen codes) sit in the int-native R2 scope: the full
+    bad-upcast fixture must fire at both paths."""
     source = FIXTURES.joinpath("quantization/bad_upcast.py").read_text()
     for path in ("src/repro/engine/qevent.py", "src/repro/engine/batched.py"):
         findings = [f for f in lint_source(source, path) if f.rule == "R2"]
@@ -187,7 +189,7 @@ def test_r3_registered_engines_flow_into_the_report():
         unregister_engine(_BAD_SPEC.name)
     assert report.exit_code == 1
     assert all(f.rule == "R3" for f in report.findings)
-    assert report.contracts_checked == 8  # seven built-ins + the bad fixture
+    assert report.contracts_checked == 6  # five built-ins + the bad fixture
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ def test_r5_pragma_suppresses():
 
 def test_r6_bad_fixture_is_flagged():
     source = FIXTURES.joinpath("engine/bad_backend.py").read_text()
-    findings = lint_source(source, "src/repro/engine/fused.py")
+    findings = lint_source(source, "src/repro/engine/event_train.py")
     assert findings, "the R6 fixture must produce findings"
     assert {f.rule for f in findings} == {"R6"}
     messages = "\n".join(f.message for f in findings)
@@ -282,7 +284,7 @@ def test_r6_bad_fixture_is_flagged():
 
 def test_r6_good_fixture_is_clean():
     source = FIXTURES.joinpath("engine/good_backend.py").read_text()
-    assert lint_source(source, "src/repro/engine/fused.py") == []
+    assert lint_source(source, "src/repro/engine/event_train.py") == []
 
 
 def test_r6_scoped_to_backend_generic_modules():
@@ -295,7 +297,7 @@ def test_r6_scoped_to_backend_generic_modules():
 
 def test_r6_applies_across_all_kernel_layers():
     """One un-dispatched conversion must fire in every backend-generic
-    module tier: dense/event kernels, plasticity, codec and encoders."""
+    module tier: gather kernels, plasticity, codec and encoders."""
     source = "import numpy as np\n\n\ndef f(x):\n    return np.asarray(x)\n"
     for path in (
         "src/repro/engine/event_train.py",
@@ -309,7 +311,7 @@ def test_r6_applies_across_all_kernel_layers():
 
 def test_r6_resolves_numpy_import_alias():
     source = "import numpy as xnp\n\n\ndef f(x):\n    return xnp.asarray(x)\n"
-    findings = lint_source(source, "src/repro/engine/fused.py")
+    findings = lint_source(source, "src/repro/engine/event_train.py")
     assert [f.rule for f in findings] == ["R6"]
 
 
@@ -319,7 +321,7 @@ def test_r6_pragma_suppresses():
         "def f(n):\n"
         "    return np.empty(n, dtype=bool)  # lint-ok: R6\n"
     )
-    assert lint_source(source, "src/repro/engine/fused.py") == []
+    assert lint_source(source, "src/repro/engine/event_train.py") == []
 
 
 # ---------------------------------------------------------------------------

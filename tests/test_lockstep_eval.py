@@ -1,6 +1,6 @@
-"""Lock-step evaluation of the event tiers (:class:`repro.engine.presentation.LockstepEvaluation`).
+"""Lock-step evaluation of the gather kernels (``LockstepEvaluation``).
 
-``event`` and ``qevent`` evaluate a chunk of images at a time.  The
+``fused`` and ``qfused`` evaluate a chunk of images at a time.  The
 contract is bit-identity with the per-image loop of
 :meth:`PresentationEngine.collect_responses` on the same engine class: the
 same responses, the same RNG stream positions and network state after the
@@ -22,14 +22,14 @@ from repro.config.presets import get_preset
 from repro.datasets.dataset import load_dataset
 from repro.encoding.events import sparsify
 from repro.engine.event_train import LOCKSTEP_IMAGES, EventPresentation, LockstepChunk
-from repro.engine.presentation import EventEngine, PresentationEngine, QEventEngine
+from repro.engine.presentation import FusedEngine, PresentationEngine, QFusedEngine
 from repro.errors import NumericHealthError
 from repro.network.wta import WTANetwork
 from repro.pipeline.progress import NullProgress
 from repro.pipeline.trainer import UnsupervisedTrainer
 from repro.resilience.sentinel import NumericHealthSentinel
 
-ENGINES = {"event": EventEngine, "qevent": QEventEngine}
+ENGINES = {"fused": FusedEngine, "qfused": QFusedEngine}
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +101,10 @@ class TestBitIdenticalToPerImageLoop:
         """Float high-frequency input at 16x16: most image-steps gather two or
         more rows.  The chunk sums them in the kernel's row order, so its
         membranes and currents at the end of every presentation equal the
-        event kernel's bit for bit, and so do the responses."""
+        gather kernel's bit for bit, and so do the responses."""
         data = load_dataset("mnist", n_train=3, n_test=5, size=16, seed=5)
         cfg = get_preset("high_frequency", n_neurons=16, seed=2)
-        net = _trained(cfg, data.train_images, "event")
+        net = _trained(cfg, data.train_images, "fused")
         start = net.rngs.state_dict()
         dt = cfg.simulation.dt_ms
         n_steps = int(round(cfg.simulation.t_learn_ms / dt))
@@ -134,12 +134,12 @@ class TestBitIdenticalToPerImageLoop:
 
         net.rngs.load_state_dict(start)
         loop, lockstep = _loop_and_lockstep(
-            net, "event", data.test_images, cfg.simulation.t_learn_ms
+            net, "fused", data.test_images, cfg.simulation.t_learn_ms
         )
         assert loop.sum() > 0
         assert np.array_equal(loop, lockstep)
 
-    @pytest.mark.parametrize("engine", ["event", "qevent"])
+    @pytest.mark.parametrize("engine", ["fused", "qfused"])
     @pytest.mark.parametrize(
         "fmt, rounding",
         [("Q1.7", RoundingMode.STOCHASTIC), ("Q8.8", RoundingMode.NEAREST)],
@@ -147,7 +147,7 @@ class TestBitIdenticalToPerImageLoop:
     )
     def test_fixed_point_formats(self, digits, engine, fmt, rounding):
         cfg = replace(_config(), quantization=QuantizationConfig(fmt=fmt, rounding=rounding))
-        _assert_bit_identical(cfg, digits, engine, train_engine="qevent")
+        _assert_bit_identical(cfg, digits, engine, train_engine="qfused")
 
     @pytest.mark.parametrize(
         "wta",
@@ -163,24 +163,24 @@ class TestBitIdenticalToPerImageLoop:
              "all-winners-blocking", "no-inhibition"],
     )
     def test_network_variants(self, digits, wta):
-        _assert_bit_identical(_config(**wta), digits, "event")
+        _assert_bit_identical(_config(**wta), digits, "fused")
 
     def test_tied_contenders_go_to_the_lowest_index(self, digits):
         """Identical neurons cross together with equal currents: the
         single winner is the first contender, as in the kernels."""
-        net = _trained(_config(), digits.train_images, "event")
+        net = _trained(_config(), digits.train_images, "fused")
         net.conductances[:] = net.conductances[:, :1]
         net.neurons.theta[:] = net.neurons.theta[0]
-        loop, lockstep = _loop_and_lockstep(net, "event", digits.test_images[:4])
+        loop, lockstep = _loop_and_lockstep(net, "fused", digits.test_images[:4])
         assert loop[:, 0].sum() > 0 and not loop[:, 1:].any()
         assert np.array_equal(loop, lockstep)
 
-    @pytest.mark.parametrize("engine", ["event", "qevent"])
+    @pytest.mark.parametrize("engine", ["fused", "qfused"])
     def test_zero_background_with_a_black_image(self, digits, engine):
         """At f_min=0 an all-black image draws no input events at all."""
         cfg = _config()
         cfg = replace(cfg, encoding=replace(cfg.encoding, f_min_hz=0.0, f_max_hz=10.0))
-        if engine == "qevent":
+        if engine == "qfused":
             cfg = replace(cfg, quantization=QuantizationConfig(fmt="Q1.7"))
         images = digits.test_images[:5].copy()
         images[2] = 0
@@ -189,16 +189,16 @@ class TestBitIdenticalToPerImageLoop:
     def test_batch_larger_than_the_chunk(self, digits):
         images = digits.test_images
         assert images.shape[0] > LOCKSTEP_IMAGES
-        _assert_bit_identical(_config(), digits, "event", images=images)
+        _assert_bit_identical(_config(), digits, "fused", images=images)
 
     def test_evaluation_does_not_present_through_run(self, digits, monkeypatch):
-        net = _trained(_config(), digits.train_images, "event")
+        net = _trained(_config(), digits.train_images, "fused")
 
         def refuse(*args, **kwargs):
             raise AssertionError("lock-step evaluation called run()")
 
-        monkeypatch.setattr(EventEngine, "run", refuse)
-        responses = EventEngine(net).collect_responses(digits.test_images[:3], 50.0)
+        monkeypatch.setattr(FusedEngine, "run", refuse)
+        responses = FusedEngine(net).collect_responses(digits.test_images[:3], 50.0)
         assert responses.sum() > 0
 
 
@@ -236,14 +236,14 @@ def _collect(engine, lockstep, *args, **kwargs):
 
 class TestCallbacks:
     def test_sentinel_and_progress_see_the_same_calls(self, digits):
-        net = _trained(_config(), digits.train_images, "event")
+        net = _trained(_config(), digits.train_images, "fused")
         images = digits.test_images[: LOCKSTEP_IMAGES + 2]
         start = net.rngs.state_dict()
         seen = []
         for lockstep in (False, True):
             net.rngs.load_state_dict(start)
             progress, sentinel = _RecordingProgress(), _RecordingSentinel()
-            engine = EventEngine(net).attach_sentinel(sentinel)
+            engine = FusedEngine(net).attach_sentinel(sentinel)
             _collect(engine, lockstep, images, 50.0, progress=progress, label="probe")
             seen.append((progress.calls, sentinel.calls))
         (progress_loop, sentinel_loop), (progress_lockstep, sentinel_lockstep) = seen
@@ -255,13 +255,13 @@ class TestCallbacks:
             assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
 
     def test_sentinel_trip_leaves_streams_where_the_loop_does(self, digits):
-        net = _trained(_config(), digits.train_images, "event")
+        net = _trained(_config(), digits.train_images, "fused")
         net.neurons.theta[0] = np.nan
         start = net.rngs.state_dict()
         tripped = []
         for lockstep in (False, True):
             net.rngs.load_state_dict(start)
-            engine = EventEngine(net).attach_sentinel(NumericHealthSentinel(cadence=3))
+            engine = FusedEngine(net).attach_sentinel(NumericHealthSentinel(cadence=3))
             with pytest.raises(NumericHealthError) as trip:
                 _collect(engine, lockstep, digits.test_images, 50.0)
             tripped.append((trip.value.snapshot["presentation_index"], _state(net)))
@@ -271,10 +271,10 @@ class TestCallbacks:
 
 
 class TestGuardBackend:
-    @pytest.mark.parametrize("engine", ["event", "qevent"])
+    @pytest.mark.parametrize("engine", ["fused", "qfused"])
     def test_bit_identical_clean_and_transfers_independent_of_steps(self, digits, engine):
         cfg = _config()
-        if engine == "qevent":
+        if engine == "qfused":
             cfg = replace(cfg, quantization=QuantizationConfig(fmt="Q1.7"))
         net = _trained(cfg, digits.train_images, engine)
         start = net.rngs.state_dict()

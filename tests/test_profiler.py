@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.config.parameters import QuantizationConfig
 from repro.config.presets import get_preset
 from repro.engine.presentation import ReferenceEngine
 from repro.engine.profiler import StepProfiler, profile_presentation, profile_wta_step
@@ -93,9 +94,12 @@ class TestWtaProfile:
 class TestPresentationProfile:
     KERNEL_SECTIONS = {"encode", "integrate", "stdp", "wta"}
 
-    @pytest.mark.parametrize("engine", ["fused", "event"])
+    @pytest.mark.parametrize("engine", ["fused", "qfused"])
     def test_kernel_sections(self, tiny_config, tiny_dataset, engine):
-        net = WTANetwork(tiny_config, 64)
+        config = tiny_config
+        if engine == "qfused":
+            config = replace(config, quantization=QuantizationConfig(fmt="Q1.7"))
+        net = WTANetwork(config, 64)
         profiler = profile_presentation(
             net, tiny_dataset.train_images[0], engine=engine, n_steps=50
         )

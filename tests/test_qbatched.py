@@ -1,6 +1,6 @@
 """The code-native batched inference tier ``qbatched``.
 
-The contract (mirrored by the ``bench_training --check`` gate): with the
+The contract (also checked by the ``q8_infer`` benchmark workload): with the
 conductances frozen on a Q-format grid, driving the lock-step batch with
 integer code accumulation (:meth:`QCodec.batched_drive`) is **bit-identical**
 to the float batched matmul — every partial sum of on-grid dyadic values is

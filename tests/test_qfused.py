@@ -1,10 +1,12 @@
-"""The integer-native ``qfused`` training tier and its equivalence contract.
+"""The integer-native ``qfused`` engine and its equivalence contract.
 
-The tiers pinned here (mirrored by the ``bench_training --check`` gate):
+``qfused`` runs the integer gather kernel
+(:class:`~repro.engine.qevent.QEventPresentation`).  The tiers pinned here:
 
-- **truncate/nearest rounding** — training is bit-identical to the fused
-  float-simulated path: deterministic rounding consumes no RNG, so both
-  paths compute the very same arithmetic on the same draws;
+- **truncate/nearest rounding** — training is bit-identical to the float
+  ``fused`` engine simulating the same Q-format: deterministic rounding
+  consumes no RNG, so both compute the very same arithmetic on the same
+  draws;
 - **stochastic rounding** — the RNG accounting intentionally differs from
   the float path (one draw per changed synapse from the dedicated
   ``qrounding`` stream instead of a full-matrix draw per update), so the
@@ -28,7 +30,8 @@ from repro.config.parameters import (
     QuantizationConfig,
     RoundingMode,
 )
-from repro.engine.qfused import QFusedPresentation
+from repro.engine.qevent import QEventPresentation
+from repro.engine.registry import create_training_engine
 from repro.errors import ConfigurationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
@@ -81,7 +84,7 @@ class TestStochasticShadowTwin:
         int_log = UnsupervisedTrainer(int_net).train(small_images, engine="qfused")
 
         twin_net = WTANetwork(config, small_images[0].size)
-        twin = QFusedPresentation(twin_net, storage="float")
+        twin = QEventPresentation(twin_net, storage="float")
         twin_log = UnsupervisedTrainer(twin_net).train(small_images, engine=twin)
 
         assert np.array_equal(int_net.conductances, twin_net.conductances)
@@ -104,7 +107,7 @@ class TestCodesStorage:
     def test_code_matrix_dtype_and_width(self, tiny_config, small_images):
         for fmt, dtype in (("Q1.7", np.uint8), ("Q1.15", np.uint16)):
             net = WTANetwork(_quantized(tiny_config, fmt=fmt), small_images[0].size)
-            kernel = QFusedPresentation(net)
+            kernel = QEventPresentation(net)
             assert kernel.codes.dtype == np.dtype(dtype)
             assert kernel.codes.dtype.itemsize * 8 <= 16
             assert kernel.codes.shape == net.synapses.g.shape
@@ -120,7 +123,7 @@ class TestCodesStorage:
     def test_decoded_codes_equal_the_float_view(self, tiny_config, small_images):
         config = _quantized(tiny_config)
         net = WTANetwork(config, small_images[0].size)
-        kernel = QFusedPresentation(net)
+        kernel = QEventPresentation(net)
         UnsupervisedTrainer(net).train(small_images, engine=kernel)
         decoded = kernel.codec.decode(asnumpy(kernel.codes))
         assert np.array_equal(decoded, net.conductances)
@@ -174,7 +177,7 @@ class TestValidation:
     def test_floating_point_config_rejected(self, tiny_config, small_images):
         net = WTANetwork(tiny_config, small_images[0].size)  # fmt=None
         with pytest.raises(ConfigurationError, match="Q-format"):
-            QFusedPresentation(net)
+            create_training_engine("qfused", net)
 
     def test_format_wider_than_sixteen_bits_rejected(
         self, tiny_config, small_images
@@ -182,19 +185,19 @@ class TestValidation:
         config = _quantized(tiny_config, fmt="Q2.16", rounding=RoundingMode.NEAREST)
         net = WTANetwork(config, small_images[0].size)
         with pytest.raises(ConfigurationError, match="16 bits or fewer"):
-            QFusedPresentation(net)
+            create_training_engine("qfused", net)
 
     def test_pair_ltd_rejected(self, tiny_config, small_images):
         config = _quantized(tiny_config)
         net = WTANetwork(config, small_images[0].size, ltd_mode=LTDMode.PAIR)
         with pytest.raises(ConfigurationError, match="pair-LTD"):
-            QFusedPresentation(net)
+            create_training_engine("qfused", net)
 
     def test_unknown_storage_mode_rejected(self, tiny_config, small_images):
         config = _quantized(tiny_config)
         net = WTANetwork(config, small_images[0].size)
         with pytest.raises(ConfigurationError, match="storage"):
-            QFusedPresentation(net, storage="fp8")
+            QEventPresentation(net, storage="fp8")
 
     def test_config_requires_fixed_point_for_qfused_engine(self, tiny_config):
         with pytest.raises(ConfigurationError, match="fixed-point"):

@@ -1,17 +1,20 @@
-"""Graceful engine degradation: event -> fused -> reference.
+"""Graceful engine degradation: qfused -> fused -> reference.
 
 A faulting accelerated engine must not take the run down with it: the
 trainer rolls the network back to the presentation boundary, drops one
 tier, re-presents the image, and warns loudly.  Because the fused kernel
-is bit-identical to the reference kernel, a degraded run must land on
-exactly the weights an undegraded run would have produced.
+is bit-identical to the reference kernel (and qfused is too under
+deterministic rounding), a degraded run must land on exactly the weights
+an undegraded run would have produced.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.config.parameters import QuantizationConfig, RoundingMode
 from repro.errors import NumericHealthError, SimulationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
@@ -36,10 +39,11 @@ from repro.resilience.faults import (
 class TestNextTier:
     def test_chain(self):
         assert DEGRADATION_CHAIN == {
-            "qevent": "qfused",
             "qfused": "fused",
-            "event": "fused",
             "fused": "reference",
+            # Retired engine names, walked to the engines that replaced them.
+            "qevent": "qfused",
+            "event": "fused",
         }
         assert next_tier("qevent") == "qfused"
         assert next_tier("qfused") == "fused"
@@ -52,15 +56,16 @@ class TestNextTier:
         class _Stub:
             degrade_to = "reference"
 
-        assert next_tier("event", _Stub()) == "reference"
+        assert next_tier("qfused", _Stub()) == "reference"
 
     def test_engine_without_override_falls_back_to_chain(self):
         class _Stub:
             pass
 
-        assert next_tier("event", _Stub()) == "fused"
+        assert next_tier("qfused", _Stub()) == "fused"
 
     def test_degradation_path_walks_the_chain_inclusively(self):
+        assert degradation_path("qfused") == ["qfused", "fused", "reference"]
         assert degradation_path("qevent") == [
             "qevent", "qfused", "fused", "reference",
         ]
@@ -99,12 +104,16 @@ class TestDegradedRuns:
         assert log.spikes_per_image == base_log.spikes_per_image
         assert log.images_seen == base_log.images_seen
 
-    def test_event_degrades_to_fused(self, tiny_config, tiny_dataset):
+    def test_qfused_degrades_to_fused(self, tiny_config, tiny_dataset):
+        config = replace(
+            tiny_config,
+            quantization=QuantizationConfig(fmt="Q1.7", rounding=RoundingMode.NEAREST),
+        )
         images = tiny_dataset.train_images[:6]
-        baseline, base_log = _train_plain(tiny_config, images, "fused")
-        degraded, log = _train_degraded(tiny_config, images, "event", fail_at=2)
-        # Event steps the same arithmetic as fused on this workload, so the
-        # degraded run lands on the clean fused run bit for bit.
+        baseline, base_log = _train_plain(config, images, "fused")
+        degraded, log = _train_degraded(config, images, "qfused", fail_at=2)
+        # Under nearest rounding qfused steps the same arithmetic as fused,
+        # so the degraded run lands on the clean fused run bit for bit.
         assert log.spikes_per_image == base_log.spikes_per_image
         assert np.array_equal(degraded.conductances, baseline.conductances)
         assert np.array_equal(degraded.neurons.theta, baseline.neurons.theta)
@@ -117,9 +126,9 @@ class TestDegradedRuns:
 
 
 class TestFullChainWalk:
-    def test_qevent_cascades_to_reference_bit_identically(self):
-        """One run walks the entire ladder qevent → qfused → fused →
-        reference: each tier faults on the boundary replay, emitting one
+    def test_qfused_cascades_to_reference_bit_identically(self):
+        """One run walks the entire ladder qfused → fused → reference: each
+        tier faults on the boundary replay, emitting one
         :class:`EngineDegradedWarning` per hop, and the survivor run lands
         on exactly the clean reference trajectory — weights, thresholds,
         spike log and final inference responses all bit for bit.
@@ -130,7 +139,7 @@ class TestFullChainWalk:
         """
         workload = ScenarioWorkload()
         images = workload.load_images()
-        config = workload.config_for("qevent")
+        config = workload.config_for("qfused")
 
         clean = WTANetwork(config, images[0].size)
         clean_log = UnsupervisedTrainer(clean).train(images, engine="reference")
@@ -138,7 +147,7 @@ class TestFullChainWalk:
             clean, engine="reference"
         ).collect_responses(images)
 
-        chain = ["qevent", "qfused", "fused"]
+        chain = ["qfused", "fused"]
         names = install_faulty_chain(chain, fail_at=3)
         try:
             net = WTANetwork(config, images[0].size)
@@ -153,7 +162,7 @@ class TestFullChainWalk:
         hops = [
             w for w in caught if issubclass(w.category, EngineDegradedWarning)
         ]
-        assert len(hops) == 3  # one warning per tier dropped
+        assert len(hops) == 2  # one warning per tier dropped
         assert np.array_equal(net.conductances, clean.conductances)
         assert np.array_equal(net.neurons.theta, clean.neurons.theta)
         assert log.spikes_per_image == clean_log.spikes_per_image

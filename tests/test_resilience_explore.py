@@ -49,7 +49,7 @@ class TestFaultScenario:
         assert sc.scenario_id == "crash:fused:p3:a2:truncate"
 
     def test_round_trip(self):
-        sc = FaultScenario(KIND_ENGINE_FAULT, "qevent", at_presentation=6)
+        sc = FaultScenario(KIND_ENGINE_FAULT, "qfused", at_presentation=6)
         assert FaultScenario.from_dict(sc.to_dict()) == sc
 
     def test_from_dict_ignores_unknown_keys(self):
@@ -91,17 +91,18 @@ class TestFaultSpace:
         by_kind = {kind: 0 for kind in FAULT_KINDS}
         for sc in scenarios:
             by_kind[sc.kind] += 1
-        # crash: 3 engines x 2 ats x 2 cadences x 3 damages; engine_fault:
-        # 3 x 2; cache: the 2 non-none damage modes.
+        # crash: 2 engines x 2 ats x 2 cadences x 3 damages; engine_fault:
+        # 2 x 2; cache: the 2 non-none damage modes.
         assert by_kind == {
-            KIND_CRASH: 36, KIND_ENGINE_FAULT: 6, KIND_CACHE_CORRUPTION: 2,
+            KIND_CRASH: 24, KIND_ENGINE_FAULT: 4, KIND_CACHE_CORRUPTION: 2,
         }
+        assert default_space().engines == ("fused", "qfused")
         ids = [sc.scenario_id for sc in scenarios]
         assert len(set(ids)) == len(ids)
 
     def test_smoke_space_is_small_and_covers_every_kind(self):
         scenarios = smoke_space().scenarios()
-        assert len(scenarios) == 11
+        assert len(scenarios) == 6
         assert {sc.kind for sc in scenarios} == set(FAULT_KINDS)
 
     def test_expansion_is_deterministic(self):
@@ -151,11 +152,22 @@ class TestFaultSpace:
         with pytest.raises(ConfigurationError, match=match):
             FaultSpace(**kwargs)
 
+    @pytest.mark.parametrize("engine", ["nope", "event", "qevent", "batched"])
+    def test_unregistered_or_eval_only_engine_rejected(self, engine):
+        """A typo, a retired engine name or an evaluation-only engine is a
+        configuration error naming the registered learning engines, not a
+        scenario the harness later scores UNRECOVERED."""
+        message = "registered learning engines: fused, qfused, reference"
+        with pytest.raises(ConfigurationError, match=message):
+            FaultSpace(engines=("fused", engine))
+        with pytest.raises(ConfigurationError, match=message):
+            FaultSpace.from_dict({"engines": [engine]})
+
 
 class TestScenarioWorkload:
     def test_quantized_engines_get_a_deterministic_q_format(self):
         wl = ScenarioWorkload()
-        q_config = wl.config_for("qevent")
+        q_config = wl.config_for("qfused")
         assert q_config.quantization is not None
         assert q_config.quantization.fmt == "Q1.7"
         assert wl.config_for("fused").quantization.fmt is None
@@ -328,7 +340,7 @@ class TestSmokeEnsemble:
     def test_engine_fault_degrades_within_contract(self, smoke_ensemble):
         _, outcomes = smoke_ensemble
         faults = [o for o in outcomes if o.scenario.kind == KIND_ENGINE_FAULT]
-        assert {o.scenario.engine for o in faults} == {"fused", "event"}
+        assert {o.scenario.engine for o in faults} == {"fused"}
         for o in faults:
             assert o.outcome == OUTCOME_DEGRADED
             assert o.hops >= 1
@@ -336,7 +348,6 @@ class TestSmokeEnsemble:
         by_engine = {o.scenario.engine: o for o in faults}
         assert by_engine["fused"].bit_identical  # fused -> reference is exact
         assert by_engine["fused"].degraded_to == "reference"
-        assert by_engine["event"].degraded_to == "fused"
 
     def test_cache_corruption_regenerates(self, smoke_ensemble):
         _, outcomes = smoke_ensemble
@@ -436,7 +447,7 @@ def synthetic_report():
                  work_lost=3),
         _outcome(KIND_ENGINE_FAULT, "fused", OUTCOME_DEGRADED, hops=1,
                  degraded_to="reference"),
-        _outcome(KIND_CRASH, "event", OUTCOME_UNRECOVERED, cadence=2,
+        _outcome(KIND_CRASH, "qfused", OUTCOME_UNRECOVERED, cadence=2,
                  bit_identical=False, detail="diverged"),
     ]
     return ResilienceReport(
@@ -459,13 +470,13 @@ class TestResilienceReport:
         assert table["fused"][KIND_CRASH][OUTCOME_RESUMED] == 1
         assert table["fused"][KIND_CRASH][OUTCOME_LOST_WORK] == 1
         assert table["fused"][KIND_ENGINE_FAULT][OUTCOME_DEGRADED] == 1
-        assert table["event"][KIND_CRASH][OUTCOME_UNRECOVERED] == 1
+        assert table["qfused"][KIND_CRASH][OUTCOME_UNRECOVERED] == 1
 
     def test_availability_ratios(self, synthetic_report):
         ratios = synthetic_report.availability()
         assert ratios["fused"]["no_lost_work"] == pytest.approx(2 / 3)
         assert ratios["fused"]["recovered"] == 1.0
-        assert ratios["event"]["recovered"] == 0.0
+        assert ratios["qfused"]["recovered"] == 0.0
 
     def test_worst_case(self, synthetic_report):
         worst = synthetic_report.worst_case()
@@ -549,7 +560,7 @@ class TestResilienceCLI:
         ])
         assert code == 0
         report = ResilienceReport.load(out)
-        assert len(report.outcomes) == 11
+        assert len(report.outcomes) == 6
         assert report.check() == []
         assert "check passed" in capsys.readouterr().out
 
@@ -575,6 +586,21 @@ class TestResilienceCLI:
     def test_space_and_smoke_are_mutually_exclusive(self, capsys):
         assert main(["resilience", "--space", "x.json", "--smoke"]) == 2
         assert "not both" in capsys.readouterr().err
+
+    def test_unregistered_engine_fails_before_running(self, tmp_path, capsys):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"engines": ["nope"]}))
+        out = tmp_path / "report.json"
+        code = main([
+            "resilience", "--space", str(space_path), "--check",
+            "--out", str(out), "--workdir", str(tmp_path / "work"),
+        ])
+        assert code != 0
+        captured = capsys.readouterr()
+        assert "'nope' is not a registered learning engine" in captured.err
+        assert "running" not in captured.out
+        assert not out.exists()
+        assert not (tmp_path / "work").exists()
 
     def test_unreadable_space_file_fails_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

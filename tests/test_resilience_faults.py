@@ -1,8 +1,11 @@
 """The fault-injection harness itself: deterministic, gated, cleanable."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config.parameters import QuantizationConfig
 from repro.engine.registry import get_engine_spec
 from repro.errors import ConfigurationError, ReproError
 from repro.network.wta import WTANetwork
@@ -202,13 +205,13 @@ class TestNamedWrappers:
         from repro.engine.registry import create_engine
 
         install_faulty_engine(inner="fused", fail_at=1, name="faulty-a")
-        install_faulty_engine(inner="event", fail_at=3, name="faulty-b")
+        install_faulty_engine(inner="reference", fail_at=3, name="faulty-b")
         try:
             net = WTANetwork(tiny_config, 64)
             a = create_engine("faulty-a", net)
             b = create_engine("faulty-b", net)
             assert (a.inner_name, a.fail_at) == ("fused", 1)
-            assert (b.inner_name, b.fail_at) == ("event", 3)
+            assert (b.inner_name, b.fail_at) == ("reference", 3)
         finally:
             uninstall_faulty_engine("faulty-a")
             uninstall_faulty_engine("faulty-b")
@@ -220,7 +223,7 @@ class TestNamedWrappers:
         from repro.engine.registry import create_engine
 
         install_faulty_engine(
-            inner="event", fail_at=1, name="faulty-x", degrade_to="reference"
+            inner="fused", fail_at=1, name="faulty-x", degrade_to="reference"
         )
         try:
             engine = create_engine("faulty-x", WTANetwork(tiny_config, 64))
@@ -231,11 +234,12 @@ class TestNamedWrappers:
     def test_chain_install_wires_each_tier_to_the_next_wrapper(self, tiny_config):
         from repro.engine.registry import create_engine
 
-        names = install_faulty_chain(["event", "fused"], fail_at=2)
+        names = install_faulty_chain(["qfused", "fused"], fail_at=2)
         try:
-            assert names == ["faulty-event", "faulty-fused"]
-            net = WTANetwork(tiny_config, 64)
-            entry = create_engine("faulty-event", net)
+            assert names == ["faulty-qfused", "faulty-fused"]
+            config = replace(tiny_config, quantization=QuantizationConfig(fmt="Q1.7"))
+            net = WTANetwork(config, 64)
+            entry = create_engine("faulty-qfused", net)
             inner = create_engine("faulty-fused", net)
             assert entry.degrade_to == "faulty-fused"
             assert entry.fail_at == 2
@@ -243,9 +247,9 @@ class TestNamedWrappers:
             assert inner.fail_at == 1
             assert inner.degrade_to == "reference"
         finally:
-            uninstall_faulty_chain(["event", "fused"])
+            uninstall_faulty_chain(["qfused", "fused"])
         with pytest.raises(ConfigurationError):
-            get_engine_spec("faulty-event")
+            get_engine_spec("faulty-qfused")
 
     def test_chain_rejects_empty_ladder(self):
         with pytest.raises(ConfigurationError, match="at least one engine"):

@@ -48,7 +48,7 @@ def _crash_then_resume(config, images, engine, crash_at, path, epochs=1):
 
 
 class TestBitIdenticalResume:
-    @pytest.mark.parametrize("engine", ["fused", "event"])
+    @pytest.mark.parametrize("engine", ["fused"])
     @pytest.mark.parametrize("crash_at", [1, 4, 7])
     def test_weights_and_log_match(
         self, tmp_path, tiny_config, tiny_dataset, engine, crash_at
@@ -73,12 +73,12 @@ class TestBitIdenticalResume:
         carry a ``steps_skipped`` run field.  The loader ignores it at the
         same run-state version, and the run resumes bit-identically."""
         images = tiny_dataset.train_images[:6]
-        baseline, base_log = _train_full(tiny_config, images, "event")
+        baseline, base_log = _train_full(tiny_config, images, "fused")
         path = tmp_path / "auto.npz"
         net = WTANetwork(tiny_config, images[0].size)
         with pytest.raises(SimulatedCrash):
             UnsupervisedTrainer(net).train(
-                images, engine="event",
+                images, engine="fused",
                 autosave=AutosavePolicy(path, every_images=1),
                 on_image_end=CrashFault(at_presentation=3),
             )
@@ -94,7 +94,7 @@ class TestBitIdenticalResume:
         assert "steps_skipped" not in state.run_fields()
         resumed = WTANetwork(tiny_config, images[0].size)
         log = UnsupervisedTrainer(resumed).train(
-            images, engine="event", resume_from=str(path)
+            images, engine="fused", resume_from=str(path)
         )
         assert np.array_equal(resumed.conductances, baseline.conductances)
         assert np.array_equal(resumed.neurons.theta, baseline.neurons.theta)

@@ -125,7 +125,7 @@ class TestIntegration:
         finally:
             uninstall_faulty_engine()
 
-    @pytest.mark.parametrize("engine_name", ["reference", "fused", "event"])
+    @pytest.mark.parametrize("engine_name", ["reference", "fused"])
     def test_evaluation_loop_checks_boundaries(
         self, tiny_config, tiny_dataset, engine_name
     ):

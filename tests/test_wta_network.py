@@ -120,3 +120,23 @@ class TestDynamics:
             c, _ = run_image(net, tiny_dataset.train_images[0], steps=100)
             counts.append(c)
         assert np.array_equal(counts[0], counts[1])
+
+
+class TestDrive:
+    def test_drive_sums_active_rows_in_row_order(self, tiny_config):
+        """Eq. 3 adds the active input rows one after another, in row order,
+        exactly as the gather kernels do.  Off-grid float64 conductances
+        make the order visible: a BLAS ``vec @ matrix`` groups the 34
+        additions differently and disagrees in some of the 1000 columns."""
+        cfg = replace(tiny_config, wta=replace(tiny_config.wta, n_neurons=1000))
+        net = WTANetwork(cfg, 784)
+        rng = np.random.default_rng(11)
+        net.synapses.g[:] = rng.random(net.synapses.g.shape)
+        spikes = np.zeros(784, dtype=bool)
+        rows = np.sort(rng.choice(784, size=34, replace=False))
+        spikes[rows] = True
+
+        net.drive(spikes, 1.0)  # from rest: the decayed current is exactly 0.0
+
+        expected = np.add.reduce(net.synapses.g[rows], axis=0) * net.amplitude
+        assert np.array_equal(net._current, expected)
