@@ -76,9 +76,13 @@ class SparseRaster:
 def sparsify(raster: np.ndarray) -> SparseRaster:
     """Convert a boolean ``(n_steps, n_channels)`` raster to event lists.
 
-    ``np.nonzero`` on a C-ordered raster yields row-major order, so the
-    channel indices come out already grouped by step and sorted within each
-    step; the offsets are a ``searchsorted`` over the step indices.
+    One ``np.flatnonzero`` pass over the raster finds the active cells in
+    row-major order, and ``divmod`` by ``n_channels`` splits each flat
+    index into its step and channel, so the channels come out grouped by
+    step and sorted within each step.  The offsets are a ``searchsorted``
+    over the step indices, and the event steps are the steps whose offsets
+    grow.  Equal to the 2-D ``np.nonzero`` + ``np.unique`` formulation,
+    without its second index array and sort.
     """
     # Event lists are host index structures by contract; cross explicitly
     # through the backend's converter (a raster generated with an ``ops``
@@ -87,9 +91,9 @@ def sparsify(raster: np.ndarray) -> SparseRaster:
     if raster.ndim != 2:
         raise SimulationError(f"raster must be 2-D (steps, channels), got shape {raster.shape}")
     n_steps, n_channels = raster.shape
-    step_idx, channels = np.nonzero(raster)
+    step_idx, channels = np.divmod(np.flatnonzero(raster), n_channels)
     offsets = np.searchsorted(step_idx, np.arange(n_steps + 1))
-    event_steps = np.unique(step_idx)
+    event_steps = np.flatnonzero(np.diff(offsets))
     return SparseRaster(
         n_steps=int(n_steps),
         n_channels=int(n_channels),

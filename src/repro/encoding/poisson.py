@@ -19,6 +19,12 @@ from repro.config.parameters import EncodingParameters
 from repro.encoding.rate import intensity_to_frequency
 from repro.errors import DatasetError, SimulationError
 
+#: Steps per uniform draw in :meth:`PoissonEncoder.generate_train`: 64 steps
+#: of 784 channels is a 401 kB float64 buffer, small enough to stay in
+#: cache between the draw and the compare.  It is allocated per call: a
+#: buffer kept on the encoder raised a 28x28 benchmark's peak RSS.
+DRAW_BLOCK_STEPS = 64
+
 
 class PoissonEncoder:
     """Generates Bernoulli/Poisson spike trains for ``n_pixels`` channels."""
@@ -64,13 +70,17 @@ class PoissonEncoder:
         rng: np.random.Generator,
         ops: Optional[Ops] = None,
     ) -> np.ndarray:
-        """Pre-draw *n_steps* of spikes for the loaded image in one RNG call.
+        """Pre-draw *n_steps* of spikes for the loaded image.
 
-        Row ``i`` is bit-identical to the ``i``-th sequential :meth:`step`
-        draw (``Generator.random`` fills a 2-D array from the same underlying
-        stream in C order), and the generator is left in the same state —
-        which is what lets the fused training kernel swap per-step draws for
-        one vectorised draw without perturbing reproducibility.
+        The uniforms are drawn :data:`DRAW_BLOCK_STEPS` steps at a time into
+        one buffer, reused block after block, and compared against the
+        spike probabilities.  ``Generator.random`` fills its output from
+        the same underlying stream in C order, so the raster equals
+        ``rng.random((n_steps, n_pixels)) < p``: row ``i`` is bit-identical
+        to the ``i``-th sequential :meth:`step` draw, and the generator is
+        left in the same state.  That is what lets the gather kernels swap
+        per-step draws for block draws without perturbing reproducibility,
+        and without an ``(n_steps, n_pixels)`` float64 temporary.
 
         The raster is always *computed* on the host — randomness is
         host-drawn on every backend so spike trains stay bit-identical —
@@ -86,7 +96,14 @@ class PoissonEncoder:
             raster = np.zeros((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
         else:
             p = self._freq_hz * (dt_ms / 1000.0)
-            raster = rng.random((n_steps, self.n_pixels)) < p
+            raster = np.empty((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
+            block_steps = min(DRAW_BLOCK_STEPS, n_steps)
+            uniforms = np.empty((block_steps, self.n_pixels))  # host draws  # lint-ok: R6
+            for start in range(0, n_steps, DRAW_BLOCK_STEPS):
+                stop = min(start + DRAW_BLOCK_STEPS, n_steps)
+                block = uniforms[: stop - start]
+                rng.random(out=block)
+                np.less(block, p, out=raster[start:stop])
         if ops is None:
             return raster
         return ops.to_device(raster)

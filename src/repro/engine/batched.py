@@ -70,9 +70,20 @@ class BatchedInference:
             raise ConfigurationError(
                 f"batched storage must be one of {STORAGE_MODES}, got {storage!r}"
             )
+        engine = "qbatched" if storage == "int" else "batched"
+        kind = network.config.encoding.kind
+        if kind != "poisson":
+            # The lock-step draw below is Bernoulli; evaluating another
+            # encoding with it would break the "same distributions" tier.
+            raise ConfigurationError(
+                f"the {engine} engine draws Poisson input trains, but the "
+                f"config selects encoding.kind={kind!r}; evaluate with "
+                f"'fused' (or 'qfused' for a fixed-point config), which "
+                f"present the configured encoder exactly"
+            )
         self.codec: Optional[QCodec] = None
         if storage == "int":
-            self.codec = require_codec(network.synapses.quantizer, "qbatched")
+            self.codec = require_codec(network.synapses.quantizer, engine)
         self.network = network
         self.storage = storage
         self.config: ExperimentConfig = network.config
@@ -188,14 +199,17 @@ class BatchedInference:
 
             counts += winners
 
+            # The timers count down before the losers are inhibited, as in
+            # WTANetwork.advance (neurons.step decrements, then inhibit), so
+            # the losers stay inhibited for the full t_inh.
+            refractory = xp.maximum(refractory - dt, 0.0)
+            inhibited_left = xp.maximum(inhibited_left - dt, 0.0)
+
             if wta.t_inh_ms > 0.0:
                 fired_rows = winners.any(axis=1)
                 losers = ~winners & fired_rows[:, None]
                 inhibited_left = xp.maximum(
                     inhibited_left, xp.where(losers, wta.t_inh_ms, 0.0)
                 )
-
-            refractory = xp.maximum(refractory - dt, 0.0)
-            inhibited_left = xp.maximum(inhibited_left - dt, 0.0)
 
         return asnumpy(counts)

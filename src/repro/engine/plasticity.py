@@ -24,12 +24,13 @@ stream position is part of the ``fused`` engine's contract and covered by
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from repro.backend.ops import Ops
-from repro.config.parameters import RoundingMode
+from repro.config.parameters import DeterministicSTDPParameters, RoundingMode
 from repro.engine.rng import DeviceRng
 from repro.errors import ConfigurationError
 from repro.learning.deterministic import DeterministicSTDP
@@ -170,6 +171,13 @@ def resolve_quantized_rule(network: WTANetwork) -> str:
 # explicit ``ops.to_device`` seam before they meet the device codes.  The
 # rounding stream arrives pre-adapted (a ``DeviceRng`` on device backends),
 # so ``QCodec.delta_codes`` draws host-identically too.
+#
+# At <= 8 bits (the fixed-LSB regime) ``QCodec.delta_codes`` reduces every
+# change to ``sign(delta)`` and draws nothing, so once eqs. 4-5 are known to
+# be positive at every storable code an update is exactly the LTP mask
+# minus the LTD mask, applied as a saturating +-1 code step: no decode, no
+# magnitudes, no rounding and no int64 widening.  The magnitude path stays
+# for wider formats and as the fallback when a magnitude underflows.
 
 
 def _device_uploader(ops: Optional[Ops]):
@@ -177,6 +185,55 @@ def _device_uploader(ops: Optional[Ops]):
     if ops is None or ops.is_host:
         return lambda array: array
     return ops.to_device
+
+
+@lru_cache(maxsize=64)
+def unit_steps_exact(params: DeterministicSTDPParameters, codec: QCodec) -> bool:
+    """Whether every update under *params* is a +-1 code step in *codec*.
+
+    True when the format is fixed-LSB and eqs. 4-5 are positive at every
+    storable code ``0 .. max_code``: ``QCodec.delta_codes`` then maps each
+    LTP event to exactly +1 code and each LTD event to -1.  The threshold is
+    the smallest normal float64, so no ``exp`` implementation can round a
+    passing magnitude to 0.  A large ``beta_p`` or ``beta_d`` underflows
+    eq. 4 or 5 at the far end of the range; the caller then keeps the
+    magnitude path, where those synapses do not move.  A pure function of
+    two frozen dataclasses, so it is evaluated once per pair.
+    """
+    if not codec.fixed_lsb:
+        return False
+    # A handful of scalar evaluations on the host, never a kernel operand.
+    g = codec.decode(np.arange(codec.max_code + 1))  # lint-ok: R6
+    tiny = np.finfo(np.float64).tiny
+    return bool(
+        np.all(potentiation_magnitude(g, params) >= tiny)
+        and np.all(depression_magnitude(g, params) >= tiny)
+    )
+
+
+def _step_codes(
+    codes: np.ndarray,
+    cols: np.ndarray,
+    up: np.ndarray,
+    down: np.ndarray,
+    max_code: int,
+    mask_cols: Optional[np.ndarray],
+) -> None:
+    """Saturating +1 on *up* and -1 on *down* over the *cols* columns of *codes*.
+
+    *up* and *down* are disjoint boolean masks broadcastable to
+    ``(n_pre, cols.size)``.  Each step is taken only where it stays inside
+    ``[0, max_code]``, so unsigned storage never wraps and needs no
+    widening; on stored codes this equals ``QCodec.apply_delta_codes`` with
+    ``up - down`` as the increments.
+    """
+    updated = codes[:, cols]
+    updated += up & (updated < max_code)
+    updated -= down & (updated > 0)
+    if mask_cols is not None:
+        updated = np.where(mask_cols, updated, 0)
+    # Saturated by the guards above, which R7 cannot see (it wants a clip).
+    codes[:, cols] = updated  # lint-ok: R7
 
 
 def quantized_stochastic_columns(
@@ -191,7 +248,14 @@ def quantized_stochastic_columns(
     conn_mask: Optional[np.ndarray] = None,
     ops: Optional[Ops] = None,
 ) -> None:
-    """:func:`stochastic_rule_columns` operating on Q-format codes."""
+    """:func:`stochastic_rule_columns` operating on Q-format codes.
+
+    When :func:`unit_steps_exact` holds (<= 8 bits), the LTP mask minus the
+    LTD mask lands as a saturating +-1 code step; otherwise eqs. 4-5 are
+    rounded to code increments by ``QCodec.delta_codes``.  The ``learning``
+    draws are the same either way, and at <= 8 bits neither path draws from
+    *rng_rounding*.
+    """
     upload = _device_uploader(ops)
     xp = np if ops is None else ops.xp
     elapsed = timers.elapsed_pre(t_ms)
@@ -206,6 +270,12 @@ def quantized_stochastic_columns(
     if not pot_mask.any() and not dep_mask.any():
         return
 
+    mask_cols = None if conn_mask is None else upload(conn_mask[:, cols])
+    if unit_steps_exact(rule.magnitudes, codec):
+        _step_codes(
+            codes, cols, upload(pot_mask), upload(dep_mask), codec.max_code, mask_cols
+        )
+        return
     g_cols = codec.decode(codes[:, cols])
     dg_pot = potentiation_magnitude(g_cols, rule.magnitudes)
     dg_dep = depression_magnitude(g_cols, rule.magnitudes)
@@ -215,7 +285,6 @@ def quantized_stochastic_columns(
     delta_codes = np.where(
         delta_cols != 0.0, codec.delta_codes(delta_cols, rng_rounding, xp=xp), 0.0
     )
-    mask_cols = None if conn_mask is None else upload(conn_mask[:, cols])
     codec.apply_delta_codes(codes, cols, delta_codes, mask_cols)
 
 
@@ -230,18 +299,26 @@ def quantized_deterministic_columns(
     conn_mask: Optional[np.ndarray] = None,
     ops: Optional[Ops] = None,
 ) -> None:
-    """:func:`deterministic_rule_columns` operating on Q-format codes."""
+    """:func:`deterministic_rule_columns` operating on Q-format codes.
+
+    When :func:`unit_steps_exact` holds (<= 8 bits), the spiking columns
+    step +1 code on recently active rows and -1 on the rest, saturating;
+    otherwise eqs. 4-5 are rounded by ``QCodec.delta_codes``.
+    """
     upload = _device_uploader(ops)
     xp = np if ops is None else ops.xp
     elapsed = timers.elapsed_pre(t_ms)
-    recent = elapsed <= rule.params.window_ms
+    recent = upload(elapsed[:, None] <= rule.params.window_ms)
     cols = np.flatnonzero(post)
+    mask_cols = None if conn_mask is None else upload(conn_mask[:, cols])
+    if unit_steps_exact(rule.params, codec):
+        _step_codes(codes, cols, recent, ~recent, codec.max_code, mask_cols)
+        return
     g_cols = codec.decode(codes[:, cols])
     dg_pot = potentiation_magnitude(g_cols, rule.params)
     dg_dep = depression_magnitude(g_cols, rule.params)
-    delta_cols = np.where(upload(recent[:, None]), dg_pot, -dg_dep)
+    delta_cols = np.where(recent, dg_pot, -dg_dep)
     delta_codes = np.where(
         delta_cols != 0.0, codec.delta_codes(delta_cols, rng_rounding, xp=xp), 0.0
     )
-    mask_cols = None if conn_mask is None else upload(conn_mask[:, cols])
     codec.apply_delta_codes(codes, cols, delta_codes, mask_cols)

@@ -340,6 +340,15 @@ class BatchedEngine(PresentationEngine):
     #: ``qbatched`` subclass selects the integer code path.
     storage = "float"
 
+    def __init__(self, network: WTANetwork) -> None:
+        from repro.engine.batched import BatchedInference
+
+        super().__init__(network)
+        # Built here so an unsupported config (a periodic encoder, or a
+        # float config on qbatched) is rejected when the engine is built;
+        # it re-reads the learned state on every call.
+        self._inference = BatchedInference(network, storage=self.storage)
+
     def collect_responses(
         self,
         images: np.ndarray,
@@ -347,11 +356,7 @@ class BatchedEngine(PresentationEngine):
         progress: Optional[NullProgress] = None,
         label: str = "responses",
     ) -> np.ndarray:
-        from repro.engine.batched import BatchedInference
-
-        responses = BatchedInference(
-            self.network, storage=self.storage
-        ).collect_responses(
+        responses = self._inference.collect_responses(
             images,
             t_present_ms=t_present_ms,
             rng=self.network.rngs.batched_eval(),

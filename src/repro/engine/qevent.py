@@ -29,7 +29,7 @@ engine targets:
   stochastic rounding is an integer compare-against-random drawing **one
   uniform per changed synapse** from the dedicated ``qrounding`` stream,
   instead of the full-matrix draw the float-simulated path makes per
-  update.
+  update; at <= 8 bits an update is a saturating +-1 code step.
 
 Equivalence contract (``tests/test_qfused.py`` and ``tests/test_qevent.py``):
 
@@ -81,6 +81,11 @@ if TYPE_CHECKING:
 #: twin used as the stochastic-rounding equivalence oracle.
 STORAGE_MODES = ("int", "float")
 
+#: Rows per block of the entry encode's float64 scratch: 64 rows of 1000
+#: neurons is 512 kB, where a whole-matrix encode makes two 6.3 MB
+#: temporaries at the paper's 784 x 1000 size.
+ENCODE_BLOCK_ROWS = 64
+
 
 class QEventPresentation:
     """Event-driven presentation kernel over integer Q-format codes.
@@ -121,6 +126,9 @@ class QEventPresentation:
         code_dtype = self.codec.dtype if storage == "int" else np.dtype(np.float64)
         self._codes = xp.zeros(g_shape, dtype=code_dtype)
         self._acc_dtype = np.dtype(np.int64) if storage == "int" else np.dtype(np.float64)
+        self._encode_scratch = xp.empty(
+            (min(ENCODE_BLOCK_ROWS, g_shape[0]), g_shape[1]), dtype=np.float64
+        )
 
         self.occupancy = EventTrainStats()
 
@@ -184,12 +192,13 @@ class QEventPresentation:
         conn_mask = net.synapses.connectivity
 
         # Boundary sync in: live float values are on the storage grid, so
-        # the encode is an exact rescaling, routed
-        # through the backend's own conversion so the codes land device-side.
+        # the encode is an exact rescaling.  It runs through a row-block
+        # scratch straight into the code matrix; a device backend uploads
+        # the float view once first (an identity on the host).
         ops = self._ops
         on_host = ops.is_host
         g = net.synapses.g
-        np.copyto(codes, codec.encode(g, dtype=codes.dtype, xp=ops.xp))
+        codec.encode_into(ops.to_device(g), codes, self._encode_scratch)
 
         if profiler is not None:
             _t0 = clock()

@@ -125,6 +125,29 @@ class QCodec:
         np.clip(codes, 0.0, float(self.max_code), out=codes)
         return codes.astype(self.dtype if dtype is None else dtype)
 
+    def encode_into(
+        self, values: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`encode` of *values* into *out*, one row block at a time.
+
+        *scratch* is a float64 ``(block_rows, n_cols)`` work array on the
+        same backend as *values* and *out*; each block of rows is rescaled,
+        ``rint``-ed and clipped in it, then cast into *out*.  The codes equal
+        :meth:`encode`'s for every input, off-grid, out-of-range and
+        non-finite values included (NaN raises the same cast warning), with
+        no full-matrix float64 temporary.
+        """
+        block_rows = scratch.shape[0]
+        n_rows = values.shape[0]
+        for start in range(0, n_rows, block_rows):
+            stop = min(start + block_rows, n_rows)
+            block = scratch[: stop - start]
+            np.multiply(values[start:stop], self.inv_resolution, out=block)
+            np.rint(block, out=block)
+            np.clip(block, 0.0, float(self.max_code), out=block)
+            np.copyto(out[start:stop], block, casting="unsafe")
+        return out
+
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Integer codes -> float64 conductances (exact: ``k * 2^-n``)."""
         return np.multiply(codes, self.resolution, dtype=np.float64)

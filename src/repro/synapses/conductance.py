@@ -212,12 +212,22 @@ class ConductanceMatrix(SynapseGroup):
         learning (it appears in the Diehl & Cook baseline the paper compares
         against); without it a handful of neurons accumulate all the drive.
         Columns with zero total are left untouched.
+
+        Float storage is rescaled and clipped in place, bit for bit
+        ``np.clip(g * scale, g_min, g_max)`` with no full-matrix temporary,
+        so views of :attr:`g` taken earlier see the result.  Fixed-point
+        storage re-quantises the rescaled matrix with the configured
+        rounding, drawing from *rng* under stochastic rounding.
         """
         if target_sum <= 0.0:
             raise TopologyError(f"target_sum must be positive, got {target_sum}")
         sums = self._g.sum(axis=0)
         scale = np.where(sums > 0.0, target_sum / np.maximum(sums, 1e-12), 1.0)
-        np.copyto(self._g, self.quantizer.quantize(self._g * scale, rng))
+        if isinstance(self.quantizer, FloatQuantizer):
+            np.multiply(self._g, scale, out=self._g)
+            np.clip(self._g, self.quantizer.g_min, self.quantizer.g_max, out=self._g)
+        else:
+            np.copyto(self._g, self.quantizer.quantize(self._g * scale, rng))
         if self._mask is not None:
             self._g[~self._mask] = 0.0
 

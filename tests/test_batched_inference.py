@@ -1,12 +1,18 @@
 """Tests for the image-parallel batched inference engine."""
 
+import itertools
+import subprocess
+import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.config.presets import get_preset
 from repro.engine.batched import BatchedInference
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.io.checkpoint import save_checkpoint
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
 from repro.pipeline.trainer import UnsupervisedTrainer
@@ -164,3 +170,90 @@ class TestEvaluatorIntegration:
             tiny_dataset.test_labels[10:],
         )
         assert 0.0 <= result.accuracy <= 1.0
+
+
+def _decided_config(strength, t_inh_ms, amplitude, single_winner, refractory_ms):
+    """8bit, 20 neurons, 8x8 input, and rates of 0 or 1 spike per 1 ms step."""
+    config = get_preset("8bit", n_neurons=20, seed=0)
+    return replace(
+        config,
+        wta=replace(
+            config.wta,
+            inhibition_strength=strength,
+            t_inh_ms=t_inh_ms,
+            input_spike_amplitude=amplitude,
+            single_winner=single_winner,
+        ),
+        lif=replace(config.lif, refractory_ms=refractory_ms),
+        encoding=replace(config.encoding, f_min_hz=0.0, f_max_hz=1000.0),
+    )
+
+
+class TestMatchesReferenceOnDecidedInput:
+    """With every input draw decided, ``batched`` must equal ``reference``.
+
+    Pixels of 0 or 255 at ``f_min_hz=0``, ``f_max_hz=1000`` and dt = 1 ms
+    give spike probabilities of exactly 0 or 1, so the batched engines and
+    the reference loop see the same input spikes although they draw from
+    different streams.  Q1.7 conductance sums are exact in any order, so
+    every response must then match bit for bit — including how long the
+    WTA losers stay inhibited (the reference inhibits them after the
+    per-step timer decrement, for the full ``t_inh``).
+    """
+
+    @pytest.mark.parametrize("engine", ["batched", "qbatched"])
+    @pytest.mark.parametrize("strength", [0.0, 8.0], ids=["hard", "subtractive"])
+    @pytest.mark.parametrize("t_inh_ms", [5.0, 50.0])
+    def test_responses_equal_reference(self, engine, strength, t_inh_ms):
+        images = (np.random.default_rng(1).random((4, 8, 8)) < 0.3) * 255.0
+        mismatches = []
+        for amplitude, single_winner, refractory_ms in itertools.product(
+            (0.002, 0.03), (True, False), (2.0, t_inh_ms)
+        ):
+            config = _decided_config(
+                strength, t_inh_ms, amplitude, single_winner, refractory_ms
+            )
+            net = WTANetwork(config, 64)
+            expected = Evaluator(net, engine="reference").collect_responses(images)
+            got = Evaluator(net, engine=engine).collect_responses(images)
+            if not np.array_equal(got, expected):
+                mismatches.append(
+                    (amplitude, single_winner, refractory_ms,
+                     expected.sum(axis=1).tolist(), got.sum(axis=1).tolist())
+                )
+        assert mismatches == []
+
+
+class TestPeriodicEncodingRejected:
+    """The batched engines draw Bernoulli trains, so periodic configs are refused."""
+
+    @staticmethod
+    def _periodic(config):
+        return replace(config, encoding=replace(config.encoding, kind="periodic"))
+
+    @pytest.mark.parametrize("engine", ["batched", "qbatched"])
+    def test_evaluator_raises(self, engine, tiny_dataset):
+        config = self._periodic(get_preset("8bit", n_neurons=6, seed=0))
+        net = WTANetwork(config, 64)
+        with pytest.raises(ConfigurationError, match="'fused'.*'qfused'"):
+            Evaluator(net, engine=engine).collect_responses(tiny_dataset.test_images[:2])
+
+    def test_exact_evaluator_still_serves_periodic_configs(self, tiny_config, tiny_dataset):
+        net = WTANetwork(self._periodic(tiny_config), 64)
+        responses = Evaluator(net, engine="fused").collect_responses(
+            tiny_dataset.test_images[:2]
+        )
+        assert responses.shape == (2, 8)
+
+    def test_cli_evaluate_exits_1_with_the_error(self, tiny_config, tmp_path):
+        path = tmp_path / "periodic.npz"
+        save_checkpoint(path, WTANetwork(self._periodic(tiny_config), 64))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "evaluate", str(path),
+             "--n-test", "6", "--n-labeling", "2", "--size", "8",
+             "--engine", "batched"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "encoding.kind='periodic'" in done.stderr
+        assert "'fused'" in done.stderr
