@@ -362,6 +362,7 @@ class SimulationParameters:
         _require(self.t_rest_ms >= 0.0, "t_rest_ms must be non-negative")
         _require(self.t_learn_ms >= self.dt_ms, "t_learn_ms must cover at least one step")
         _require(int(self.seed) == self.seed, "seed must be an integer")
+        _require(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
 
     @property
     def steps_per_image(self) -> int:

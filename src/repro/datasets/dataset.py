@@ -146,6 +146,8 @@ def load_dataset(
     """
     if name not in ("mnist", "fashion"):
         raise DatasetError(f"unknown dataset {name!r}; expected 'mnist' or 'fashion'")
+    if seed < 0:
+        raise DatasetError(f"seed must be non-negative, got {seed}")
 
     directory = _idx_dir_for(name, data_dir)
     if directory is not None:

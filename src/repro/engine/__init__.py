@@ -16,14 +16,16 @@
   implementation used to cross-validate spiking activity and to measure the
   vectorised engine's speedup (the Fig. 4 comparison role CARLsim plays in
   the paper).
-- :mod:`repro.engine.event_train` — the float gather kernel (registry name
-  ``"fused"``): sparse input gathers summed in row order, integer expiry
-  timers, lazy plasticity state; bit-identical to the reference loop.  Also
-  the lock-step chunk both gather kernels evaluate with.
-- :mod:`repro.engine.qevent` — the integer gather kernel (registry name
-  ``"qfused"``): the same loop over uint8/uint16 Q-format codes.
+- :mod:`repro.engine.event_train` — the gather kernels' one presentation
+  loop: sparse input gathers summed in row order, integer expiry timers
+  with cached regime state, lazy plasticity state.  Over its float
+  conductance store it is the ``"fused"`` engine, bit-identical to the
+  reference loop.  Also the lock-step chunk both gather kernels evaluate
+  with.
+- :mod:`repro.engine.qevent` — the code store: the same loop over
+  uint8/uint16 Q-format codes (registry name ``"qfused"``).
 - :mod:`repro.engine.plasticity` — the column-restricted STDP application
-  shared by both gather kernels.
+  shared by both stores.
 - :mod:`repro.engine.monitors` — spike/state/conductance recording.
 
 Attributes resolve lazily (PEP 562): importing :mod:`repro.engine` — or

@@ -1,38 +1,57 @@
-"""The float gather kernel (registry name ``fused``) and lock-step evaluation.
+"""The gather kernels' presentation loop (``fused`` and ``qfused``) and lock-step evaluation.
 
 One presentation per :meth:`EventPresentation.run` call: the input raster
 is drawn up front and every step advances membranes, currents and
-thresholds with the reference loop's arithmetic.  The kernel exploits the
-sparsity of rate-coded input — the event-driven direction Bautembach et al.
-describe (PAPERS.md, arXiv:2107.04092) — in three ways:
+thresholds with the reference loop's arithmetic.  The loop is written once
+for both precisions; what differs is the conductance *store* it reads the
+drive from and lands STDP in:
+
+- :class:`FloatStore` (``fused``) — the float64 conductance matrix itself;
+- :class:`~repro.engine.qevent.CodeStore` (``qfused``) — the same matrix
+  held as uint8/uint16 Q-format codes for the whole presentation.
+
+The loop calls its store for three things: the drive (:meth:`~FloatStore.gather`),
+STDP (:meth:`~FloatStore.learn`, at post-spike steps, and at input-event
+steps for a store that sets ``learns_at_input_events``) and the entry/exit
+sync (:meth:`~FloatStore.sync_in` / :meth:`~FloatStore.sync_out`).  It
+exploits the sparsity of rate-coded input — the event-driven direction
+Bautembach et al. describe (PAPERS.md, arXiv:2107.04092) — in three ways:
 
 **Sparse input gathers.**  The pre-generated raster (the same
 ``generate_train`` draw the reference loop's per-step draws make, so the
 ``encoding`` RNG stream is consumed identically) is converted to per-step
 event column lists (:func:`repro.encoding.events.sparsify`).  Injection at
-an event step sums only the spiking rows of the conductance matrix, in row
-order — a few row reads instead of a dense ``vec @ matrix``.
+an event step sums only the spiking rows of the store's matrix, in row
+order (:func:`gather_drive`) — a few row reads instead of a dense
+``vec @ matrix``.
 
-**Integer timer state.**  Refractory and WTA-inhibition timers are kept as
-integer expiry *steps* (no per-step float decrement over the population);
-the regime masks they imply are refreshed only when a timer is set or
-expires.  Float timer state is synchronised back into the network at the
-end of each presentation, so engines stay interchangeable between images.
+**Integer timers and cached regimes.**  Refractory and WTA-inhibition
+timers are integer expiry *steps* (no per-step float decrement over the
+population), and the regime state they imply is cached: the
+subtractive-mode refractory set is a small index array with a FIFO of
+expiries, and the inhibition term is a drive vector rebuilt only when its
+mask changes.  Float timer state is synchronised back into the network at
+the end of each presentation, so engines stay interchangeable between
+images.
 
 **Lazy plasticity.**  ``last_pre`` is written only at event steps (a sparse
-scatter over the few spiking channels, not a masked write over all 784).
+scatter over the few spiking channels, not a masked write over all 784),
+and STDP runs only at the steps where the rule can change state.
 
 Contract — **bit-exact** to the reference loop under pinned seeds:
-conductances, thetas, membranes, currents, timers and spike counts.
+conductances, thetas, membranes, currents, timers and spike counts, for the
+float store always and for the code store whenever rounding draws nothing
+(see :mod:`repro.engine.qevent` for stochastic rounding).
 :meth:`~repro.network.wta.WTANetwork.drive` sums eq. 3 over the active
 rows in the same row order (``np.add.reduce(g[rows], axis=0)``), so no
 result depends on how a BLAS build groups a matrix-vector product, and
 weight updates read only spike times, timers and the ``learning`` stream.
-``tests/test_fused.py`` and ``tests/test_event_train.py`` pin it.
+``tests/test_fused.py``, ``tests/test_event_train.py`` and
+``tests/test_gather_timers.py`` pin it.
 
 **Lock-step evaluation.**  Evaluation does not present through
 :meth:`EventPresentation.run`: frozen presentations are independent, so
-:class:`LockstepChunk` steps a chunk of them together with this kernel's
+:class:`LockstepChunk` steps a chunk of them together with this loop's
 arithmetic, bit-identical to presenting them one at a time (see
 :class:`repro.engine.presentation.LockstepEvaluation`, which serves both
 ``fused`` and ``qfused``).
@@ -41,25 +60,28 @@ arithmetic, bit-identical to presenting them one at a time (see
 from __future__ import annotations
 
 import math
-import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backend import backend_ops
+from repro.config.parameters import RoundingMode
 from repro.encoding.events import SparseRaster, sparsify
 from repro.engine.plasticity import (
     deterministic_rule_columns,
-    resolve_fast_rule,
+    resolve_column_rule,
     stochastic_rule_columns,
 )
 from repro.errors import SimulationError
 from repro.learning.stochastic import LTDMode, StochasticSTDP
 from repro.network.wta import WTANetwork
+from repro.quantization.quantizer import FloatQuantizer
 
 if TYPE_CHECKING:
-    from repro.engine.profiler import StepProfiler
+    from repro.engine.qevent import CodeStore
+
 
 @dataclass
 class EventTrainStats:
@@ -84,44 +106,140 @@ def _expiry_steps(duration_ms: float, dt_ms: float) -> int:
     return int(math.ceil(duration_ms / dt_ms - 1e-12))
 
 
-class EventPresentation:
-    """The float gather kernel behind the ``fused`` engine.
+def gather_drive(
+    matrix: np.ndarray,
+    rows: np.ndarray,
+    scale: float,
+    out: np.ndarray,
+    acc_dtype: "np.dtype[Any]",
+) -> np.ndarray:
+    """Sparse row-gather drive: sum the *rows* of *matrix* in row order, scale into *out*.
 
-    Construct once per training run and call :meth:`run` once per image.
-    The kernel reads and mutates the live network state and consumes the
-    ``encoding`` and ``learning`` RNG streams in the same order as the
-    reference loop, so presentations can interleave with it; see the
-    module docstring for the equivalence contract.
+    The float store passes its conductances with ``scale = amplitude`` and
+    ``acc_dtype = float64``: the reference loop's
+    ``np.add.reduce(g[rows], axis=0) * amplitude``.  The code store passes
+    its codes with ``scale = resolution * amplitude`` (a power-of-two
+    multiple of the amplitude, so exact) and ``acc_dtype = int64`` (or
+    float64 for its shadow twin); on-grid code sums below ``2^53`` are
+    exact in either dtype, so the one multiply is the only rounding, of the
+    same real product the float path rounds.  A single row skips the
+    reduction; a one-element sum is exact, so the result is the same.
+    """
+    if rows.size == 1:
+        return np.multiply(matrix[rows[0]], scale, out=out)
+    acc = matrix[rows].sum(axis=0, dtype=acc_dtype)
+    return np.multiply(acc, scale, out=out)
+
+
+class FloatStore:
+    """The float64 conductance matrix as the loop's store (``fused``).
+
+    ``network.synapses.g`` is the live state: the drive reads it (through a
+    read-only device copy on a device backend) and STDP writes it on the
+    host.  Rules whose updates touch only the spiking columns and draw
+    nothing inside the quantiser run column-restricted
+    (:func:`~repro.engine.plasticity.stochastic_rule_columns` /
+    :func:`~repro.engine.plasticity.deterministic_rule_columns`); every
+    other config — stochastic rounding, the pair-LTD modes — runs the
+    reference ``rule.step``, called exactly at the steps where it touches
+    state or draws from the ``learning`` stream, so the stream stays
+    identical.
     """
 
     def __init__(self, network: WTANetwork) -> None:
         self._ops = backend_ops()
+        self.net = network
+        self._amplitude = network.amplitude
+        self._acc_dtype = np.dtype(np.float64)
+        # Stochastic rounding draws inside the full-matrix quantise, which
+        # a column-restricted update would skip.
+        quantizer = network.synapses.quantizer
+        rounding_draws = (
+            not isinstance(quantizer, FloatQuantizer)
+            and quantizer.rounding is RoundingMode.STOCHASTIC
+        )
+        self._column_rule = None if rounding_draws else resolve_column_rule(network)
+        # PAIR/BOTH-mode LTD draws the learning stream at *pre*-spike steps
+        # too, so the reference rule must also run at every input-event step.
+        rule = network.rule
+        self.learns_at_input_events = isinstance(
+            rule, StochasticSTDP
+        ) and rule.ltd_mode in (LTDMode.PAIR, LTDMode.BOTH)
+        # Host-side: consumed only by the reference rule, a host subsystem.
+        self._pre_mask = np.empty(network.n_pixels, dtype=bool)  # lint-ok: R6
+        self._g = self._ops.to_device(network.synapses.g)
+
+    def sync_in(self) -> None:
+        """Upload the float view the drive reads (an identity on the host)."""
+        self._g = self._ops.to_device(self.net.synapses.g)
+
+    def gather(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """The eq.-3 drive of the spiking *rows* into *out*."""
+        gather_drive(self._g, rows, self._amplitude, out, self._acc_dtype)
+
+    def learn(self, rows: np.ndarray, post: np.ndarray, t_ms: float) -> None:
+        """STDP for this step's input *rows* and host spike mask *post*."""
+        net = self.net
+        ops = self._ops
+        g = net.synapses.g
+        if self._column_rule is None:
+            pre_mask = self._pre_mask
+            pre_mask.fill(False)
+            pre_mask[rows] = True
+            net.rule.step(net.synapses, net.timers, pre_mask, post, t_ms, net.rngs.learning)
+            if not ops.is_host:
+                # The reference path may touch the whole matrix.
+                self._g = ops.to_device(g)
+            return
+        if self._column_rule == "stochastic":
+            stochastic_rule_columns(
+                net.rule, net.synapses, net.timers, post, t_ms, net.rngs.learning
+            )
+        else:
+            deterministic_rule_columns(
+                net.rule, net.synapses, net.timers, post, t_ms, net.rngs.learning
+            )
+        if not ops.is_host:
+            cols = np.flatnonzero(post)
+            self._g[:, cols] = ops.to_device(g[:, cols])
+
+    def sync_out(self) -> None:
+        """Nothing to write back: STDP landed in the host matrix directly."""
+
+
+#: A conductance store the loop presents over.
+Store = Union[FloatStore, "CodeStore"]
+
+
+class EventPresentation:
+    """The gather kernels' presentation loop over a conductance store.
+
+    Construct once per training run and call :meth:`run` once per image;
+    *store* defaults to a :class:`FloatStore` over ``network.synapses``
+    (the ``fused`` engine).  The loop reads and mutates the live network
+    state and consumes the ``encoding`` and ``learning`` RNG streams in the
+    same order as the reference loop, so presentations can interleave with
+    it; see the module docstring for the equivalence contract.
+    """
+
+    def __init__(self, network: WTANetwork, store: Optional[Store] = None) -> None:
+        self._ops = backend_ops()
         xp = self._ops.xp
         self.net = network
+        self.store: Store = store if store is not None else FloatStore(network)
         cfg = network.config
         self._wta = cfg.wta
         self._lif = cfg.lif
         n = cfg.wta.n_neurons
 
-        self._amplitude = network.amplitude
         self._conductance_model = cfg.wta.synapse_model == "conductance"
         self._scale_denom = cfg.wta.e_excitatory - cfg.lif.v_reset
         self._subtractive = network.neurons.inhibition_strength > 0.0
 
-        self._fast_rule = resolve_fast_rule(network)
-        # PAIR/BOTH-mode LTD consumes the learning stream at *pre*-spike
-        # steps too, so the fallback rule must run at every input-event step.
-        rule = network.rule
-        self._pair_ltd = isinstance(rule, StochasticSTDP) and rule.ltd_mode in (
-            LTDMode.PAIR,
-            LTDMode.BOTH,
-        )
-
         self.occupancy = EventTrainStats()
 
-        # Preallocated work buffers on the kernel's backend.  ``_pre_mask``
-        # stays host-resident: it is consumed only by the fallback reference
-        # rule, a host subsystem.
+        # Preallocated work buffers, resident on the backend the loop
+        # steps on.
         self._inj = xp.empty(n, dtype=np.float64)
         self._scale = xp.empty(n, dtype=np.float64)
         self._eff = xp.empty(n, dtype=np.float64)
@@ -132,11 +250,10 @@ class EventPresentation:
         self._inh_mask = xp.empty(n, dtype=bool)
         self._spikes = xp.empty(n, dtype=bool)
         self._losers = xp.empty(n, dtype=bool)
-        # Host-side: consumed by the host STDP scatter.
-        self._pre_mask = np.empty(network.n_pixels, dtype=bool)  # lint-ok: R6
         self._ref_end = xp.zeros(n, dtype=np.int64)
         self._inh_end = xp.zeros(n, dtype=np.int64)
         self._inh_scratch = xp.empty(n, dtype=np.int64)
+        self._inh_vec = xp.empty(n, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # kernel
@@ -148,19 +265,17 @@ class EventPresentation:
         t_ms: float,
         n_steps: int,
         dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
         out_counts: Optional[np.ndarray] = None,
     ) -> Tuple[int, float]:
         """Present *image* for *n_steps* steps of *dt_ms*, starting at *t_ms*.
 
         Returns ``(total_output_spikes, t_ms_after)`` — the protocol of
-        :meth:`~repro.engine.presentation.PresentationEngine.run`.  Spike
+        :meth:`~repro.engine.presentation.PresentationEngine.run`.  The
+        store syncs in on entry and out on exit (the float view
+        ``synapses.g`` is authoritative between presentations); spike
         times handed to the STDP timers come from the same repeated
-        ``+ dt_ms`` float accumulation the reference loop performs, so timer
-        contents match exactly.
-
-        *profiler* (a :class:`~repro.engine.profiler.StepProfiler`) splits
-        the presentation into encode / integrate / stdp / wta sections.
+        ``+ dt_ms`` float accumulation the reference loop performs, so
+        timer contents match exactly.
 
         *out_counts* (int64, length ``n_neurons``) accumulates each
         neuron's post-arbitration spike count.
@@ -170,15 +285,14 @@ class EventPresentation:
         net = self.net
         lif = self._lif
         wta = self._wta
-        clock = time.perf_counter
+        store = self.store
+        ops = self._ops
+        on_host = ops.is_host
 
-        if profiler is not None:
-            _t0 = clock()
+        store.sync_in()
         net.present_image(image)
         raster = net.encoder.generate_train(n_steps, dt_ms, net.rngs.encoding)
         sparse = sparsify(raster)
-        if profiler is not None:
-            profiler.add("encode", clock() - _t0)
 
         neurons = net.neurons
         timers = net.timers
@@ -188,31 +302,23 @@ class EventPresentation:
         adapting = neurons.adaptation.enabled
         theta_plus = neurons.adaptation.theta_plus
         learning = net.learning_enabled
+        pre_learning = learning and store.learns_at_input_events
         inh_strength = neurons.inhibition_strength
         t_inh = wta.t_inh_ms
         single_winner = wta.single_winner
         ref_steps = _expiry_steps(lif.refractory_ms, dt_ms)
         # Inhibition is applied after the reference loop's timer decrement, so
-        # it survives one step longer than its raw duration (see tests).
+        # it survives one step longer than its raw duration.
         inh_steps = _expiry_steps(t_inh, dt_ms) + 1
         a, b, c = lif.a, lif.b, lif.c
         v_reset, v_threshold = lif.v_reset, lif.v_threshold
 
         # State arrays: the network's live arrays on the host backend
-        # (identity transfers), uploaded mirrors on a device backend with a
-        # download at the end of the presentation.  The host conductance
-        # matrix stays authoritative (STDP is a host subsystem); its device
-        # copy is read-only between column resyncs.
-        ops = self._ops
-        on_host = ops.is_host
-        g_host = net.synapses.g
+        # (identity transfers, mutated in place), uploaded mirrors on a
+        # device backend with a download at the end of the presentation.
         current = ops.to_device(net._current)
         v = ops.to_device(neurons._v)
         theta = ops.to_device(neurons._theta)
-        g = ops.to_device(g_host)
-        rule = net.rule
-        rng_learning = net.rngs.learning
-        fast_rule = self._fast_rule
 
         inj = self._inj
         scale = self._scale
@@ -226,6 +332,15 @@ class EventPresentation:
         losers = self._losers
         ref_end = self._ref_end
         inh_end = self._inh_end
+        inh_vec = self._inh_vec
+        inh_scratch = self._inh_scratch
+        scale_denom = self._scale_denom
+        e_excitatory = wta.e_excitatory
+        # The timer arrays are bound once at trace construction, never
+        # reassigned, so hoisting the attribute chain out of the loop is
+        # safe (and saves two lookups per event/spike step).
+        last_pre = timers._last_pre
+        last_post = timers._last_post
 
         # Import the float timers into integer expiry steps (step indices
         # relative to this presentation; ``end > j``  <=>  flagged at j).
@@ -246,50 +361,128 @@ class EventPresentation:
             np.maximum(imported, 0.0, out=imported)
             inh_end[:] = ops.to_device(imported.astype(np.int64))
 
-        big = n_steps + 1  # sentinel expiry beyond the presentation
+        # Sentinel expiry beyond every reachable timer end (late spikes set
+        # ends past ``n_steps``), so a masked minimum equal to ``big``
+        # certifies the mask is empty.
+        big = n_steps + max(ref_steps, inh_steps, 1) + 1
         subtractive = self._subtractive
         conductance_model = self._conductance_model
 
         self.occupancy.raster_cells += n_steps * sparse.n_channels
         self.occupancy.raster_active_cells += sparse.n_events
 
+        # Plain Python ints everywhere the loop reads per-step metadata:
+        # numpy scalar indexing would pay a boxing conversion per
+        # iteration.  ``rows_at[j]`` holds each step's spiking-row view
+        # (the shared ``empty_rows`` object on quiescent steps, so the loop
+        # classifies a step with one identity test).
         offsets = sparse.offsets.tolist()
         channels = sparse.channels
+        empty_rows = channels[:0]
+        rows_at = [empty_rows] * n_steps
+        for s in sparse.event_steps.tolist():
+            rows_at[s] = channels[offsets[s] : offsets[s + 1]]
 
         total_spikes = 0
-        regimes_dirty = True
-        next_expiry = 0
-        blocked_any = False
-        inh_any = False
-        for j in range(n_steps):
-            if regimes_dirty or j >= next_expiry:
-                # Refresh regime masks; they stay valid until the earliest
-                # pending expiry (or the next output spike sets new timers).
-                np.greater(ref_end, j, out=blocked)
-                np.greater(inh_end, j, out=inh_mask)
-                if not subtractive:
-                    np.logical_or(blocked, inh_mask, out=blocked)
-                blocked_any = bool(blocked.any())
-                inh_any = bool(inh_mask.any())
-                nr = int(np.min(np.where(ref_end > j, ref_end, big)))
-                ni = int(np.min(np.where(inh_end > j, inh_end, big)))
-                next_expiry = min(nr, ni)
-                regimes_dirty = False
 
-            if profiler is not None:
-                _t0 = clock()
-            rows = channels[offsets[j] : offsets[j + 1]]
-            k = rows.size
-            if k:
-                timers._last_pre[rows] = t_ms
-                if k == 1:
-                    np.multiply(g[rows[0]], self._amplitude, out=inj)
+        # Initial regime state at step 0 (``end > 0``  <=>  flagged now).
+        # A mask is non-empty exactly when its masked minimum beat the
+        # sentinel — no separate ``any`` reductions needed; the raw
+        # ``ufunc.reduce`` calls skip the ``np.min`` dispatch layer.
+        np.greater(ref_end, 0, out=blocked)
+        nr = int(np.minimum.reduce(ref_end, initial=big, where=blocked))
+        np.greater(inh_end, 0, out=inh_mask)
+        ni = int(np.minimum.reduce(inh_end, initial=big, where=inh_mask))
+        inh_any = ni < big
+        if not subtractive:
+            np.logical_or(blocked, inh_mask, out=blocked)
+            blocked_any = nr < big or inh_any
+        else:
+            blocked_any = nr < big
+        next_inh = ni
+        next_ref = nr
+        next_expiry = min(nr, ni)
+        # Subtractive inhibition keeps the refractory set tiny — a handful
+        # of recent contenders — so it is carried as a small *index* array
+        # ``blk`` (fancy assignment through a short int array beats a full
+        # boolean mask pass) whose expiries live in a FIFO of ``(end,
+        # indices)`` entries with ends pushed in increasing order.  With
+        # blocking inhibition the coupled mask stays dense and boolean, and
+        # ``blk`` simply aliases it: every consumer indexes through ``blk``
+        # either way.  When ``blocked_any`` is false ``blk`` may be stale —
+        # every use is guarded.
+        ref_fifo: Deque[Tuple[int, np.ndarray]] = deque()
+        if subtractive:
+            blk = np.flatnonzero(blocked)
+            if blk.size:
+                ends = ref_end[blk]
+                for k in np.argsort(ends, kind="stable").tolist():
+                    ref_fifo.append((int(ends[k]), blk[k : k + 1]))
+            # The cached inhibition drive: ``inh_strength`` on inhibited
+            # neurons, exactly 0.0 elsewhere, rebuilt only when the mask
+            # changes.  Subtracting it elementwise is bit-identical to the
+            # masked in-place subtract (``x - 0.0 == x`` for every float)
+            # and replaces a gather/scatter pass with one dense ufunc.
+            np.multiply(inh_mask, inh_strength, out=inh_vec)
+        else:
+            blk = blocked
+
+        for j in range(n_steps):
+            if j >= next_expiry:
+                if subtractive:
+                    if j >= next_ref:
+                        while ref_fifo and ref_fifo[0][0] <= j:
+                            ref_fifo.popleft()
+                        if ref_fifo:
+                            next_ref = ref_fifo[0][0]
+                            blk = (
+                                ref_fifo[0][1]
+                                if len(ref_fifo) == 1
+                                else np.concatenate([e[1] for e in ref_fifo])
+                            )
+                        else:
+                            blocked_any = False
+                            next_ref = big
+                    if j >= next_inh:
+                        # Inhibition expiries are rare (spike-step
+                        # extensions keep pushing the earliest masked end
+                        # forward), so the dense recompute only runs when
+                        # one actually lapses.
+                        np.greater(inh_end, j, out=inh_mask)
+                        ni = int(
+                            np.minimum.reduce(
+                                inh_end, initial=big, where=inh_mask
+                            )
+                        )
+                        inh_any = ni < big
+                        next_inh = ni
+                        np.multiply(inh_mask, inh_strength, out=inh_vec)
+                    next_expiry = min(next_ref, next_inh)
                 else:
-                    np.sum(g[rows], axis=0, out=inj)
-                    inj *= self._amplitude
+                    # Full regime refresh — with blocking inhibition the
+                    # masks are coupled, so both are recomputed at any timer
+                    # expiry (output spikes still extend them incrementally
+                    # below).
+                    np.greater(ref_end, j, out=blocked)
+                    nr = int(
+                        np.minimum.reduce(ref_end, initial=big, where=blocked)
+                    )
+                    np.greater(inh_end, j, out=inh_mask)
+                    ni = int(
+                        np.minimum.reduce(inh_end, initial=big, where=inh_mask)
+                    )
+                    inh_any = ni < big
+                    np.logical_or(blocked, inh_mask, out=blocked)
+                    blocked_any = nr < big or inh_any
+                    next_expiry = min(nr, ni)
+
+            rows = rows_at[j]
+            if rows is not empty_rows:
+                last_pre[rows] = t_ms
+                store.gather(rows, inj)
                 if conductance_model:
-                    np.subtract(wta.e_excitatory, v, out=scale)
-                    scale /= self._scale_denom
+                    np.subtract(e_excitatory, v, out=scale)
+                    scale /= scale_denom
                     np.maximum(scale, 0.0, out=scale)
                     inj *= scale
                 if has_decay:
@@ -304,9 +497,9 @@ class EventPresentation:
 
             np.copyto(eff, current)
             if blocked_any:
-                eff[blocked] = 0.0
+                eff[blk] = 0.0
             if subtractive and inh_any:
-                eff[inh_mask] -= inh_strength
+                np.subtract(eff, inh_vec, out=eff)
 
             np.multiply(v, b, out=dv)
             dv += a
@@ -315,25 +508,39 @@ class EventPresentation:
             dv *= dt_ms
             v += dv
             if blocked_any:
-                v[blocked] = v_reset
+                v[blk] = v_reset
             np.maximum(v, v_reset, out=v)
 
             np.add(theta, v_threshold, out=thr)
             np.greater_equal(v, thr, out=spikes)
             if blocked_any:
-                spikes[blocked] = False
+                spikes[blk] = False
             n_fired = int(np.count_nonzero(spikes))
             if n_fired:
                 v[spikes] = v_reset
                 ref_end[spikes] = j + ref_steps
+                # Refractoriness lands on every contender *before* WTA
+                # arbitration (the reference loop sets its timers here too),
+                # so the blocked set must grow from the pre-WTA spike set.
+                if ref_steps > 1:
+                    if subtractive:
+                        fired = np.flatnonzero(spikes)
+                        ref_fifo.append((j + ref_steps, fired))
+                        blk = (
+                            np.concatenate((blk, fired))
+                            if blocked_any
+                            else fired
+                        )
+                        next_ref = min(next_ref, j + ref_steps)
+                    else:
+                        np.logical_or(blocked, spikes, out=blocked)
+                    next_expiry = min(next_expiry, j + ref_steps)
+                    blocked_any = True
 
             if adapting:
                 theta *= theta_decay
                 if n_fired:
                     theta[spikes] += theta_plus
-            if profiler is not None:
-                _t1 = clock()
-                profiler.add("integrate", _t1 - _t0)
 
             if single_winner and n_fired > 1:
                 contenders = np.flatnonzero(spikes)
@@ -341,66 +548,42 @@ class EventPresentation:
                 spikes.fill(False)
                 spikes[winner] = True
                 n_fired = 1
-            if profiler is not None:
-                _t2 = clock()
-                profiler.add("wta", _t2 - _t1, calls=0)
 
-            # STDP runs on the host (rules/quantisers are host subsystems):
-            # on a device backend the spike mask is downloaded at the steps
-            # that need it and the updated conductance columns re-uploaded.
-            spikes_h = spikes if on_host else None
-            if learning:
-                if fast_rule is None:
-                    # Fallback configs (stochastic rounding, pair-LTD): the
-                    # reference rule only touches state / draws RNG at post
-                    # spikes (plus pre events in the pair modes), so calling
-                    # it exactly then keeps the learning stream identical.
-                    if n_fired or (self._pair_ltd and k):
-                        pre_mask = self._pre_mask
-                        pre_mask.fill(False)
-                        if k:
-                            pre_mask[rows] = True
-                        if spikes_h is None:
-                            spikes_h = ops.to_host(spikes)
-                        rule.step(
-                            net.synapses, timers, pre_mask, spikes_h, t_ms, rng_learning
-                        )
-                        if not on_host:
-                            # The reference path may touch the whole matrix.
-                            g = ops.to_device(g_host)
-                elif n_fired:
-                    if spikes_h is None:
-                        spikes_h = ops.to_host(spikes)
-                    if fast_rule == "stochastic":
-                        stochastic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_ms, rng_learning
-                        )
-                    else:
-                        deterministic_rule_columns(
-                            rule, net.synapses, timers, spikes_h, t_ms, rng_learning
-                        )
-                    if not on_host:
-                        cols = np.flatnonzero(spikes_h)
-                        g[:, cols] = ops.to_device(g_host[:, cols])
+            # STDP runs on the host (timers, rules and every RNG draw are
+            # host subsystems): on a device backend the spike mask is
+            # downloaded at the steps that need it.  It runs before this
+            # step's ``last_post`` write, as in the reference loop.
             if n_fired:
-                if spikes_h is None:
-                    spikes_h = ops.to_host(spikes)
-                timers._last_post[spikes_h] = t_ms
+                spikes_h = spikes if on_host else ops.to_host(spikes)
+                if learning:
+                    store.learn(rows, spikes_h, t_ms)
+                last_post[spikes_h] = t_ms
                 if out_counts is not None:
                     out_counts[spikes_h] += 1
-            if profiler is not None:
-                _t3 = clock()
-                profiler.add("stdp", _t3 - _t2)
-
-            if n_fired:
+                # Incremental regime update: the WTA losers (inhibited) are
+                # exactly the new inhibition-mask members, so the masks grow
+                # in place — no full refresh (the refractory mask already
+                # grew from the pre-WTA contender set above).  One-step
+                # timers (`end == j + 1`) never enter a mask: they are
+                # already expired by the time step ``j + 1`` reads it.
+                # ``next_expiry`` keeps the earliest *masked* end so stale
+                # entries are always purged by a full refresh in time.
                 if t_inh > 0.0:
                     np.logical_not(spikes, out=losers)
-                    scratch = self._inh_scratch
-                    np.multiply(losers, j + inh_steps, out=scratch)
-                    np.maximum(inh_end, scratch, out=inh_end)
-                regimes_dirty = True
-            if profiler is not None:
-                profiler.add("wta", clock() - _t3)
+                    np.multiply(losers, j + inh_steps, out=inh_scratch)
+                    np.maximum(inh_end, inh_scratch, out=inh_end)
+                    if inh_steps > 1:
+                        np.logical_or(inh_mask, losers, out=inh_mask)
+                        inh_any = True
+                        if subtractive:
+                            np.multiply(inh_mask, inh_strength, out=inh_vec)
+                        else:
+                            np.logical_or(blocked, losers, out=blocked)
+                            blocked_any = True
+                        next_expiry = min(next_expiry, j + inh_steps)
+                        next_inh = min(next_inh, j + inh_steps)
+            elif pre_learning and rows is not empty_rows:
+                store.learn(rows, spikes if on_host else ops.to_host(spikes), t_ms)
 
             total_spikes += n_fired
             t_ms += dt_ms
@@ -418,13 +601,14 @@ class EventPresentation:
         np.maximum(inh_export, 0, out=inh_export)
         np.multiply(inh_export, dt_ms, out=neurons._inhibited_left, casting="unsafe")
 
+        # Boundary sync out: the float view becomes authoritative again for
+        # everything that runs between presentations; device backends
+        # download the neuron-state mirrors too.
+        store.sync_out()
         if not on_host:
-            # Download the stepped state into the live host arrays so every
-            # boundary consumer keeps seeing plain host floats.
             np.copyto(net._current, ops.to_host(current))
             np.copyto(neurons._v, ops.to_host(v))
             np.copyto(neurons._theta, ops.to_host(theta))
-
         return total_spikes, t_ms
 
 
@@ -448,12 +632,12 @@ class LockstepChunk:
     image's input events and hands a chunk of them to :meth:`run`.  Inside
     ``evaluation_mode`` every presentation starts from the rested state and
     reads only frozen conductances and thresholds, so the images are
-    independent and advance together with the gather kernel's arithmetic:
+    independent and advance together with the gather loop's arithmetic:
     integer expiry timers, subtractive or blocking inhibition, and a single
-    winner per image.  Each image's drive is the kernel's own row-order sum
+    winner per image.  Each image's drive is the loop's own row-order sum
     over the spiking rows of the float view ``synapses.g``; on-grid
-    conductances sum exactly in any order, so that view gives the integer
-    kernel's code drive too.
+    conductances sum exactly in any order, so that view gives the code
+    store's drive too.
 
     The buffers live on the backend bound at construction, as in the
     kernels.  Conductances and thresholds upload once per evaluation and
@@ -556,7 +740,7 @@ class LockstepChunk:
 
         add_rows = np.add.reduce
         for j in range(events[0].n_steps):
-            # Drive: per image, the kernel's row-order gather sum
+            # Drive: per image, the loop's row-order gather sum
             # (``np.sum`` of a float64 array is this ``np.add.reduce``).
             # An empty gather sums to 0.0, which the updates below leave
             # exact.
@@ -574,16 +758,16 @@ class LockstepChunk:
             else:
                 np.copyto(current, inj)
 
-            # Membranes.  The kernels zero the blocked neurons' drive
-            # first; their membranes are pinned to v_reset below whatever
-            # the drive, so the zeroing is skipped here.
+            # Membranes.  The presentation loop zeroes the blocked neurons'
+            # drive first; their membranes are pinned to v_reset below
+            # whatever the drive, so the zeroing is skipped here.
             np.greater(ref_end, j, out=blocked)
             drive = current
             if inhibiting:
                 np.greater(inh_end, j, out=inhibited)
                 if subtractive:
                     # inh_strength on inhibited neurons, 0.0 elsewhere
-                    # (x - 0.0 == x), as in the integer kernel.
+                    # (x - 0.0 == x), as in the presentation loop.
                     np.multiply(inhibited, inh_strength, out=eff)
                     np.subtract(current, eff, out=eff)
                     drive = eff

@@ -1,19 +1,19 @@
-"""Column-restricted STDP application shared by the gather kernels.
+"""Column-restricted STDP application shared by the gather kernels' stores.
 
-The float gather kernel (:mod:`repro.engine.event_train`) and the integer
-one (:mod:`repro.engine.qevent`) exploit the same observation: at a
-post-synaptic spike the STDP rules only change the
+The float store (:class:`repro.engine.event_train.FloatStore`) and the
+code store (:class:`repro.engine.qevent.CodeStore`) exploit the same
+observation: at a post-synaptic spike the STDP rules only change the
 *spiking columns* of the conductance matrix, so the full-matrix
 delta/quantise round trip in ``ConductanceMatrix.apply_delta`` can be
 replaced by :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta_columns`
-over those columns.
+over those columns.  :func:`resolve_column_rule` says which rules admit it.
 
-The learned values are identical either way; the restriction is only valid
-when the quantiser draws no RNG inside ``quantize()``/``quantize_delta()``
-(otherwise the skipped columns would have consumed draws in the full-matrix
-path and the ``learning`` stream would diverge).  Stochastic *rounding* and
-the pair-LTD modes therefore report ``None`` from :func:`resolve_fast_rule`
-and the kernels fall back to the reference rule object.
+The learned values are identical either way; on float conductances the
+restriction is only valid when the quantiser draws no RNG inside
+``quantize()``/``quantize_delta()`` (otherwise the skipped columns would
+have consumed draws in the full-matrix path and the ``learning`` stream
+would diverge).  Under stochastic *rounding* and in the pair-LTD modes the
+float store therefore falls back to the reference rule object.
 
 The Bernoulli draw shapes in the stochastic rule are ``(n_pre, k)`` in the
 reference implementation already, so consuming the ``learning`` stream
@@ -30,9 +30,8 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from repro.backend.ops import Ops
-from repro.config.parameters import DeterministicSTDPParameters, RoundingMode
+from repro.config.parameters import DeterministicSTDPParameters
 from repro.engine.rng import DeviceRng
-from repro.errors import ConfigurationError
 from repro.learning.deterministic import DeterministicSTDP
 from repro.learning.stochastic import LTDMode, StochasticSTDP
 from repro.learning.updates import (
@@ -41,7 +40,6 @@ from repro.learning.updates import (
     potentiation_magnitude,
     potentiation_probability,
 )
-from repro.quantization.quantizer import FloatQuantizer
 
 if TYPE_CHECKING:
     from repro.network.wta import WTANetwork
@@ -50,20 +48,16 @@ if TYPE_CHECKING:
     from repro.synapses.traces import SpikeTimers
 
 
-def resolve_fast_rule(network: WTANetwork) -> Optional[str]:
-    """Which column-restricted path serves *network*, or ``None``.
+def resolve_column_rule(network: WTANetwork) -> Optional[str]:
+    """Which column-restricted STDP path serves *network*'s rule, or ``None``.
 
-    Returns ``"deterministic"`` / ``"stochastic"`` when the rule/quantiser
-    combination admits the column restriction, else ``None`` (kernels then
-    call the reference ``rule.step`` full-matrix path, which remains
-    bit-identical by construction).
+    ``"deterministic"`` for deterministic STDP and ``"stochastic"`` for
+    stochastic STDP with post-event LTD: at a post spike these rules change
+    only the spiking columns.  Any other rule returns ``None``; the pair-LTD
+    modes, for one, also draw the ``learning`` stream at pre-spike steps.
+    The float store then runs the reference ``rule.step`` and the code
+    store rejects the config.
     """
-    quantizer = network.synapses.quantizer
-    rng_free_quantizer = isinstance(quantizer, FloatQuantizer) or (
-        quantizer.rounding is not RoundingMode.STOCHASTIC
-    )
-    if not rng_free_quantizer:
-        return None
     rule = network.rule
     if isinstance(rule, DeterministicSTDP):
         return "deterministic"
@@ -123,30 +117,6 @@ def deterministic_rule_columns(
     dg_dep = depression_magnitude(g_cols, rule.params)
     delta_cols = np.where(recent[:, None], dg_pot, -dg_dep)
     synapses.apply_delta_columns(cols, delta_cols, rng)
-
-
-def resolve_quantized_rule(network: WTANetwork) -> str:
-    """Which code-domain column path serves *network*'s rule, or raise.
-
-    The integer-native training kernel (``qfused``) serves
-    exactly the column-restricted rules: plain deterministic STDP, or
-    stochastic STDP with post-event LTD.  The pair-LTD modes touch the
-    learning stream at pre-spike steps through the full-matrix reference
-    path and have no code-domain equivalent, so — unlike
-    :func:`resolve_fast_rule`'s ``None``-means-fallback contract — an
-    unsupported rule is a configuration error here.
-    """
-    rule = network.rule
-    if isinstance(rule, DeterministicSTDP):
-        return "deterministic"
-    if isinstance(rule, StochasticSTDP) and rule.ltd_mode is LTDMode.POST_EVENT:
-        return "stochastic"
-    raise ConfigurationError(
-        "the integer-native engines serve the column-restricted STDP rules "
-        "only (stdp.kind='deterministic', or 'stochastic' with "
-        "ltd_mode='post_event'); pair-LTD modes need the float 'fused' "
-        "engine, which runs them through the reference rule"
-    )
 
 
 # ----------------------------------------------------------------------

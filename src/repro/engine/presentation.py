@@ -36,7 +36,6 @@ from repro.pipeline.progress import NullProgress
 
 if TYPE_CHECKING:
     from repro.engine.event_train import EventTrainStats
-    from repro.engine.profiler import StepProfiler
     from repro.engine.registry import EngineSpec
     from repro.network.wta import WTANetwork
     from repro.resilience.sentinel import NumericHealthSentinel
@@ -88,7 +87,6 @@ class PresentationEngine:
         t_ms: float,
         n_steps: int,
         dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
         out_counts: Optional[np.ndarray] = None,
     ) -> Tuple[int, float]:
         """Present *image* for *n_steps* of *dt_ms* starting at *t_ms*.
@@ -159,7 +157,6 @@ class ReferenceEngine(PresentationEngine):
         t_ms: float,
         n_steps: int,
         dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
         out_counts: Optional[np.ndarray] = None,
     ) -> Tuple[int, float]:
         if n_steps < 0:
@@ -242,7 +239,7 @@ class LockstepEvaluation(PresentationEngine):
 
 
 class FusedEngine(LockstepEvaluation):
-    """The float gather kernel (:class:`~repro.engine.event_train.EventPresentation`).
+    """The gather loop over float conductances (:class:`~repro.engine.event_train.EventPresentation`).
 
     Bit-identical to the reference engine under pinned seeds: it steps
     every step with the reference arithmetic and sums eq. 3 over the
@@ -271,18 +268,15 @@ class FusedEngine(LockstepEvaluation):
         t_ms: float,
         n_steps: int,
         dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
         out_counts: Optional[np.ndarray] = None,
     ) -> Tuple[int, float]:
-        return self._kernel.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
+        return self._kernel.run(image, t_ms, n_steps, dt_ms, out_counts=out_counts)
 
 
 class QFusedEngine(LockstepEvaluation):
-    """The integer gather kernel (:class:`~repro.engine.qevent.QEventPresentation`).
+    """The gather loop over Q-format codes (:class:`~repro.engine.qevent.QEventPresentation`).
 
-    Runs the float gather kernel's loop with conductances held as
+    Runs the same presentation loop as ``fused`` with conductances held as
     uint8/uint16 Q-format codes (requires a fixed-point quantization
     config of at most 16 total bits).  Bit-identical to the reference
     engine when rounding draws no random numbers (truncate/nearest) and in
@@ -317,12 +311,9 @@ class QFusedEngine(LockstepEvaluation):
         t_ms: float,
         n_steps: int,
         dt_ms: float,
-        profiler: Optional[StepProfiler] = None,
         out_counts: Optional[np.ndarray] = None,
     ) -> Tuple[int, float]:
-        return self._kernel.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
+        return self._kernel.run(image, t_ms, n_steps, dt_ms, out_counts=out_counts)
 
 
 class BatchedEngine(PresentationEngine):

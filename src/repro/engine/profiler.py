@@ -13,15 +13,8 @@ context managers:
 
 :func:`profile_wta_step` instruments a :class:`WTANetwork` for a number of
 steps and returns the per-section totals — used by the engine bench and
-available for users chasing their own bottlenecks.
-
-:func:`profile_presentation` extends the same breakdown to the fast
-training kernels: the fused and qfused engines accept a profiler and report
-presentation-granularity ``encode`` / ``integrate`` / ``stdp`` / ``wta``
-sections, so the Fig. 4 where-does-the-time-go story covers every
-training engine (the reference engine keeps its per-step ``encode`` /
-``propagate`` / ``neurons`` / ``learning`` phases, which mirror
-``advance``'s structure rather than the kernels').
+available for users chasing their own bottlenecks.  It profiles the
+reference path.
 """
 
 from __future__ import annotations
@@ -55,20 +48,6 @@ class StepProfiler:
             elapsed = time.perf_counter() - start
             self._totals[name] = self._totals.get(name, 0.0) + elapsed
             self._counts[name] = self._counts.get(name, 0) + 1
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Accumulate *seconds* into *name* without a context manager.
-
-        The gather kernels time their sections with raw
-        ``perf_counter`` reads (a ``with`` block per step would distort the
-        very loop being measured) and deposit the spans here.  ``calls=0``
-        lets a section that is split across several spans within one step
-        count as a single call.
-        """
-        if seconds < 0.0:
-            raise SimulationError(f"cannot add negative time to {name!r}: {seconds}")
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + calls
 
     @property
     def totals(self) -> Dict[str, float]:
@@ -134,40 +113,5 @@ def profile_wta_step(
             if post.any() and network.config.wta.t_inh_ms > 0.0:
                 network.neurons.inhibit(~post, network.config.wta.t_inh_ms)
         t_ms += dt_ms
-    network.rest()
-    return profiler
-
-
-def profile_presentation(
-    network: WTANetwork,
-    image: np.ndarray,
-    engine: str = "fused",
-    n_steps: int = 200,
-    dt_ms: float = 1.0,
-) -> StepProfiler:
-    """Per-section breakdown of one image presentation on a chosen engine.
-
-    *engine* is any learning-capable registry name (``"reference"``,
-    ``"fused"``, ``"qfused"``, ...).  The kernels report ``encode`` /
-    ``integrate`` / ``stdp`` / ``wta`` sections; ``"reference"`` delegates
-    to :func:`profile_wta_step` and keeps its ``encode`` / ``propagate`` /
-    ``neurons`` / ``learning`` phases.  The presentation really runs (state
-    changes, RNG streams advance); the network is rested afterwards, like
-    the trainer's inter-image gap.
-    """
-    if n_steps < 1:
-        raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
-    if engine == "reference":
-        return profile_wta_step(network, image, n_steps=n_steps, dt_ms=dt_ms)
-    from repro.engine.registry import create_training_engine
-    from repro.errors import ConfigurationError
-
-    try:
-        kernel = create_training_engine(engine, network)
-    except ConfigurationError as exc:
-        # Historic contract: bad engine names here are simulation errors.
-        raise SimulationError(str(exc)) from exc
-    profiler = StepProfiler()
-    kernel.run(image, 0.0, n_steps, dt_ms, profiler=profiler)
     network.rest()
     return profiler

@@ -52,7 +52,6 @@ STREAM_CONSUMERS = {
         "engine/event_train.py",
         "engine/presentation.py",
         "engine/profiler.py",
-        "engine/qevent.py",
         "network/builder.py",
         "network/wta.py",
     ),

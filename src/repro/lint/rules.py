@@ -34,13 +34,15 @@ R1_EXEMPT_SUFFIXES: Tuple[str, ...] = ("engine/rng.py",)
 R2_STRICT_DIRS: FrozenSet[str] = frozenset({"engine", "quantization"})
 
 #: Paths where R2 additionally polices silent float64 *upcasts*: the
-#: integer-native kernels (the code-storage gather kernel, and the batched
-#: engine whose qbatched path carries frozen codes) plus the whole
+#: integer-native kernels (the gather loop and its drive, which the code
+#: store runs over uint8/uint16 codes, the code store itself, and the
+#: batched engine whose qbatched path carries frozen codes) plus the whole
 #: quantization layer, where a dtype-less
 #: ``np.asarray``/``np.array`` or an ``astype(float)`` quietly promotes
 #: uint8/uint16 code arrays back to full-precision floats — the exact
 #: round trip the integer tier exists to eliminate.
 R2_INT_NATIVE_SUFFIXES: Tuple[str, ...] = (
+    "engine/event_train.py",
     "engine/qevent.py",
     "engine/batched.py",
 )

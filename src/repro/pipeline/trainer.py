@@ -149,6 +149,8 @@ class UnsupervisedTrainer:
                 f"on_engine_fault must be 'raise' or 'degrade', "
                 f"got {on_engine_fault!r}"
             )
+        if epochs < 1:
+            raise SimulationError(f"epochs must be >= 1, got {epochs}")
 
         batch = np.asarray(images)
         if batch.ndim == 2:

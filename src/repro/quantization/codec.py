@@ -157,33 +157,8 @@ class QCodec:
         return np.multiply(codes, self.resolution, out=out, dtype=np.float64)
 
     # ------------------------------------------------------------------
-    # code-domain synaptic drive (the integer gather/matmul paths)
+    # code-domain synaptic drive (the image-parallel matmul path)
     # ------------------------------------------------------------------
-
-    def gather_drive(
-        self,
-        codes: np.ndarray,
-        rows: np.ndarray,
-        scale: float,
-        out: np.ndarray,
-        acc_dtype: "np.dtype[Any]",
-    ) -> np.ndarray:
-        """Sparse row-gather drive: sum the *rows* of *codes*, scale into *out*.
-
-        The code-domain image of the float kernels' ``(raster @ g) *
-        amplitude`` restricted to the spiking rows: the column sum runs in
-        *acc_dtype* (``int64`` for integer storage, ``float64`` for the
-        shadow twin — single-row and on-grid sums are exact either way) and
-        *scale* is the caller's precomputed ``resolution * amplitude``, so
-        the one multiply is the only rounding, of the very same real product
-        the float path rounds.  The single-row fast path skips the
-        reduction; a one-element sum is exact in both dtypes, so the result
-        is bit-identical to the general path.
-        """
-        if rows.size == 1:
-            return np.multiply(codes[rows[0]], scale, out=out)
-        acc = codes[rows].sum(axis=0, dtype=acc_dtype)
-        return np.multiply(acc, scale, out=out)
 
     def batched_drive(
         self, spikes: np.ndarray, codes: np.ndarray, scale: float, xp: Any = np

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.engine.registry import (
     EngineSpec,
-    Equivalence,
     get_engine_spec,
     register_engine,
     unregister_engine,
@@ -385,7 +384,6 @@ class FaultyEngine:
         t_ms: float,
         n_steps: int,
         dt_ms: float,
-        profiler: Optional[object] = None,
         out_counts: Optional[np.ndarray] = None,
     ) -> Tuple[int, float]:
         self._runs += 1
@@ -398,9 +396,7 @@ class FaultyEngine:
                 f"injected engine fault in {self.inner_name!r} at "
                 f"presentation call {self._runs}"
             )
-        result = self._inner.run(
-            image, t_ms, n_steps, dt_ms, profiler=profiler, out_counts=out_counts
-        )
+        result = self._inner.run(image, t_ms, n_steps, dt_ms, out_counts=out_counts)
         if scheduled and self.mode == "nan":
             self._faults_fired += 1
             self.network.neurons.theta[0] = np.nan

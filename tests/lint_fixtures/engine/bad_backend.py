@@ -1,6 +1,6 @@
 """R6 fixture: direct numpy creation/conversion in a backend-generic kernel.
 
-Linted under an in-scope display path (``src/repro/engine/fused.py``) by
+Linted under an in-scope display path (``src/repro/engine/plasticity.py``) by
 the test suite; every call below must be flagged — each one pins an array
 to the host (or silently strips device residency) no matter which backend
 the kernel was constructed on.

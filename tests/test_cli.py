@@ -138,6 +138,19 @@ class TestEngines:
         with pytest.raises(SystemExit):  # argparse choices
             main(self._TINY + ["--engine", "warp"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epochs", "0"], "epochs must be >= 1, got 0"),
+            (["--epochs", "-1"], "epochs must be >= 1, got -1"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_run_rejects_bad_schedule_with_one_error_line(self, capsys, flags, message):
+        assert main(self._TINY + flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_evaluate_accepts_engine_flag(self, capsys, tmp_path):
         path = tmp_path / "net.npz"
         main(self._TINY + ["--save", str(path)])

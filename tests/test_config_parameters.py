@@ -173,6 +173,10 @@ class TestSimulationParameters:
         with pytest.raises(ConfigurationError):
             SimulationParameters(dt_ms=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            SimulationParameters(seed=-1)
+
 
 class TestExperimentConfig:
     def test_describe_mentions_key_facts(self):

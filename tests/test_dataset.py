@@ -86,6 +86,10 @@ class TestLoader:
         with pytest.raises(DatasetError):
             load_dataset("cifar")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="non-negative"):
+            load_dataset("mnist", n_train=2, n_test=2, size=8, seed=-1)
+
     def test_idx_directory_loading(self, tmp_path):
         rng = np.random.default_rng(0)
         write_idx(tmp_path / "train-images-idx3-ubyte",

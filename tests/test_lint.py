@@ -116,29 +116,34 @@ def test_r2_int_native_flags_silent_upcasts():
 
 def test_r2_int_native_applies_to_the_qfused_kernel():
     source = "import numpy as np\n\n\ndef f(codes):\n    return np.asarray(codes)\n"
-    # The qfused engine's kernel lives in engine/qevent.py.
-    findings = lint_source(source, "src/repro/engine/qevent.py")
-    assert [f.rule for f in findings if f.rule == "R2"] == ["R2"]
-    # The same conversion outside the integer-native scope (the float
-    # kernel) draws no R2 finding (it still trips R6's backend discipline
-    # in any kernel).
-    fused = lint_source(source, "src/repro/engine/event_train.py")
-    assert [f for f in fused if f.rule == "R2"] == []
+    # The qfused engine is the gather loop (engine/event_train.py) over the
+    # code store (engine/qevent.py).
+    for path in ("src/repro/engine/event_train.py", "src/repro/engine/qevent.py"):
+        findings = lint_source(source, path)
+        assert [f.rule for f in findings if f.rule == "R2"] == ["R2"], path
+    # The same conversion outside the integer-native scope (the float-only
+    # scalar reference simulator) draws no R2 finding.
+    scalar = lint_source(source, "src/repro/engine/reference.py")
+    assert [f for f in scalar if f.rule == "R2"] == []
 
 
 def test_r2_int_native_applies_to_the_qevent_and_qbatched_kernels():
-    """The integer gather kernel and the batched engine (whose qbatched
-    path carries frozen codes) sit in the int-native R2 scope: the full
-    bad-upcast fixture must fire at both paths."""
+    """The gather loop, its code store and the batched engine (whose
+    qbatched path carries frozen codes) sit in the int-native R2 scope: the
+    full bad-upcast fixture must fire at every one of those paths."""
     source = FIXTURES.joinpath("quantization/bad_upcast.py").read_text()
-    for path in ("src/repro/engine/qevent.py", "src/repro/engine/batched.py"):
+    for path in (
+        "src/repro/engine/event_train.py",
+        "src/repro/engine/qevent.py",
+        "src/repro/engine/batched.py",
+    ):
         findings = [f for f in lint_source(source, path) if f.rule == "R2"]
         assert {f.rule for f in findings} == {"R2"}, path
         assert len(findings) == 4, path
     # A float-only engine in the same directory sees plain R2 scoping, where
     # dtype-less asarray/astype(float) upcasts are not policed.
-    event = lint_source(source, "src/repro/engine/event_train.py")
-    assert [f for f in event if f.rule == "R2"] == []
+    scalar = lint_source(source, "src/repro/engine/reference.py")
+    assert [f for f in scalar if f.rule == "R2"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +278,9 @@ def test_r5_pragma_suppresses():
 
 def test_r6_bad_fixture_is_flagged():
     source = FIXTURES.joinpath("engine/bad_backend.py").read_text()
-    findings = lint_source(source, "src/repro/engine/event_train.py")
+    # A backend-generic module outside R2's int-native scope, so the
+    # fixture's dtype-less asarray is R6's alone.
+    findings = lint_source(source, "src/repro/engine/plasticity.py")
     assert findings, "the R6 fixture must produce findings"
     assert {f.rule for f in findings} == {"R6"}
     messages = "\n".join(f.message for f in findings)
@@ -284,7 +291,7 @@ def test_r6_bad_fixture_is_flagged():
 
 def test_r6_good_fixture_is_clean():
     source = FIXTURES.joinpath("engine/good_backend.py").read_text()
-    assert lint_source(source, "src/repro/engine/event_train.py") == []
+    assert lint_source(source, "src/repro/engine/plasticity.py") == []
 
 
 def test_r6_scoped_to_backend_generic_modules():

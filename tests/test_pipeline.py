@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.learning.homeostasis import WeightNormalizer
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
@@ -29,6 +30,12 @@ class TestTrainer:
         net = WTANetwork(tiny_config, 64)
         log = UnsupervisedTrainer(net).train(tiny_dataset.train_images[:3], epochs=2)
         assert log.images_seen == 6
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_non_positive_epochs_rejected(self, tiny_config, tiny_dataset, epochs):
+        net = WTANetwork(tiny_config, 64)
+        with pytest.raises(SimulationError, match="epochs must be >= 1"):
+            UnsupervisedTrainer(net).train(tiny_dataset.train_images[:3], epochs=epochs)
 
     def test_on_image_end_hook(self, tiny_config, tiny_dataset):
         net = WTANetwork(tiny_config, 64)
