@@ -15,7 +15,7 @@ from dataclasses import replace
 from benchmarks.conftest import publish, scaled_preset
 from repro.analysis.conductance_maps import population_selectivity
 from repro.analysis.report import format_table
-from repro.config.parameters import AdaptiveThresholdParameters, STDPKind
+from repro.config.parameters import AdaptiveThresholdParameters
 from repro.learning.stochastic import LTDMode
 from repro.pipeline.experiment import run_experiment
 

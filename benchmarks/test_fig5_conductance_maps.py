@@ -13,7 +13,6 @@ shared blob — the deterministic failure mode on Fashion).
 
 import os
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import publish, scaled_preset

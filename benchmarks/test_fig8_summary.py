@@ -10,7 +10,6 @@ baseline (the role Diehl's 91.9 % network plays in the paper) must be a
 functional learner comparable to the stochastic configuration.
 """
 
-import numpy as np
 from dataclasses import replace
 
 from benchmarks.conftest import publish, scaled_preset

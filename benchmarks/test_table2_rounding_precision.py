@@ -11,8 +11,6 @@ the rounding-option comparison at the lowest and highest fixed-point
 precisions for stochastic STDP.
 """
 
-import numpy as np
-
 from benchmarks.conftest import publish, scaled_preset
 from repro.analysis.report import format_table
 from repro.config.parameters import RoundingMode, STDPKind

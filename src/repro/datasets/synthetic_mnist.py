@@ -192,6 +192,8 @@ def generate_digits(
     """
     if n_images < 1:
         raise DatasetError(f"n_images must be >= 1, got {n_images}")
+    if seed < 0:
+        raise DatasetError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if labels is None:
         label_arr = np.arange(n_images) % N_CLASSES

@@ -34,14 +34,17 @@ always see the current weights.
 
 With ``storage="int"`` (the ``qbatched`` engine tier) the frozen
 conductances are encoded once per call into uint8/uint16 Q-format codes
-(:class:`~repro.quantization.codec.QCodec`) and the per-step batched matmul
-runs as **integer accumulation** scaled once by ``resolution * amplitude``
+(:class:`~repro.quantization.codec.QCodec`), row block by row block, and
+the per-step batched matmul runs as **integer accumulation** over 64-row
+blocks of the codes, scaled once by ``resolution * amplitude``
 (:meth:`QCodec.batched_drive`).  On-grid code sums below ``2^53`` are exact
 and the scale factor is a power-of-two multiple of the amplitude, so the
 response matrices — and hence the predicted labels — are **bit-identical**
-to the float path under the same draws, at a quarter (uint16) to an eighth
-(uint8) of the matmul's weight-matrix memory traffic.  The integer path
-requires a fixed-point quantization config.
+to the float path under the same draws.  The storage is narrow, but the
+arithmetic is not: numpy's ``int64`` matmul runs without BLAS on operands
+cast to ``int64`` block by block, so this tier is slower than the float
+BLAS path; what it saves is memory, with no full-matrix float64 or int64
+temporary.  The integer path requires a fixed-point quantization config.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from repro.config.parameters import ExperimentConfig
 from repro.encoding.rate import intensity_to_frequency
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.wta import WTANetwork
-from repro.quantization.codec import QCodec, require_codec
+from repro.quantization.codec import ENCODE_BLOCK_ROWS, QCodec, require_codec
 
 #: Conductance storage modes: ``"float"`` is the original float64 matmul
 #: path; ``"int"`` drives the matmul with Q-format codes (``qbatched``).
@@ -132,11 +135,18 @@ class BatchedInference:
 
         # Learned state, read fresh from the network for every call.  The
         # integer path re-encodes the frozen float view into codes once per
-        # call (exact: live conductances sit on the storage grid), so the
-        # per-step matmul reads uint8/uint16 instead of float64.
+        # call (exact: live conductances sit on the storage grid), through a
+        # row-block scratch after uploading the float view, as
+        # CodeStore.sync_in does.
         codec = self.codec
         if codec is not None:
-            g_codes = codec.encode(self.network.conductances, xp=xp)
+            g_host = self.network.conductances
+            g_codes = xp.empty(g_host.shape, dtype=codec.dtype)
+            scratch = xp.empty(
+                (min(ENCODE_BLOCK_ROWS, g_host.shape[0]), g_host.shape[1]),
+                dtype=np.float64,
+            )
+            codec.encode_into(ops.to_device(g_host), g_codes, scratch)
             inj_scale = codec.resolution * self.amplitude
         else:
             g = xp.asarray(self.network.conductances, dtype=xp.float64)

@@ -25,7 +25,7 @@ stream position is part of the ``fused`` engine's contract and covered by
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -150,7 +150,7 @@ def deterministic_rule_columns(
 # for wider formats and as the fallback when a magnitude underflows.
 
 
-def _device_uploader(ops: Optional[Ops]):
+def _device_uploader(ops: Optional[Ops]) -> Callable[[np.ndarray], Any]:
     """The mask-upload seam: identity on the host, ``to_device`` elsewhere."""
     if ops is None or ops.is_host:
         return lambda array: array

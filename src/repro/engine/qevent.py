@@ -60,16 +60,11 @@ from repro.engine.plasticity import (
 )
 from repro.errors import ConfigurationError
 from repro.network.wta import WTANetwork
-from repro.quantization.codec import QCodec, require_codec
+from repro.quantization.codec import ENCODE_BLOCK_ROWS, QCodec, require_codec
 
 #: Storage modes: ``"int"`` is the real tier; ``"float"`` is the shadow
 #: twin used as the stochastic-rounding equivalence oracle.
 STORAGE_MODES = ("int", "float")
-
-#: Rows per block of the entry encode's float64 scratch: 64 rows of 1000
-#: neurons is 512 kB, where a whole-matrix encode makes two 6.3 MB
-#: temporaries at the paper's 784 x 1000 size.
-ENCODE_BLOCK_ROWS = 64
 
 
 class CodeStore:

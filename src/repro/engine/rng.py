@@ -126,6 +126,8 @@ class RngStreams:
     def _build(self, seed: int) -> None:
         if int(seed) != seed:
             raise SimulationError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise SimulationError(f"seed must be non-negative, got {seed!r}")
         self.seed = int(seed)
         root = np.random.SeedSequence(self.seed)
         children = root.spawn(len(STREAM_NAMES))

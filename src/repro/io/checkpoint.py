@@ -18,6 +18,13 @@ Two on-disk formats, both single ``.npz`` files:
   bit-identical final weights to an uninterrupted run (the contract
   ``tests/test_resilience_resume.py`` pins).
 
+Both formats store the conductances the same way (:func:`_conductance_fields`):
+fixed-point configs of at most 16 total bits as uint8/uint16 Q-format codes,
+everything else as float64.  v1 files written before codes were stored
+(float64 ``conductances`` under any config) still load, bit for bit.
+Saving encodes and loading decodes the matrix without a full-matrix
+float64 temporary.
+
 Every write is **atomic**: the payload goes to a ``*.tmp`` file in the same
 directory, is fsynced, then moved into place with :func:`os.replace` — a
 crash mid-save can never leave a truncated file under the real name.
@@ -37,9 +44,12 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.config.parameters import ExperimentConfig
 from repro.config.serialize import config_from_dict, config_to_dict
 from repro.errors import CheckpointError, DatasetError
 from repro.network.wta import WTANetwork
+from repro.quantization.codec import codec_for
+from repro.quantization.quantizer import ENCODE_BLOCK_ROWS, make_quantizer
 
 if TYPE_CHECKING:
     from repro.resilience.run_state import TrainingRunState
@@ -87,7 +97,8 @@ def _open_payload(path: Path) -> Dict[str, np.ndarray]:
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as data:
-            payload = {name: np.array(data[name]) for name in data.files}
+            # Each member is read into a fresh array; no copy needed.
+            payload = {name: data[name] for name in data.files}
     except (zipfile.BadZipFile, NotImplementedError, OSError, ValueError, KeyError) as exc:
         # zipfile raises NotImplementedError when a damaged header names an
         # unsupported zip version or compression method.
@@ -122,6 +133,27 @@ def _validate_labels(labels: np.ndarray, n_neurons: int) -> np.ndarray:
     return labels
 
 
+def _conductance_fields(
+    config: ExperimentConfig, conductances: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """The conductance fields of a checkpoint of either format.
+
+    Fixed-point configs of at most 16 total bits store the integer
+    Q-format codes themselves (``g_codes``) plus the format's fractional
+    bit count: the learned state at its native width, a 4x-8x smaller
+    array, encoded row block by row block straight into the code array.
+    Decoding restores the on-grid float values bit for bit.  Wider and
+    float configs store float64 ``conductances``.
+    """
+    codec = codec_for(make_quantizer(config.quantization))
+    if codec is None:
+        return {"conductances": conductances}
+    codes = np.empty(conductances.shape, dtype=codec.dtype)
+    scratch = np.empty((min(ENCODE_BLOCK_ROWS, codes.shape[0]), codes.shape[1]))
+    codec.encode_into(conductances, codes, scratch)
+    return {"g_codes": codes, "g_frac_bits": np.array(codec.fmt.frac_bits)}
+
+
 def save_checkpoint(
     path: Union[str, Path],
     network: WTANetwork,
@@ -135,8 +167,8 @@ def save_checkpoint(
         "magic": np.array(_MAGIC),
         "config_json": np.array(json.dumps(config_to_dict(network.config))),
         "n_pixels": np.array(network.n_pixels),
-        "conductances": network.conductances,
         "theta": network.neurons.theta,
+        **_conductance_fields(network.config, network.conductances),
     }
     if neuron_labels is not None:
         payload["neuron_labels"] = _validate_labels(
@@ -145,17 +177,17 @@ def save_checkpoint(
     atomic_savez(Path(path), **payload)
 
 
-def _decode_conductances(payload: Dict[str, np.ndarray], path: Path) -> np.ndarray:
-    """The stored conductance matrix, from either representation.
+def _stored_conductances(
+    payload: Dict[str, np.ndarray], path: Path
+) -> Tuple[np.ndarray, Optional[int]]:
+    """The stored conductance array and its fractional bit count.
 
-    Fixed-point checkpoints of at most 16 total bits store the raw
-    uint8/uint16 Q-format codes (``g_codes``) plus the format's fractional
-    bit count; decoding multiplies by the exact power-of-two resolution, so
-    the round trip is bit-identical for on-grid values.  Everything else
-    stores plain float64 ``conductances``.
+    ``(codes, frac_bits)`` when the checkpoint stores uint8/uint16
+    Q-format codes (``g_codes``, see :func:`_conductance_fields`),
+    ``(values, None)`` when it stores float64 ``conductances``.
     """
     if "g_codes" not in payload:
-        return np.array(payload["conductances"], dtype=np.float64)
+        return np.asarray(payload["conductances"], dtype=np.float64), None
     codes = payload["g_codes"]
     if codes.dtype.kind != "u" or codes.dtype.itemsize > 2:
         raise CheckpointError(
@@ -167,29 +199,54 @@ def _decode_conductances(payload: Dict[str, np.ndarray], path: Path) -> np.ndarr
         raise CheckpointError(
             f"{path}: g_frac_bits must be in [1, 16], got {frac_bits}"
         )
-    return np.multiply(codes, 2.0 ** -frac_bits, dtype=np.float64)
+    return codes, frac_bits
+
+
+def _decode_conductances_into(
+    fields: Dict[str, Any], path: Path, out: np.ndarray
+) -> np.ndarray:
+    """Write the stored conductances, decoded, into the float64 array *out*.
+
+    Codes decode by multiplying with the exact power-of-two resolution, so
+    on-grid values round-trip bit for bit.  The ufunc casts the codes in
+    small buffers, so no full-matrix float64 temporary is made.
+    """
+    stored, frac_bits = fields["g_stored"], fields["g_frac_bits"]
+    if stored.shape != out.shape:
+        raise CheckpointError(
+            f"{path}: stored conductances {stored.shape} do not match "
+            f"the config's network shape {out.shape}"
+        )
+    if frac_bits is None:
+        np.copyto(out, stored)
+    else:
+        np.multiply(stored, 2.0 ** -frac_bits, out=out, dtype=np.float64)
+    return out
 
 
 def _decode_common(payload: Dict[str, np.ndarray], path: Path) -> Dict[str, Any]:
-    """Fields shared by both formats, decoded and type-checked."""
+    """Fields shared by both formats, decoded and type-checked.
+
+    The conductances stay in their stored form (``g_stored`` and
+    ``g_frac_bits``) until :func:`_decode_conductances_into` writes them
+    into their destination.
+    """
     try:
         config = config_from_dict(json.loads(str(payload["config_json"])))
         n_pixels = int(payload["n_pixels"])
-        conductances = _decode_conductances(payload, path)
-        theta = np.array(payload["theta"], dtype=np.float64)
+        g_stored, g_frac_bits = _stored_conductances(payload, path)
+        theta = np.asarray(payload["theta"], dtype=np.float64)
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(
             f"{path} is missing or has malformed checkpoint fields: {exc}"
         ) from exc
-    labels = (
-        np.array(payload["neuron_labels"]) if "neuron_labels" in payload else None
-    )
     return {
         "config": config,
         "n_pixels": n_pixels,
-        "conductances": conductances,
+        "g_stored": g_stored,
+        "g_frac_bits": g_frac_bits,
         "theta": theta,
-        "neuron_labels": labels,
+        "neuron_labels": payload.get("neuron_labels"),
     }
 
 
@@ -211,19 +268,17 @@ def load_checkpoint(
     fields = _decode_common(payload, path)
 
     network = WTANetwork(fields["config"], fields["n_pixels"])
-    conductances = fields["conductances"]
-    if conductances.shape != network.conductances.shape:
-        raise CheckpointError(
-            f"{path}: stored conductances {conductances.shape} do not match "
-            f"the config's network shape {network.conductances.shape}"
-        )
+    g = _decode_conductances_into(fields, path, network.synapses.g)
     theta = fields["theta"]
     if theta.shape != network.neurons.theta.shape:
         raise CheckpointError(
             f"{path}: stored theta {theta.shape} does not match the "
             f"config's neuron count {network.neurons.theta.shape}"
         )
-    network.synapses.set_conductances(conductances, network.rngs.rounding)
+    # Re-quantise in place: stored values are on the grid, so this changes
+    # none of them, but it makes the rounding-stream draws the loader has
+    # always made, so every stream ends where it always has.
+    network.synapses.set_conductances(g, network.rngs.rounding)
     network.neurons.theta[:] = theta
     return network, fields["neuron_labels"]
 
@@ -248,21 +303,8 @@ def save_run_checkpoint(path: Union[str, Path], state: "TrainingRunState") -> No
         "rng_json": np.array(json.dumps(state.rng_state)),
         "run_json": np.array(json.dumps(state.run_fields())),
         "spikes_per_image": np.asarray(state.spikes_per_image, dtype=np.int64),
+        **_conductance_fields(state.config, state.conductances),
     }
-    # Fixed-point runs of <= 16 total bits persist the integer Q-format
-    # codes themselves — the checkpoint stores the learned state at its
-    # native width (a 4x-8x smaller array), and the decode in
-    # ``_decode_conductances`` restores the on-grid float values bit for
-    # bit.  Wider/float configs keep the float64 representation.
-    from repro.quantization.codec import codec_for
-    from repro.quantization.quantizer import make_quantizer
-
-    codec = codec_for(make_quantizer(state.config.quantization))
-    if codec is not None:
-        payload["g_codes"] = codec.encode(state.conductances)
-        payload["g_frac_bits"] = np.array(codec.fmt.frac_bits)
-    else:
-        payload["conductances"] = state.conductances
     if state.neuron_labels is not None:
         payload["neuron_labels"] = _validate_labels(
             state.neuron_labels, state.config.wta.n_neurons
@@ -296,17 +338,13 @@ def load_run_checkpoint(path: Union[str, Path]) -> "TrainingRunState":
             f"{path} is missing or has malformed run-state fields: {exc}"
         ) from exc
 
-    expected_shape = (fields["n_pixels"], fields["config"].wta.n_neurons)
-    if fields["conductances"].shape != expected_shape:
-        raise CheckpointError(
-            f"{path}: stored conductances {fields['conductances'].shape} do "
-            f"not match the config's network shape {expected_shape}"
-        )
+    shape = (fields["n_pixels"], fields["config"].wta.n_neurons)
+    conductances = _decode_conductances_into(fields, path, np.empty(shape))
 
     return TrainingRunState.from_payload(
         config=fields["config"],
         n_pixels=fields["n_pixels"],
-        conductances=fields["conductances"],
+        conductances=conductances,
         theta=fields["theta"],
         rng_state=rng_state,
         run=run,

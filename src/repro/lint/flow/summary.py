@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: Bump whenever the IR shapes or extraction semantics change: cache
 #: entries carrying an older version are discarded, not misread.

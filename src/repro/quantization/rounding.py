@@ -78,7 +78,9 @@ def round_stochastic(
             "truncate in QuantizationConfig"
         )
     arr = coerce_float64(values)
-    down = np.floor(arr / resolution)
-    p_up = arr / resolution - down
-    draws = rng.random(size=arr.shape)
-    return (down + (draws < p_up)) * resolution
+    scaled = arr / resolution
+    down = np.floor(scaled)
+    scaled -= down  # eq. (8)'s round-up probability
+    down += rng.random(size=arr.shape) < scaled
+    down *= resolution
+    return down

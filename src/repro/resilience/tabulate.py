@@ -24,7 +24,6 @@ from repro.analysis.report import format_table
 from repro.errors import CheckpointError
 from repro.resilience.explore import (
     OUTCOME_DEGRADED,
-    OUTCOME_LOST_WORK,
     OUTCOME_RESUMED,
     OUTCOME_UNRECOVERED,
     OUTCOMES,

@@ -71,10 +71,11 @@ class ConductanceMatrix(SynapseGroup):
         rng = rng if rng is not None else np.random.default_rng(DEFAULT_INIT_SEED)
         high = min(g_init_high, self.quantizer.g_max)
         low = min(g_init_low, high)
-        raw = rng.uniform(low, high, size=(n_pre, n_post))
-        self._g = self.quantizer.quantize(raw, rng)
+        # The uniform draw becomes the storage and is quantised in place.
+        self._g = rng.uniform(low, high, size=(n_pre, n_post))
+        self.quantizer.quantize_into(self._g, self._g, rng)
         if self._mask is not None:
-            self._g = np.where(self._mask, self._g, 0.0)
+            self._g[~self._mask] = 0.0
 
     @property
     def weights(self) -> np.ndarray:
@@ -182,13 +183,17 @@ class ConductanceMatrix(SynapseGroup):
     def set_conductances(
         self, values: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> None:
-        """Overwrite all conductances (quantised and clamped)."""
+        """Overwrite all conductances (quantised and clamped).
+
+        *values* may be :attr:`g` itself, which re-quantises the storage in
+        place; either way no full-matrix temporary is made.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self._g.shape:
             raise TopologyError(
                 f"values must have shape {self._g.shape}, got {values.shape}"
             )
-        np.copyto(self._g, self.quantizer.quantize(values, rng))
+        self.quantizer.quantize_into(values, self._g, rng)
         if self._mask is not None:
             self._g[~self._mask] = 0.0
 
@@ -213,21 +218,18 @@ class ConductanceMatrix(SynapseGroup):
         against); without it a handful of neurons accumulate all the drive.
         Columns with zero total are left untouched.
 
-        Float storage is rescaled and clipped in place, bit for bit
-        ``np.clip(g * scale, g_min, g_max)`` with no full-matrix temporary,
-        so views of :attr:`g` taken earlier see the result.  Fixed-point
-        storage re-quantises the rescaled matrix with the configured
-        rounding, drawing from *rng* under stochastic rounding.
+        The storage is rescaled and re-quantised in place, bit for bit
+        ``quantize(g * scale, rng)`` with no full-matrix temporary, so views
+        of :attr:`g` taken earlier see the result.  Float storage only
+        clips; fixed-point storage rounds with the configured option,
+        drawing from *rng* under stochastic rounding.
         """
         if target_sum <= 0.0:
             raise TopologyError(f"target_sum must be positive, got {target_sum}")
         sums = self._g.sum(axis=0)
         scale = np.where(sums > 0.0, target_sum / np.maximum(sums, 1e-12), 1.0)
-        if isinstance(self.quantizer, FloatQuantizer):
-            np.multiply(self._g, scale, out=self._g)
-            np.clip(self._g, self.quantizer.g_min, self.quantizer.g_max, out=self._g)
-        else:
-            np.copyto(self._g, self.quantizer.quantize(self._g * scale, rng))
+        np.multiply(self._g, scale, out=self._g)
+        self.quantizer.quantize_into(self._g, self._g, rng)
         if self._mask is not None:
             self._g[~self._mask] = 0.0
 

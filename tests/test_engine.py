@@ -48,6 +48,20 @@ class TestRngStreams:
         with pytest.raises(SimulationError):
             RngStreams(1.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SimulationError, match="non-negative, got -1"):
+            RngStreams(-1)
+
+    def test_negative_reseed_rejected(self):
+        with pytest.raises(SimulationError, match="non-negative, got -1"):
+            RngStreams(0).reseed(-1)
+
+    def test_negative_seed_in_state_dict_rejected(self):
+        state = RngStreams(0).state_dict()
+        state["seed"] = -1
+        with pytest.raises(SimulationError, match="non-negative, got -1"):
+            RngStreams(0).load_state_dict(state)
+
     def test_state_dict_covers_every_stream(self):
         state = RngStreams(0).state_dict()
         assert sorted(state["streams"]) == sorted(STREAM_NAMES)

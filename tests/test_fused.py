@@ -22,7 +22,7 @@ from repro.config.presets import get_preset
 from repro.encoding.periodic import PeriodicEncoder
 from repro.encoding.poisson import PoissonEncoder
 from repro.engine.registry import create_training_engine
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import UnsupervisedTrainer
 from repro.quantization.qformat import parse_qformat

@@ -63,6 +63,10 @@ class TestDigits:
         with pytest.raises(DatasetError):
             generate_digits(2, labels=[0, 11])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="non-negative, got -1"):
+            generate_digits(5, seed=-1)
+
     def test_invalid_digit_rejected(self):
         with pytest.raises(DatasetError):
             digit_skeleton(10)
@@ -97,6 +101,10 @@ class TestFashion:
     def test_invalid_class_rejected(self):
         with pytest.raises(DatasetError):
             render_fashion(10)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="non-negative, got -1"):
+            generate_fashion(5, seed=-1)
 
     def test_topwear_overlap_is_high(self):
         """The designed complexity: top-wear classes share most of their
