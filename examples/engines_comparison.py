@@ -1,19 +1,20 @@
-"""Three simulation engines, one neuron model (the Fig. 4 theme, extended).
+"""The two float training engines on one image (the Fig. 4 comparison).
 
-ParallelSpikeSim's validation story (Fig. 4) compares spiking activity and
-performance across simulators.  This repository ships three independent
-execution strategies for the same LIF semantics:
+ParallelSpikeSim's validation story (Fig. 4) shows matching spiking
+activity across simulators, then compares their performance.  This
+repository trains the network on two float engines:
 
-1. the **reference** engine — per-neuron scalar Python loops;
-2. the **vectorised** engine — whole-population array operations (the
-   GPU-schedule substitute);
-3. the **event-driven** engine — closed-form integration between input
-   events, exact to machine precision (an analytic oracle).
+1. ``reference`` — ``WTANetwork.advance``, one whole-population step at a
+   time (dense eq.-3 sums, full-matrix STDP);
+2. ``fused`` — the gather kernel (sparse input gathers, integer expiry
+   timers, column-restricted STDP).
 
-The example cross-checks all three: reference and vectorised must agree
-bit-for-bit; the clock-driven result must converge to the event-driven
-spike times as dt shrinks; and the wall-clock ratio shows why the
-data-parallel schedule wins.
+The example presents one image to each engine from the same seed, on Fig.
+4's network (1000 neurons behind 10 input channels) and on the 784 x 1000
+training network, checks that spikes, conductances and thresholds agree
+bit for bit, and prints the CPU time of each presentation.
+``benchmarks/test_fig4_engine_comparison.py`` repeats this over more images
+and reports medians.
 
     python examples/engines_comparison.py
 """
@@ -23,58 +24,45 @@ import time
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.config.presets import PAPER_LIF
-from repro.engine.event_driven import CurrentStep, EventDrivenLIF
-from repro.engine.reference import ReferenceLIFSimulator, vectorized_lif_run
+from repro.config.parameters import STDPKind
+from repro.config.presets import get_preset
+from repro.datasets.dataset import load_dataset
+from repro.engine.registry import create_training_engine
+from repro.network.wta import WTANetwork
+
+
+def present(engine_name: str, image: np.ndarray):
+    """One presentation on a fresh 1000-neuron network: state and CPU seconds."""
+    cfg = get_preset("float32", stdp_kind=STDPKind.STOCHASTIC, n_neurons=1000, seed=1)
+    net = WTANetwork(cfg, image.size)
+    engine = create_training_engine(engine_name, net)
+    steps = int(round(cfg.simulation.t_learn_ms / cfg.simulation.dt_ms))
+    start = time.process_time()
+    spikes, _ = engine.run(image, 0.0, steps, cfg.simulation.dt_ms)
+    cpu_s = time.process_time() - start
+    return (spikes, net.conductances.copy(), net.neurons.theta.copy()), cpu_s
 
 
 def main() -> None:
-    rng = np.random.default_rng(0)
-    n_inputs, n_neurons, n_steps = 10, 400, 500
-    weights = rng.uniform(0.2, 1.0, size=(n_inputs, n_neurons))
-    raster = rng.random((n_steps, n_inputs)) < 0.1
-
-    # 1 + 2: bit-identical spike trains, then timing.
-    t0 = time.perf_counter()
-    out_ref = ReferenceLIFSimulator(weights, PAPER_LIF, 8.0).run(raster)
-    t_ref = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    out_vec = vectorized_lif_run(weights, raster, PAPER_LIF, 8.0)
-    t_vec = time.perf_counter() - t0
-    identical = np.array_equal(out_ref, out_vec)
-    print(f"reference vs vectorised: {out_vec.sum()} spikes, "
-          f"bit-identical = {identical}")
-
-    rows = [
-        ["reference (loops)", t_ref, 1.0],
-        ["vectorised (array ops)", t_vec, t_ref / max(t_vec, 1e-9)],
-    ]
-    print(format_table(["engine", "wall seconds", "speedup"], rows,
-                       title=f"{n_neurons} neurons x {n_steps} steps"))
-
-    # 3: the analytic oracle. Constant current -> exact spike times.
-    oracle = EventDrivenLIF(PAPER_LIF)
-    current = 3.0 * PAPER_LIF.rheobase_current()
-    exact = oracle.run([CurrentStep(0.0, current)], duration_ms=300.0)
-    print(f"\nevent-driven engine: {len(exact)} exact spikes under constant "
-          f"drive, first at t = {exact[0]:.4f} ms")
-    print(f"analytic steady-state rate: {oracle.steady_state_rate_hz(current):.1f} Hz")
-
-    from repro.neurons.lif import LIFPopulation
+    images = {
+        "10 x 1000 (Fig. 4)": np.random.default_rng(1).integers(0, 256, (2, 5), dtype=np.uint8),
+        "784 x 1000 (training)": load_dataset("mnist", n_train=1, n_test=1, size=28).train_images[0],
+    }
     rows = []
-    for dt in (1.0, 0.25, 0.05):
-        pop = LIFPopulation(1, PAPER_LIF)
-        spikes = []
-        for i in range(int(300.0 / dt)):
-            if pop.step(np.array([current]), dt)[0]:
-                spikes.append((i + 1) * dt)
-        n = min(len(spikes), len(exact))
-        err = float(np.abs(np.array(spikes[:n]) - np.array(exact[:n])).max())
-        rows.append([dt, len(spikes), err])
+    for label, image in images.items():
+        (ref_spikes, ref_g, ref_theta), ref_s = present("reference", image)
+        (spikes, g, theta), fused_s = present("fused", image)
+        identical = (
+            ref_spikes == spikes
+            and np.array_equal(ref_g, g)
+            and np.array_equal(ref_theta, theta)
+        )
+        rows.append([label, spikes, identical, ref_s * 1e3, fused_s * 1e3, ref_s / fused_s])
     print(format_table(
-        ["dt (ms)", "spikes", "max |t - t_exact| (ms)"],
+        ["network", "output spikes", "bit-identical", "reference ms", "fused ms", "ratio"],
         rows,
-        title="Clock-driven engine converging to the event-driven oracle",
+        precision=1,
+        title="One 500 ms presentation, float32 preset, stochastic STDP (process CPU time)",
     ))
 
 

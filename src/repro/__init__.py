@@ -39,7 +39,6 @@ from repro.engine import (
     EngineSpec,
     Equivalence,
     RngStreams,
-    Simulator,
     available_engines,
     register_engine,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "EngineSpec",
     "Equivalence",
     "RngStreams",
-    "Simulator",
     "available_engines",
     "register_engine",
     "load_checkpoint",

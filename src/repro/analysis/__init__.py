@@ -27,7 +27,7 @@ from repro.analysis.conductance_maps import (
     population_selectivity,
 )
 from repro.analysis.distributions import conductance_histogram, saturation_fractions
-from repro.analysis.rasters import ascii_raster, raster_from_monitor, spike_density
+from repro.analysis.rasters import ascii_raster, spike_density
 from repro.analysis.report import format_table
 from repro.analysis.spiketrains import (
     fano_factor,
@@ -51,7 +51,6 @@ __all__ = [
     "conductance_histogram",
     "saturation_fractions",
     "ascii_raster",
-    "raster_from_monitor",
     "spike_density",
     "format_table",
     "fano_factor",

@@ -2,8 +2,8 @@
 
 Fig. 6a shows input spike trains at low vs high frequency ("each dot
 represents one spike") — the high-frequency raster makes the digit's dark
-region visibly denser.  These helpers turn monitor events or boolean raster
-arrays into densities and ASCII dot plots.
+region visibly denser.  These helpers turn boolean raster arrays into
+densities and ASCII dot plots.
 """
 
 from __future__ import annotations
@@ -12,24 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.engine.monitors import SpikeMonitor
 from repro.errors import SimulationError
-
-
-def raster_from_monitor(
-    monitor: SpikeMonitor, n_neurons: int, duration_ms: float, dt_ms: float = 1.0
-) -> np.ndarray:
-    """Boolean raster ``(n_steps, n_neurons)`` from a spike monitor."""
-    if n_neurons < 1:
-        raise SimulationError(f"n_neurons must be >= 1, got {n_neurons}")
-    n_steps = int(round(duration_ms / dt_ms))
-    raster = np.zeros((n_steps, n_neurons), dtype=bool)
-    times, indices = monitor.events()
-    for t, i in zip(times, indices):
-        step = int(t / dt_ms)
-        if 0 <= step < n_steps and 0 <= i < n_neurons:
-            raster[step, i] = True
-    return raster
 
 
 def spike_density(raster: np.ndarray) -> Tuple[np.ndarray, float]:

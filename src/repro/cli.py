@@ -599,23 +599,28 @@ def _cmd_fi_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.io.checkpoint import checkpoint_magic
+    from repro.io.checkpoint import checkpoint_magic, load_run_checkpoint
 
     magic = checkpoint_magic(args.checkpoint)
-    network, labels = load_checkpoint(args.checkpoint)
-    g = network.conductances
+    state = None
+    if magic.endswith("-v2"):
+        # The run state carries the learned state too: one read of the file.
+        state = load_run_checkpoint(args.checkpoint)
+        config, n_pixels, g, labels = (
+            state.config, state.n_pixels, state.conductances, state.neuron_labels
+        )
+    else:
+        network, labels = load_checkpoint(args.checkpoint)
+        config, n_pixels, g = network.config, network.n_pixels, network.conductances
     rows = [
         ["format", magic],
-        ["config", network.config.describe()],
-        ["pixels", network.n_pixels],
-        ["neurons", network.config.wta.n_neurons],
+        ["config", config.describe()],
+        ["pixels", n_pixels],
+        ["neurons", config.wta.n_neurons],
         ["conductance range", f"[{g.min():.3f}, {g.max():.3f}]"],
         ["labeled", "yes" if labels is not None else "no"],
     ]
-    if magic.endswith("-v2"):
-        from repro.io.checkpoint import load_run_checkpoint
-
-        state = load_run_checkpoint(args.checkpoint)
+    if state is not None:
         rows += [
             ["presentation", f"{state.presentation_index}/{state.n_images * state.epochs}"],
             ["simulation clock (ms)", state.t_ms],

@@ -18,7 +18,6 @@ from repro.config.parameters import (
     EncodingParameters,
     EngineConfig,
     ExperimentConfig,
-    IzhikevichParameters,
     LIFParameters,
     QuantizationConfig,
     RoundingMode,
@@ -42,7 +41,6 @@ __all__ = [
     "EncodingParameters",
     "EngineConfig",
     "ExperimentConfig",
-    "IzhikevichParameters",
     "LIFParameters",
     "QuantizationConfig",
     "RoundingMode",

@@ -101,30 +101,6 @@ class LIFParameters:
 
 
 @dataclass(frozen=True)
-class IzhikevichParameters:
-    """Izhikevich neuron constants (alternative neuron model).
-
-    The simulator "supports different neuron/synaptic models" (Section I);
-    this is the standard two-variable quadratic model
-    ``dv/dt = 0.04 v^2 + 5 v + 140 - u + I``, ``du/dt = a (b v - u)`` with
-    reset ``v <- c_reset``, ``u <- u + d`` on threshold crossing.
-    """
-
-    a: float = 0.02
-    b: float = 0.2
-    c_reset: float = -65.0
-    d: float = 8.0
-    v_threshold: float = 30.0
-    v_init: float = -65.0
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c_reset", "d", "v_threshold", "v_init"):
-            _require_finite(float(getattr(self, name)), name)
-        _require(self.a > 0.0, "a must be positive")
-        _require(self.c_reset < self.v_threshold, "c_reset must be below v_threshold")
-
-
-@dataclass(frozen=True)
 class AdaptiveThresholdParameters:
     """Homeostatic adaptive threshold for WTA feature diversity.
 

@@ -24,7 +24,6 @@ _REGISTRY: Dict[str, type] = {
     cls.__name__: cls
     for cls in (
         _p.LIFParameters,
-        _p.IzhikevichParameters,
         _p.AdaptiveThresholdParameters,
         _p.DeterministicSTDPParameters,
         _p.StochasticSTDPParameters,

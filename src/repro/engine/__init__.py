@@ -8,14 +8,6 @@
   spanning training and (plasticity-frozen, bit-identical) evaluation.
 - :mod:`repro.engine.rng` — named, independently-seeded random streams (the
   CUDA RNG substitute; see DESIGN.md).
-- :mod:`repro.engine.clock` — the simulation clock.
-- :mod:`repro.engine.simulator` — the vectorised clock-driven engine: the
-  whole population advances as array operations each step, the same
-  data-parallel schedule the paper's GPU kernels execute.
-- :mod:`repro.engine.reference` — an independent per-neuron scalar LIF
-  implementation used to cross-validate spiking activity and to measure the
-  vectorised engine's speedup (the Fig. 4 comparison role CARLsim plays in
-  the paper).
 - :mod:`repro.engine.event_train` — the gather kernels' one presentation
   loop: sparse input gathers summed in row order, integer expiry timers
   with cached regime state, lazy plasticity state.  Over its float
@@ -26,7 +18,8 @@
   uint8/uint16 Q-format codes (registry name ``"qfused"``).
 - :mod:`repro.engine.plasticity` — the column-restricted STDP application
   shared by both stores.
-- :mod:`repro.engine.monitors` — spike/state/conductance recording.
+- :mod:`repro.engine.event_driven` — the closed-form LIF oracle the Euler
+  step is checked against.
 
 Attributes resolve lazily (PEP 562): importing :mod:`repro.engine` — or
 light submodules like :mod:`repro.engine.registry` — does not pull in the
@@ -43,20 +36,10 @@ _EXPORTS: Dict[str, str] = {
     "CONDUCTANCE_ATOL": "repro.engine.registry",
     "EventPresentation": "repro.engine.event_train",
     "EventTrainStats": "repro.engine.event_train",
-    "SimulationClock": "repro.engine.clock",
     "CurrentStep": "repro.engine.event_driven",
     "EventDrivenLIF": "repro.engine.event_driven",
-    "poisson_like_schedule": "repro.engine.event_driven",
-    "ConductanceMonitor": "repro.engine.monitors",
-    "RateMonitor": "repro.engine.monitors",
-    "SpikeMonitor": "repro.engine.monitors",
-    "StateMonitor": "repro.engine.monitors",
-    "ReferenceLIFNeuron": "repro.engine.reference",
-    "ReferenceLIFSimulator": "repro.engine.reference",
     "RngStreams": "repro.engine.rng",
     "BATCHED_EVAL_SALT": "repro.engine.rng",
-    "Simulator": "repro.engine.simulator",
-    "StepResult": "repro.engine.simulator",
     "EngineSpec": "repro.engine.registry",
     "Equivalence": "repro.engine.registry",
     "available_engines": "repro.engine.registry",

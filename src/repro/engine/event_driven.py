@@ -1,4 +1,4 @@
-"""Event-driven LIF simulation (the third engine strategy).
+"""Event-driven LIF simulation: the closed-form oracle of the Euler step.
 
 Clock-driven engines pay for every time step whether or not anything
 happens.  An event-driven simulator instead advances from input event to
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.config.parameters import LIFParameters
 from repro.errors import SimulationError
@@ -126,29 +126,3 @@ class EventDrivenLIF:
         period_ms = t_cross + self.params.refractory_ms
         return 1000.0 / period_ms
 
-
-def poisson_like_schedule(
-    spike_times_ms: Iterable[float], pulse_current: float, pulse_width_ms: float = 1.0
-) -> List[CurrentStep]:
-    """Turn a list of input spike times into a rectangular-pulse schedule.
-
-    Each input spike contributes *pulse_current* for *pulse_width_ms* —
-    the piecewise-constant analogue of the clock-driven engine's one-step
-    current injection.  Overlapping pulses sum.
-    """
-    if pulse_width_ms <= 0:
-        raise SimulationError("pulse_width_ms must be positive")
-    events: List[Tuple[float, float]] = []
-    for t in spike_times_ms:
-        events.append((float(t), pulse_current))
-        events.append((float(t) + pulse_width_ms, -pulse_current))
-    events.sort()
-    schedule: List[CurrentStep] = []
-    level = 0.0
-    for t, delta in events:
-        level += delta
-        if schedule and schedule[-1].t_ms == t:
-            schedule[-1] = CurrentStep(t, level)
-        else:
-            schedule.append(CurrentStep(t, level))
-    return schedule

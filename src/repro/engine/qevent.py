@@ -43,7 +43,7 @@ timers and every RNG draw stay host-side (the ``qrounding`` stream arrives
 as a :class:`~repro.engine.rng.DeviceRng` on device backends, so draws
 remain host-ordered), and the float view of ``synapses.g`` is
 re-synchronised on the host at :meth:`~CodeStore.sync_out`, so everything
-outside a presentation (weight normalisation, checkpoints, monitors, the
+outside a presentation (weight normalisation, checkpoints, the
 health sentinel) keeps seeing ordinary float conductances.
 """
 

@@ -47,19 +47,17 @@ BATCHED_EVAL_SALT = 0xBA7C4
 #: because an undocumented draw changes draw counts and silently breaks
 #: bit-identity between runs that should be comparable.
 STREAM_CONSUMERS = {
-    "init": ("network/builder.py", "network/wta.py"),
+    "init": ("network/wta.py",),
     "encoding": (
         "engine/event_train.py",
         "engine/presentation.py",
         "engine/profiler.py",
-        "network/builder.py",
         "network/wta.py",
     ),
     "learning": (
         "engine/event_train.py",
         "engine/profiler.py",
         "engine/qevent.py",
-        "network/builder.py",
         "network/wta.py",
     ),
     "rounding": ("cli.py", "io/checkpoint.py", "pipeline/trainer.py"),

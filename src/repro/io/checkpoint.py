@@ -40,7 +40,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,14 +91,19 @@ def atomic_savez(path: Union[str, Path], **payload: Any) -> None:
         raise
 
 
-def _open_payload(path: Path) -> Dict[str, np.ndarray]:
-    """Read every array of the archive at *path*, validating its magic."""
+def _open_payload(
+    path: Path, names: Optional[Sequence[str]] = None
+) -> Dict[str, np.ndarray]:
+    """Read the *names* arrays (every array by default) of the archive at
+    *path*, validating its magic.  ``np.load`` reads members lazily, so
+    arrays not named are never read."""
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         with np.load(path, allow_pickle=False) as data:
+            wanted = data.files if names is None else [n for n in names if n in data.files]
             # Each member is read into a fresh array; no copy needed.
-            payload = {name: data[name] for name in data.files}
+            payload = {name: data[name] for name in wanted}
     except (zipfile.BadZipFile, NotImplementedError, OSError, ValueError, KeyError) as exc:
         # zipfile raises NotImplementedError when a damaged header names an
         # unsupported zip version or compression method.
@@ -120,8 +125,8 @@ def _open_payload(path: Path) -> Dict[str, np.ndarray]:
 
 
 def checkpoint_magic(path: Union[str, Path]) -> str:
-    """The format marker stored at *path* (validates readability)."""
-    return str(_open_payload(Path(path))["magic"])
+    """The format marker stored at *path*; reads no other member."""
+    return str(_open_payload(Path(path), ("magic",))["magic"])
 
 
 def _validate_labels(labels: np.ndarray, n_neurons: int) -> np.ndarray:
@@ -240,6 +245,11 @@ def _decode_common(payload: Dict[str, np.ndarray], path: Path) -> Dict[str, Any]
         raise CheckpointError(
             f"{path} is missing or has malformed checkpoint fields: {exc}"
         ) from exc
+    if theta.shape != (config.wta.n_neurons,):
+        raise CheckpointError(
+            f"{path}: stored theta {theta.shape} does not match the "
+            f"config's neuron count {(config.wta.n_neurons,)}"
+        )
     return {
         "config": config,
         "n_pixels": n_pixels,
@@ -269,17 +279,11 @@ def load_checkpoint(
 
     network = WTANetwork(fields["config"], fields["n_pixels"])
     g = _decode_conductances_into(fields, path, network.synapses.g)
-    theta = fields["theta"]
-    if theta.shape != network.neurons.theta.shape:
-        raise CheckpointError(
-            f"{path}: stored theta {theta.shape} does not match the "
-            f"config's neuron count {network.neurons.theta.shape}"
-        )
     # Re-quantise in place: stored values are on the grid, so this changes
     # none of them, but it makes the rounding-stream draws the loader has
     # always made, so every stream ends where it always has.
     network.synapses.set_conductances(g, network.rngs.rounding)
-    network.neurons.theta[:] = theta
+    network.neurons.theta[:] = fields["theta"]
     return network, fields["neuron_labels"]
 
 

@@ -6,29 +6,18 @@
 - :mod:`repro.network.labeling` — post-training neuron labeling with the
   first chunk of the test set.
 - :mod:`repro.network.inference` — classification by labeled-neuron votes.
-- :mod:`repro.network.topology` / :mod:`repro.network.builder` — generic
-  layer/connection descriptions and a builder for custom hierarchies (the
-  "unified data structures ... customization of network hierarchy, layer
-  connectivity" facility of Section III-A).
 """
 
-from repro.network.builder import GenericNetwork, NetworkBuilder
 from repro.network.inference import classify_batch, predict_label, vote_scores
 from repro.network.labeling import NeuronLabeler, assign_labels
-from repro.network.topology import ConnectionSpec, LayerSpec, NetworkGraph
 from repro.network.wta import WTANetwork, recommended_amplitude
 
 __all__ = [
-    "GenericNetwork",
-    "NetworkBuilder",
     "classify_batch",
     "predict_label",
     "vote_scores",
     "NeuronLabeler",
     "assign_labels",
-    "ConnectionSpec",
-    "LayerSpec",
-    "NetworkGraph",
     "WTANetwork",
     "recommended_amplitude",
 ]

@@ -9,24 +9,24 @@ learning the same pattern.  The conductance array feeding each first-layer
 neuron collectively learns to recognise one specific input pattern.
 
 ``WTANetwork`` bundles encoder, plastic synapses, spike timers, the
-(adaptive-threshold) LIF layer and an STDP rule into one object implementing
-the engine's ``advance`` protocol.  The inhibition layer is realised as a
-direct clamp on the losing neurons (functionally identical to simulating
-1000 relay neurons with one-to-one excitatory and all-to-all inhibitory
-static synapses, without paying for their integration; the explicit-synapse
-variant is available through :mod:`repro.network.builder`).
+(adaptive-threshold) LIF layer and an STDP rule into one object whose
+:meth:`WTANetwork.advance` is the reference engine's step.  The inhibition
+layer is realised as a direct clamp on the losing neurons (functionally
+identical to simulating 1000 relay neurons with one-to-one excitatory and
+all-to-all inhibitory static synapses, without paying for their
+integration).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.config.parameters import ExperimentConfig, STDPKind
 from repro.encoding.rate import make_encoder
 from repro.engine.rng import RngStreams
-from repro.engine.simulator import StepResult
 from repro.errors import TopologyError
 from repro.learning.deterministic import DeterministicSTDP
 from repro.learning.stochastic import LTDMode, StochasticSTDP
@@ -54,6 +54,15 @@ def recommended_amplitude(n_pixels: int, base_amplitude: float = _CALIBRATION_AM
     if n_pixels < 1:
         raise TopologyError(f"n_pixels must be >= 1, got {n_pixels}")
     return base_amplitude * _CALIBRATION_PIXELS / n_pixels
+
+
+@dataclass
+class StepResult:
+    """What :meth:`WTANetwork.advance` reports after one time step."""
+
+    t_ms: float
+    #: Boolean spike masks per named layer (``"input"``, ``"output"``).
+    spikes: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 class WTANetwork:

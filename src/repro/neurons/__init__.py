@@ -1,29 +1,18 @@
 """Spiking neuron models (Section II-A).
 
-- :mod:`repro.neurons.base` — the population interface shared by all models.
 - :mod:`repro.neurons.lif` — the paper's leaky integrate-and-fire model,
   eqs. (1)-(2), vectorised over a whole population.
 - :mod:`repro.neurons.adaptive_lif` — LIF plus the homeostatic adaptive
   threshold used by the WTA network.
-- :mod:`repro.neurons.izhikevich` / :mod:`repro.neurons.adex` — alternative
-  neuron models, exercising the simulator's "different neuron models"
-  support.
 - :mod:`repro.neurons.analysis` — frequency-vs-current curves (Fig. 1a).
 """
 
 from repro.neurons.adaptive_lif import AdaptiveLIFPopulation
-from repro.neurons.adex import AdExParameters, AdExPopulation
-from repro.neurons.base import NeuronPopulation
-from repro.neurons.izhikevich import IzhikevichPopulation
 from repro.neurons.lif import LIFPopulation
 from repro.neurons.analysis import fi_curve, spiking_frequency
 
 __all__ = [
     "AdaptiveLIFPopulation",
-    "AdExParameters",
-    "AdExPopulation",
-    "NeuronPopulation",
-    "IzhikevichPopulation",
     "LIFPopulation",
     "fi_curve",
     "spiking_frequency",

@@ -7,8 +7,9 @@ adaptive threshold: every spike raises a per-neuron offset ``theta`` which
 decays slowly, so recently-active neurons become harder to excite and the
 rest of the population gets a chance to specialise.
 
-``AdaptiveLIFPopulation`` keeps the full :class:`LIFPopulation` behaviour
-(refractory period, WTA inhibition clamp) and adds the ``theta`` dynamics.
+``AdaptiveLIFPopulation`` runs the :class:`LIFPopulation` step unchanged
+(refractory period, WTA inhibition clamp) against the raised threshold and
+then updates ``theta``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from repro.neurons.lif import LIFPopulation
 
 
 class AdaptiveLIFPopulation(LIFPopulation):
-    """LIF neurons whose effective threshold is ``v_threshold + theta``."""
+    """LIF neurons whose effective threshold is ``v_threshold + theta``.
+
+    ``theta`` survives :meth:`relax`: the homeostatic offset is the
+    neuron's long-term memory of its own activity and persists across
+    image boundaries; only :meth:`reset_state` clears it.
+    """
 
     def __init__(
         self,
@@ -53,50 +59,20 @@ class AdaptiveLIFPopulation(LIFPopulation):
 
     @property
     def effective_threshold(self) -> np.ndarray:
+        """Per-neuron spike threshold ``v_threshold + theta``."""
         return self.params.v_threshold + self._theta
 
     def step(self, current: np.ndarray, dt_ms: float) -> np.ndarray:
-        current = self._check_current(current)
-        p = self.params
-
-        inhibited = self._inhibited_left > 0.0
-        if self.inhibition_strength > 0.0:
-            blocked = self._refractory_left > 0.0
-            effective_current = np.where(blocked, 0.0, current)
-            effective_current -= np.where(inhibited, self.inhibition_strength, 0.0)
-        else:
-            blocked = (self._refractory_left > 0.0) | inhibited
-            effective_current = np.where(blocked, 0.0, current)
-
-        dv = (p.a + p.b * self._v + p.c * effective_current) * dt_ms
-        self._v += dv
-        self._v[blocked] = p.v_reset
-        np.maximum(self._v, p.v_reset, out=self._v)
-
-        spikes = (self._v >= p.v_threshold + self._theta) & ~blocked
-        self._v[spikes] = p.v_reset
-        self._refractory_left[spikes] = p.refractory_ms
-
+        """The LIF step against ``v_threshold + theta``, then the theta update."""
+        spikes = super().step(current, dt_ms)
         if self.adaptation.enabled:
             self._theta *= self.theta_decay(dt_ms)
             self._theta[spikes] += self.adaptation.theta_plus
-
-        self._refractory_left = np.maximum(self._refractory_left - dt_ms, 0.0)
-        self._inhibited_left = np.maximum(self._inhibited_left - dt_ms, 0.0)
         return spikes
 
     def reset_state(self) -> None:
         super().reset_state()
         self._theta.fill(0.0)
-
-    def relax(self) -> None:
-        """Inter-image relaxation: membranes reset, ``theta`` persists.
-
-        The homeostatic offset is the neuron's long-term memory of its own
-        activity and must survive image boundaries — only the fast state
-        (membrane, refractory and inhibition timers) is cleared.
-        """
-        super().relax()
 
     def freeze_adaptation(self) -> None:
         """Disable further theta growth (used during labeling/inference)."""

@@ -14,11 +14,11 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.neurons.base import NeuronPopulation
+from repro.neurons.lif import LIFPopulation
 
 
 def spiking_frequency(
-    population: NeuronPopulation,
+    population: LIFPopulation,
     current: float,
     duration_ms: float = 2000.0,
     dt_ms: float = 0.1,
@@ -48,7 +48,7 @@ def spiking_frequency(
 
 
 def fi_curve(
-    population: NeuronPopulation,
+    population: LIFPopulation,
     currents: Sequence[float],
     duration_ms: float = 2000.0,
     dt_ms: float = 0.1,

@@ -11,18 +11,25 @@ The population additionally supports an *inhibition clamp*: the WTA network
 current and relaxes from the reset potential, which is how the second-layer
 inhibitory signal is realised without simulating inhibitory conductances
 explicitly.
+
+The simulation engine drives a population with one call per time step,
+``spikes = population.step(current, dt_ms)``, where ``current`` is the
+per-neuron input current (eq. 3's ``I``) and ``spikes`` the boolean mask of
+neurons that crossed threshold.  Populations own only their state arrays;
+synapses, inhibition and learning live elsewhere.
 """
 
 from __future__ import annotations
+
+from typing import Union
 
 import numpy as np
 
 from repro.config.parameters import LIFParameters
 from repro.errors import SimulationError
-from repro.neurons.base import NeuronPopulation
 
 
-class LIFPopulation(NeuronPopulation):
+class LIFPopulation:
     """A population of ``n`` LIF neurons sharing one parameter set.
 
     ``inhibition_strength`` selects how the WTA inhibitory signal acts:
@@ -40,7 +47,9 @@ class LIFPopulation(NeuronPopulation):
         params: LIFParameters = LIFParameters(),
         inhibition_strength: float = 0.0,
     ) -> None:
-        super().__init__(n)
+        if n < 1:
+            raise SimulationError(f"population size must be >= 1, got {n}")
+        self._n = int(n)
         self.params = params
         self.inhibition_strength = float(inhibition_strength)
         self._v = np.full(n, params.v_init, dtype=np.float64)
@@ -50,7 +59,13 @@ class LIFPopulation(NeuronPopulation):
         self._inhibited_left = np.zeros(n, dtype=np.float64)
 
     @property
+    def n(self) -> int:
+        """Number of neurons in the population."""
+        return self._n
+
+    @property
     def v(self) -> np.ndarray:
+        """Current membrane potentials, shape ``(n,)``."""
         return self._v
 
     @property
@@ -81,6 +96,21 @@ class LIFPopulation(NeuronPopulation):
             raise SimulationError(f"mask must have shape ({self.n},), got {mask.shape}")
         np.maximum(self._inhibited_left, np.where(mask, duration_ms, 0.0), out=self._inhibited_left)
 
+    @property
+    def effective_threshold(self) -> Union[float, np.ndarray]:
+        """The potential a membrane must reach to spike."""
+        return self.params.v_threshold
+
+    def _check_current(self, current: np.ndarray) -> np.ndarray:
+        arr = np.asarray(current, dtype=np.float64)
+        if arr.shape == ():
+            arr = np.full(self._n, float(arr))
+        if arr.shape != (self._n,):
+            raise SimulationError(
+                f"current must have shape ({self._n},), got {arr.shape}"
+            )
+        return arr
+
     def step(self, current: np.ndarray, dt_ms: float) -> np.ndarray:
         """Advance the membranes by ``dt_ms``; return the spike mask."""
         current = self._check_current(current)
@@ -105,7 +135,7 @@ class LIFPopulation(NeuronPopulation):
         # The membrane cannot be driven below reset by inhibition.
         np.maximum(self._v, p.v_reset, out=self._v)
 
-        spikes = (self._v >= p.v_threshold) & ~blocked
+        spikes = (self._v >= self.effective_threshold) & ~blocked
         self._v[spikes] = p.v_reset
         self._refractory_left[spikes] = p.refractory_ms
 
@@ -114,6 +144,7 @@ class LIFPopulation(NeuronPopulation):
         return spikes
 
     def reset_state(self) -> None:
+        """Restore the population to its initial state."""
         self._v.fill(self.params.v_init)
         self._refractory_left.fill(0.0)
         self._inhibited_left.fill(0.0)

@@ -7,13 +7,9 @@
 - :mod:`repro.synapses.traces` — spike timers tracking the most recent pre-
   and post-synaptic spike per channel, the quantity the STDP rules turn into
   the time difference Δt.
-- :mod:`repro.synapses.static` — non-plastic synapses with a fixed weight
-  matrix (used for inhibitory/excitatory fixed wiring in custom topologies).
 """
 
-from repro.synapses.base import SynapseGroup
 from repro.synapses.conductance import ConductanceMatrix
-from repro.synapses.static import StaticSynapses
 from repro.synapses.traces import SpikeTimers
 
-__all__ = ["SynapseGroup", "ConductanceMatrix", "StaticSynapses", "SpikeTimers"]
+__all__ = ["ConductanceMatrix", "SpikeTimers"]

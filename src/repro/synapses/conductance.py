@@ -25,7 +25,6 @@ import numpy as np
 from repro.backend import coerce_float64
 from repro.errors import TopologyError
 from repro.quantization.quantizer import FloatQuantizer, Quantizer
-from repro.synapses.base import SynapseGroup
 
 AnyQuantizer = Union[FloatQuantizer, Quantizer]
 
@@ -37,8 +36,8 @@ AnyQuantizer = Union[FloatQuantizer, Quantizer]
 DEFAULT_INIT_SEED = 0
 
 
-class ConductanceMatrix(SynapseGroup):
-    """Dense plastic conductances with quantised storage."""
+class ConductanceMatrix:
+    """Dense plastic ``(n_pre, n_post)`` conductances with quantised storage."""
 
     def __init__(
         self,
@@ -53,7 +52,12 @@ class ConductanceMatrix(SynapseGroup):
         """*connectivity*, when given, is a boolean ``(n_pre, n_post)`` mask:
         ``False`` entries are permanently absent synapses — initialised to
         zero and immune to every later update (sparse wiring support)."""
-        super().__init__(n_pre, n_post)
+        if n_pre < 1 or n_post < 1:
+            raise TopologyError(
+                f"conductance matrix needs n_pre, n_post >= 1, got ({n_pre}, {n_post})"
+            )
+        self._n_pre = int(n_pre)
+        self._n_post = int(n_post)
         self.quantizer = quantizer if quantizer is not None else FloatQuantizer()
         if not (self.quantizer.g_min <= g_init_low <= g_init_high):
             raise TopologyError(
@@ -78,8 +82,12 @@ class ConductanceMatrix(SynapseGroup):
             self._g[~self._mask] = 0.0
 
     @property
-    def weights(self) -> np.ndarray:
-        return self._g
+    def n_pre(self) -> int:
+        return self._n_pre
+
+    @property
+    def n_post(self) -> int:
+        return self._n_post
 
     @property
     def g(self) -> np.ndarray:
@@ -105,23 +113,10 @@ class ConductanceMatrix(SynapseGroup):
         the result is re-quantised to guarantee the storage grid invariant
         even after floating-point accumulation.
 
-        Delegates to :meth:`apply_delta_inplace`: the update mutates the
-        stored array rather than rebinding it, so views handed out earlier
-        (the fused kernel's matmul operand, monitors) keep observing the
-        live conductances.
-        """
-        self.apply_delta_inplace(delta, rng)
-
-    def apply_delta_inplace(
-        self, delta: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        """:meth:`apply_delta` semantics without reallocating ``_g``.
-
-        Produces values bit-identical to the historical
-        ``quantize(_g + quantize_delta(delta))`` expression while preserving
-        the identity of the storage buffer — the invariant the fused
-        training kernel and the batched-inference engine rely on to avoid
-        re-fetching the matrix every step.
+        The update mutates the stored array rather than rebinding it, so
+        views of :attr:`g` handed out earlier keep observing the live
+        conductances — the gather kernels and the batched-inference engine
+        rely on that to avoid re-fetching the matrix every step.
         """
         delta = np.asarray(delta, dtype=np.float64)
         try:

@@ -20,10 +20,9 @@ from repro.analysis.distributions import (
     distribution_entropy,
     saturation_fractions,
 )
-from repro.analysis.rasters import ascii_raster, mean_rate_hz, raster_from_monitor, spike_density
+from repro.analysis.rasters import ascii_raster, mean_rate_hz, spike_density
 from repro.analysis.report import format_table
 from repro.analysis.runtime import RuntimeComparison, simulated_learning_minutes, time_callable
-from repro.engine.monitors import SpikeMonitor
 from repro.errors import LabelingError, ReproError, SimulationError, TopologyError
 
 
@@ -138,14 +137,6 @@ class TestDistributions:
 
 
 class TestRasters:
-    def test_raster_from_monitor(self):
-        mon = SpikeMonitor()
-        mon.record(0.0, np.array([True, False]))
-        mon.record(3.0, np.array([False, True]))
-        raster = raster_from_monitor(mon, 2, duration_ms=5.0)
-        assert raster[0, 0] and raster[3, 1]
-        assert raster.sum() == 2
-
     def test_spike_density(self):
         raster = np.zeros((10, 4), dtype=bool)
         raster[0, 0] = raster[5, 0] = True

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.config.presets import get_preset
+from repro.io import checkpoint
+from repro.network.wta import WTANetwork
+from repro.pipeline.trainer import TrainingLog
+from repro.resilience.run_state import TrainingRunState
 
 
 class TestPresets:
@@ -58,6 +64,63 @@ class TestRun:
         out = capsys.readouterr().out
         assert "neurons" in out
         assert "labeled" in out
+
+
+class TestInfo:
+    """`repro info` reads the archive in full once and prints the same table
+    as when it loaded the file once per loader."""
+
+    V1_ROWS = [
+        "| format            | repro-wta-checkpoint-v1                                                               |",
+        "| config            | 8bit-stochastic: stochastic STDP, Q1.7 (stochastic), 1-22 Hz, 500 ms/image, 6 neurons |",
+        "| pixels            | 16                                                                                    |",
+        "| neurons           | 6                                                                                     |",
+        "| conductance range | [0.203, 0.602]                                                                        |",
+        "| labeled           | yes                                                                                   |",
+    ]
+    V2_ROWS = [
+        "| format                | repro-wta-checkpoint-v2                                                                     |",
+        "| config                | float32-stochastic: stochastic STDP, float32 (stochastic), 1-22 Hz, 500 ms/image, 6 neurons |",
+        "| pixels                | 16                                                                                          |",
+        "| neurons               | 6                                                                                           |",
+        "| conductance range     | [0.203, 0.596]                                                                              |",
+        "| labeled               | no                                                                                          |",
+        "| presentation          | 2/6                                                                                         |",
+        "| simulation clock (ms) | 110.000                                                                                     |",
+        "| epochs                | 2                                                                                           |",
+    ]
+
+    @staticmethod
+    def _write(tmp_path, fmt):
+        path = tmp_path / f"{fmt}.npz"
+        if fmt == "v1":
+            net = WTANetwork(get_preset("8bit", n_neurons=6, seed=2), 16)
+            checkpoint.save_checkpoint(path, net, neuron_labels=np.arange(6) % 3)
+        else:
+            net = WTANetwork(get_preset("float32", n_neurons=6, seed=2), 16)
+            state = TrainingRunState.capture(
+                net, TrainingLog(), t_ms=110.0, presentation_index=2, epochs=2, n_images=3
+            )
+            checkpoint.save_run_checkpoint(path, state)
+        return path
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_one_full_read_and_unchanged_table(self, capsys, monkeypatch, tmp_path, fmt):
+        path = self._write(tmp_path, fmt)
+        full_reads = []
+        read = checkpoint._open_payload
+
+        def counting(p, names=None):
+            if names is None:
+                full_reads.append(p)
+            return read(p) if names is None else read(p, names)
+
+        monkeypatch.setattr(checkpoint, "_open_payload", counting)
+        assert main(["info", str(path)]) == 0
+        assert len(full_reads) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"### Checkpoint {path}"
+        assert lines[4:] == (self.V1_ROWS if fmt == "v1" else self.V2_ROWS)
 
 
 class TestEvaluate:

@@ -77,11 +77,6 @@ class TestApplyDelta:
 
 
 class TestUtilities:
-    def test_propagate_computes_weighted_sum(self, rng):
-        m = ConductanceMatrix(3, 2, g_init_low=0.5, g_init_high=0.5, rng=rng)
-        current = m.propagate(np.array([True, False, True]), amplitude=2.0)
-        assert np.allclose(current, 2.0)
-
     def test_per_neuron_maps_shape(self, rng):
         m = ConductanceMatrix(16, 3, rng=rng)
         maps = m.per_neuron_maps()
@@ -107,6 +102,110 @@ class TestUtilities:
         m = ConductanceMatrix(4, 4, rng=rng)
         with pytest.raises(TopologyError):
             m.set_conductances(np.zeros((4, 3)))
+
+    def test_set_conductances_clamps_into_range(self, rng):
+        m = ConductanceMatrix(2, 3, rng=rng)
+        m.set_conductances(np.array([[-1.0, 0.5, 2.0], [0.0, 1.0, 0.25]]))
+        assert np.array_equal(m.g, [[0.0, 0.5, 1.0], [0.0, 1.0, 0.25]])
+
+    def test_set_conductances_from_own_storage_requantises_in_place(self, rng):
+        q = Quantizer(parse_qformat("Q0.2"), RoundingMode.NEAREST)
+        m = ConductanceMatrix(3, 3, quantizer=q, rng=rng)
+        view = m.g
+        view[...] = 0.3  # off the quarter grid
+        m.set_conductances(m.g)
+        assert m.g is view
+        assert np.all(view == 0.25)
+
+    def test_normalize_columns_leaves_silent_columns(self, rng):
+        m = ConductanceMatrix(4, 3, rng=rng)
+        m.set_conductances(np.array([[0.1, 0.0, 0.2]] * 4))
+        m.normalize_columns(2.0)
+        assert np.allclose(m.g[:, [0, 2]].sum(axis=0), 2.0)
+        assert np.all(m.g[:, 1] == 0.0)
+
+    def test_per_neuron_maps_explicit_side(self, rng):
+        m = ConductanceMatrix(16, 2, rng=rng)
+        assert m.per_neuron_maps(side=4).shape == (2, 4, 4)
+        with pytest.raises(TopologyError):
+            m.per_neuron_maps(side=3)
+
+
+class TestStorage:
+    """The matrix as the network's one synapse group: shape, bounds and
+    in-place mutation that views handed to the kernels keep observing."""
+
+    def test_shape_properties(self, rng):
+        m = ConductanceMatrix(7, 3, rng=rng)
+        assert (m.n_pre, m.n_post) == (7, 3)
+        assert m.g.shape == (7, 3)
+        assert m.connectivity is None
+
+    @pytest.mark.parametrize("fmt", [None, "Q1.7", "Q0.4"])
+    def test_bounds_follow_the_quantizer(self, rng, fmt):
+        q = FloatQuantizer() if fmt is None else Quantizer(parse_qformat(fmt), RoundingMode.NEAREST)
+        m = ConductanceMatrix(4, 4, quantizer=q, rng=rng)
+        assert (m.g_min, m.g_max) == (q.g_min, q.g_max)
+        assert m.g.min() >= m.g_min and m.g.max() <= m.g_max
+
+    # Q1.7 under nearest rounding has a fixed LSB: any non-zero delta
+    # moves a synapse by exactly one step of 1/128.
+    @pytest.mark.parametrize("fmt, expected", [(None, 0.75), ("Q1.7", 0.5 + 1 / 128)])
+    def test_apply_delta_mutates_storage_in_place(self, rng, fmt, expected):
+        q = None if fmt is None else Quantizer(parse_qformat(fmt), RoundingMode.NEAREST)
+        m = ConductanceMatrix(5, 4, quantizer=q, g_init_low=0.5, g_init_high=0.5, rng=rng)
+        view = m.g
+        m.apply_delta(np.full((5, 4), 0.25), rng)
+        assert m.g is view
+        assert np.all(view == expected)
+
+    def test_default_initialisation_is_deterministic(self):
+        assert np.array_equal(ConductanceMatrix(6, 5).g, ConductanceMatrix(6, 5).g)
+
+    def test_stochastic_rounding_replays_from_the_same_stream(self):
+        q = Quantizer(parse_qformat("Q1.7"), RoundingMode.STOCHASTIC)
+        delta = np.random.default_rng(3).normal(0.0, 0.01, size=(6, 4))
+        results = []
+        for _ in range(2):
+            m = ConductanceMatrix(6, 4, quantizer=q, rng=np.random.default_rng(9))
+            m.apply_delta(delta, np.random.default_rng(10))
+            results.append(m.g.copy())
+        assert np.array_equal(results[0], results[1])
+        assert q.fmt.is_representable(results[0]).all()
+
+    def test_random_connectivity_probability_one_is_full(self, rng):
+        assert ConductanceMatrix.random_connectivity(5, 4, 1.0, rng).all()
+
+
+class TestApplyDeltaColumns:
+    @pytest.mark.parametrize(
+        "fmt, rounding",
+        [(None, None), ("Q1.7", RoundingMode.NEAREST), ("Q0.4", RoundingMode.TRUNCATE)],
+    )
+    def test_matches_full_matrix_delta(self, fmt, rounding):
+        q = None if fmt is None else Quantizer(parse_qformat(fmt), rounding)
+        cols = np.array([0, 3])
+        delta_cols = np.random.default_rng(4).normal(0.0, 0.2, size=(6, 2))
+        full = np.zeros((6, 5))
+        full[:, cols] = delta_cols
+        by_columns = ConductanceMatrix(6, 5, quantizer=q, rng=np.random.default_rng(1))
+        by_matrix = ConductanceMatrix(6, 5, quantizer=q, rng=np.random.default_rng(1))
+        by_columns.apply_delta_columns(cols, delta_cols)
+        by_matrix.apply_delta(full)
+        assert np.array_equal(by_columns.g, by_matrix.g)
+
+    def test_shape_checked(self, rng):
+        m = ConductanceMatrix(6, 5, rng=rng)
+        with pytest.raises(TopologyError):
+            m.apply_delta_columns(np.array([1, 2]), np.zeros((6, 3)))
+
+    def test_absent_synapses_stay_zero(self, rng):
+        mask = np.ones((4, 3), dtype=bool)
+        mask[1, 2] = False
+        m = ConductanceMatrix(4, 3, rng=rng, connectivity=mask)
+        m.apply_delta_columns(np.array([2]), np.full((4, 1), 0.3))
+        assert m.g[1, 2] == 0.0
+        assert np.all(m.g[mask[:, 2], 2] > 0.0)
 
 
 @settings(max_examples=25)

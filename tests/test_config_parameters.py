@@ -6,7 +6,6 @@ from repro.config.parameters import (
     DeterministicSTDPParameters,
     EncodingParameters,
     ExperimentConfig,
-    IzhikevichParameters,
     LIFParameters,
     QuantizationConfig,
     RoundingMode,
@@ -56,20 +55,6 @@ class TestLIFParameters:
     def test_negative_refractory_rejected(self):
         with pytest.raises(ConfigurationError):
             LIFParameters(refractory_ms=-1.0)
-
-
-class TestIzhikevichParameters:
-    def test_defaults_valid(self):
-        p = IzhikevichParameters()
-        assert p.a == 0.02 and p.v_threshold == 30.0
-
-    def test_reset_above_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IzhikevichParameters(c_reset=40.0)
-
-    def test_nonpositive_a_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IzhikevichParameters(a=0.0)
 
 
 class TestDeterministicSTDPParameters:

@@ -7,31 +7,7 @@ from hypothesis import given, strategies as st
 from repro.analysis.rasters import ascii_raster
 from repro.config.parameters import EncodingParameters
 from repro.encoding.poisson import PoissonEncoder
-from repro.engine.monitors import SpikeMonitor
-from repro.engine.simulator import Simulator, StepResult
 from repro.quantization.rounding import stochastic_round_up_probability
-
-
-class TestSimulatorDispatchEdges:
-    class _PartialModel:
-        """Reports only an 'output' layer; monitors on other layers idle."""
-
-        def advance(self, t_ms, dt_ms):
-            return StepResult(t_ms=t_ms, spikes={"output": np.array([True])})
-
-    def test_monitor_on_absent_layer_is_noop(self):
-        sim = Simulator(self._PartialModel(), dt_ms=1.0)
-        absent = sim.add_spike_monitor(SpikeMonitor("hidden"))
-        present = sim.add_spike_monitor(SpikeMonitor("output"))
-        sim.run_steps(5)
-        assert absent.count == 0
-        assert present.count == 5
-
-    def test_zero_steps(self):
-        sim = Simulator(self._PartialModel(), dt_ms=1.0)
-        stats = sim.run_steps(0)
-        assert stats.steps == 0
-        assert stats.simulated_ms == 0.0
 
 
 class TestAsciiRasterSubsampling:
@@ -74,13 +50,3 @@ class TestEncoderEdges:
 def test_round_up_probability_is_a_probability(value, frac_bits):
     p = float(stochastic_round_up_probability(np.array([value]), 2.0**-frac_bits)[0])
     assert 0.0 <= p < 1.0
-
-
-@given(st.integers(min_value=1, max_value=50))
-def test_spike_monitor_counts_match_events(n_spikes):
-    monitor = SpikeMonitor()
-    for i in range(n_spikes):
-        monitor.record(float(i), np.array([True, False]))
-    assert monitor.count == n_spikes
-    counts = monitor.counts_per_neuron(2)
-    assert counts[0] == n_spikes and counts[1] == 0

@@ -1,12 +1,9 @@
-"""Tests for RNG streams, the clock and the generic simulator loop."""
+"""Tests for the named RNG streams."""
 
 import numpy as np
 import pytest
 
-from repro.engine.clock import SimulationClock
-from repro.engine.monitors import RateMonitor, SpikeMonitor, StateMonitor
 from repro.engine.rng import STREAM_NAMES, RngStreams
-from repro.engine.simulator import Simulator, StepResult
 from repro.errors import SimulationError
 
 
@@ -86,116 +83,3 @@ class TestRngStreams:
         del state["streams"]["learning"]
         with pytest.raises(SimulationError, match="learning"):
             RngStreams(0).load_state_dict(state)
-
-
-class TestClock:
-    def test_advance(self):
-        clock = SimulationClock(0.5)
-        assert clock.t_ms == 0.0
-        clock.advance()
-        clock.advance()
-        assert clock.t_ms == 1.0
-        assert clock.step_index == 2
-
-    def test_steps_for(self):
-        clock = SimulationClock(1.0)
-        assert clock.steps_for(500.0) == 500
-        assert clock.steps_for(0.0) == 0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationClock(1.0).steps_for(-1.0)
-
-    def test_invalid_dt_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationClock(0.0)
-
-    def test_reset(self):
-        clock = SimulationClock(1.0)
-        clock.advance()
-        clock.reset()
-        assert clock.t_ms == 0.0
-
-
-class _CountingModel:
-    """Spikes on every 3rd step; records the times it was called with."""
-
-    def __init__(self):
-        self.calls = []
-
-    def advance(self, t_ms, dt_ms):
-        self.calls.append(t_ms)
-        spikes = np.array([len(self.calls) % 3 == 0, False])
-        return StepResult(t_ms=t_ms, spikes={"output": spikes})
-
-
-class TestSimulator:
-    def test_run_steps_advances_model(self):
-        model = _CountingModel()
-        sim = Simulator(model, dt_ms=2.0)
-        stats = sim.run_steps(5)
-        assert model.calls == [0.0, 2.0, 4.0, 6.0, 8.0]
-        assert stats.steps == 5
-        assert stats.simulated_ms == 10.0
-
-    def test_run_duration(self):
-        sim = Simulator(_CountingModel(), dt_ms=1.0)
-        stats = sim.run(25.0)
-        assert stats.steps == 25
-
-    def test_spike_monitor_wired(self):
-        sim = Simulator(_CountingModel(), dt_ms=1.0)
-        mon = sim.add_spike_monitor(SpikeMonitor("output"))
-        sim.run_steps(9)
-        assert mon.count == 3
-        times, indices = mon.events()
-        assert list(indices) == [0, 0, 0]
-
-    def test_rate_monitor_wired(self):
-        sim = Simulator(_CountingModel(), dt_ms=1.0)
-        mon = sim.add_rate_monitor(RateMonitor(2, window_ms=10.0), "output")
-        sim.run_steps(50)
-        _, rates = mon.rates()
-        assert len(rates) > 0
-        assert all(r > 0 for r in rates)
-
-    def test_callbacks_invoked(self):
-        sim = Simulator(_CountingModel(), dt_ms=1.0)
-        seen = []
-        sim.add_callback(lambda result: seen.append(result.t_ms))
-        sim.run_steps(3)
-        assert seen == [0.0, 1.0, 2.0]
-
-    def test_negative_steps_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(_CountingModel()).run_steps(-1)
-
-    def test_run_stats_rates(self):
-        sim = Simulator(_CountingModel(), dt_ms=1.0)
-        stats = sim.run_steps(10)
-        assert stats.steps_per_second > 0
-        assert stats.realtime_factor > 0
-
-
-class TestMonitorsStandalone:
-    def test_spike_monitor_counts_per_neuron(self):
-        mon = SpikeMonitor()
-        mon.record(0.0, np.array([True, False, True]))
-        mon.record(1.0, np.array([True, False, False]))
-        assert list(mon.counts_per_neuron(3)) == [2, 0, 1]
-
-    def test_spike_monitor_clear(self):
-        mon = SpikeMonitor()
-        mon.record(0.0, np.array([True]))
-        mon.clear()
-        assert mon.count == 0
-
-    def test_state_monitor_selected_indices(self):
-        state = np.arange(5, dtype=float)
-        mon = StateMonitor(lambda: state, indices=[0, 4])
-        mon.record(0.0)
-        state += 1
-        mon.record(1.0)
-        times, values = mon.traces()
-        assert values.shape == (2, 2)
-        assert list(values[1]) == [1.0, 5.0]

@@ -126,3 +126,7 @@ class TestInterface:
     def test_zero_size_rejected(self):
         with pytest.raises(SimulationError):
             LIFPopulation(0)
+
+    def test_effective_threshold_is_the_parameter(self):
+        params = LIFParameters(v_threshold=-55.0)
+        assert LIFPopulation(3, params).effective_threshold == -55.0

@@ -122,8 +122,8 @@ def test_r2_int_native_applies_to_the_qfused_kernel():
         findings = lint_source(source, path)
         assert [f.rule for f in findings if f.rule == "R2"] == ["R2"], path
     # The same conversion outside the integer-native scope (the float-only
-    # scalar reference simulator) draws no R2 finding.
-    scalar = lint_source(source, "src/repro/engine/reference.py")
+    # event-driven oracle) draws no R2 finding.
+    scalar = lint_source(source, "src/repro/engine/event_driven.py")
     assert [f for f in scalar if f.rule == "R2"] == []
 
 
@@ -142,7 +142,7 @@ def test_r2_int_native_applies_to_the_qevent_and_qbatched_kernels():
         assert len(findings) == 4, path
     # A float-only engine in the same directory sees plain R2 scoping, where
     # dtype-less asarray/astype(float) upcasts are not policed.
-    scalar = lint_source(source, "src/repro/engine/reference.py")
+    scalar = lint_source(source, "src/repro/engine/event_driven.py")
     assert [f for f in scalar if f.rule == "R2"] == []
 
 

@@ -144,7 +144,8 @@ def test_live_src_tree_is_flow_clean():
     report = _flow_report(REPO_ROOT / "src")
     assert report.findings == [], report.format_text()
     assert report.flow["enabled"] is True
-    assert report.flow["modules"] > 100
+    # Every source file is analysed: a pass that skips one fails here.
+    assert report.flow["modules"] == len(list((REPO_ROOT / "src").rglob("*.py")))
     assert report.flow["functions"] > 500
 
 

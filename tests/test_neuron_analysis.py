@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config.parameters import AdaptiveThresholdParameters
 from repro.errors import SimulationError
+from repro.neurons.adaptive_lif import AdaptiveLIFPopulation
 from repro.neurons.analysis import fi_curve, spiking_frequency
-from repro.neurons.izhikevich import IzhikevichPopulation
 from repro.neurons.lif import LIFPopulation
 
 
@@ -30,6 +31,20 @@ class TestSpikingFrequency:
         with pytest.raises(SimulationError):
             spiking_frequency(pop, 5.0, duration_ms=100.0, settle_ms=200.0)
 
+    def test_adaptive_population_without_adaptation_measures_the_lif_rate(self):
+        adaptive = AdaptiveLIFPopulation(1, adaptation=AdaptiveThresholdParameters(enabled=False))
+        assert spiking_frequency(adaptive, 10.0, duration_ms=500.0) == spiking_frequency(
+            LIFPopulation(1), 10.0, duration_ms=500.0
+        )
+
+    def test_adaptation_lowers_the_rate_and_theta_is_reset_afterwards(self):
+        adaptive = AdaptiveLIFPopulation(
+            1, adaptation=AdaptiveThresholdParameters(theta_plus=0.5, tau_ms=100.0)
+        )
+        rate = spiking_frequency(adaptive, 10.0, duration_ms=500.0)
+        assert 0.0 < rate < spiking_frequency(LIFPopulation(1), 10.0, duration_ms=500.0)
+        assert np.all(adaptive.theta == 0.0)
+
 
 class TestFICurve:
     def test_monotone_nondecreasing(self):
@@ -45,12 +60,6 @@ class TestFICurve:
         pop = LIFPopulation(1)  # 2 ms refractory -> max 500 Hz
         _, freqs = fi_curve(pop, [1000.0], duration_ms=500.0)
         assert freqs[0] <= 500.0
-
-    def test_works_for_izhikevich(self):
-        pop = IzhikevichPopulation(1)
-        currents, freqs = fi_curve(pop, [0.0, 10.0], duration_ms=500.0)
-        assert freqs[0] == 0.0
-        assert freqs[1] > 0.0
 
     def test_empty_currents_rejected(self):
         with pytest.raises(SimulationError):

@@ -24,12 +24,15 @@ class TestStepProfiler:
         assert rows[0][0] == "work"
         assert rows[0][3] == 3
 
-    def test_shares_sum_to_one(self):
+    def test_shares_sum_to_one(self, monkeypatch):
+        # A scripted clock: "a" lasts 2 ticks and "b" 1, whatever the load.
+        ticks = iter([0.0, 2.0, 2.0, 3.0])
+        monkeypatch.setattr("repro.engine.profiler.time.perf_counter", lambda: next(ticks))
         profiler = StepProfiler()
         with profiler.section("a"):
-            time.sleep(0.002)
+            pass
         with profiler.section("b"):
-            time.sleep(0.001)
+            pass
         shares = [row[2] for row in profiler.rows()]
         assert sum(shares) == pytest.approx(1.0)
         assert profiler.rows()[0][0] == "a"  # largest first

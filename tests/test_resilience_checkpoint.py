@@ -246,6 +246,45 @@ class TestRejection:
             )
 
 
+class TestMagic:
+    """`checkpoint_magic` tells the formats apart from the marker alone."""
+
+    def test_v1_marker(self, tmp_path, tiny_config):
+        path = tmp_path / "v1.npz"
+        save_checkpoint(path, WTANetwork(tiny_config, 64))
+        assert checkpoint_magic(path) == KNOWN_MAGICS[0]
+
+    def test_reads_only_the_marker(self, tmp_path, run_state, monkeypatch):
+        path = tmp_path / "run.npz"
+        save_run_checkpoint(path, run_state)
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording(self, key):
+            read.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+        assert checkpoint_magic(path) == KNOWN_MAGICS[1]
+        assert read == ["magic"]
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CheckpointError, match="not found"):
+            checkpoint_magic(tmp_path / "nope.npz")
+
+    def test_foreign_archive(self, tmp_path):
+        path = tmp_path / "foreign.npz"
+        np.savez(path, weights=np.zeros(3))
+        with pytest.raises(CheckpointError, match="no format marker"):
+            checkpoint_magic(path)
+
+    def test_unknown_marker(self, tmp_path):
+        path = tmp_path / "future.npz"
+        np.savez(path, magic=np.array("repro-wta-checkpoint-v99"))
+        with pytest.raises(CheckpointError, match="unknown checkpoint magic"):
+            checkpoint_magic(path)
+
+
 class TestAtomicity:
     def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "state.npz"

@@ -55,12 +55,3 @@ class TestRandomConnectivity:
             ConductanceMatrix.random_connectivity(4, 4, 0.0, rng)
         with pytest.raises(TopologyError):
             ConductanceMatrix.random_connectivity(4, 4, 1.5, rng)
-
-    def test_propagate_respects_mask(self, rng):
-        mask = np.zeros((3, 2), bool)
-        mask[0, 0] = True
-        m = ConductanceMatrix(3, 2, g_init_low=0.5, g_init_high=0.5, rng=rng,
-                              connectivity=mask)
-        current = m.propagate(np.ones(3, bool), amplitude=1.0)
-        assert current[0] == pytest.approx(0.5)
-        assert current[1] == 0.0
