@@ -8,8 +8,8 @@
   saturation statistics (Fig. 6b).
 - :mod:`repro.analysis.rasters` — spike-raster extraction and ASCII
   rendering (Fig. 6a).
-- :mod:`repro.analysis.runtime` — wall-clock/simulated-time bookkeeping and
-  speedup ratios (Figs. 4, 7b, 8b).
+- :mod:`repro.analysis.runtime` — wall-clock/simulated-time bookkeeping
+  (Figs. 4, 7b, 8b).
 - :mod:`repro.analysis.report` — plain-text table formatting for benches and
   EXPERIMENTS.md.
 """
@@ -37,7 +37,7 @@ from repro.analysis.spiketrains import (
 )
 from repro.analysis.statistics import SeedStudy, bootstrap_ci, summarize
 from repro.analysis.visualization import save_conductance_grid, save_raster_image, write_pgm
-from repro.analysis.runtime import RuntimeComparison, time_callable
+from repro.analysis.runtime import time_callable
 
 __all__ = [
     "accuracy_score",
@@ -63,6 +63,5 @@ __all__ = [
     "save_conductance_grid",
     "save_raster_image",
     "write_pgm",
-    "RuntimeComparison",
     "time_callable",
 ]

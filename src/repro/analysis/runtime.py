@@ -1,4 +1,4 @@
-"""Run-time bookkeeping: wall clock, simulated time, speedups.
+"""Run-time bookkeeping: wall clock and simulated time.
 
 The paper reports two distinct time axes and both appear in the benches:
 
@@ -8,15 +8,14 @@ The paper reports two distinct time axes and both appear in the benches:
 - *wall-clock time* — how long the simulator itself takes, the Fig. 4
   engine-performance axis.
 
-:class:`RuntimeComparison` pairs named measurements and produces speedup
-ratios; :func:`time_callable` is a tiny best-of-N timer.
+:func:`time_callable` is a tiny best-of-N timer;
+:func:`simulated_learning_minutes` is the simulated-time axis.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.errors import SimulationError
 
@@ -38,34 +37,3 @@ def simulated_learning_minutes(n_images: int, t_learn_ms: float, t_rest_ms: floa
     if n_images < 0:
         raise SimulationError(f"n_images must be >= 0, got {n_images}")
     return n_images * (t_learn_ms + t_rest_ms) / 60_000.0
-
-
-@dataclass
-class RuntimeComparison:
-    """Named wall-clock measurements with pairwise speedups."""
-
-    measurements: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        if seconds < 0:
-            raise SimulationError(f"negative duration for {name!r}: {seconds}")
-        self.measurements[name] = seconds
-
-    def measure(self, name: str, fn: Callable[[], object], repeats: int = 3) -> float:
-        seconds = time_callable(fn, repeats)
-        self.add(name, seconds)
-        return seconds
-
-    def speedup(self, slow: str, fast: str) -> float:
-        """How many times faster *fast* is than *slow*."""
-        for name in (slow, fast):
-            if name not in self.measurements:
-                raise SimulationError(f"no measurement named {name!r}")
-        fast_s = self.measurements[fast]
-        if fast_s <= 0:
-            return float("inf")
-        return self.measurements[slow] / fast_s
-
-    def as_rows(self):
-        """``(name, seconds)`` rows sorted slowest first, for report tables."""
-        return sorted(self.measurements.items(), key=lambda kv: -kv[1])

@@ -38,14 +38,15 @@ images.
 scatter over the few spiking channels, not a masked write over all 784),
 and STDP runs only at the steps where the rule can change state.
 
-Contract — **bit-exact** to the reference loop under pinned seeds:
-conductances, thetas, membranes, currents, timers and spike counts, for the
-float store always and for the code store whenever rounding draws nothing
-(see :mod:`repro.engine.qevent` for stochastic rounding).
+Contract — **bit-exact** to the reference loop under pinned seeds, over
+either store and under every rounding option: conductances, thetas,
+membranes, currents, timers and spike counts.
 :meth:`~repro.network.wta.WTANetwork.drive` sums eq. 3 over the active
 rows in the same row order (``np.add.reduce(g[rows], axis=0)``), so no
 result depends on how a BLAS build groups a matrix-vector product, and
-weight updates read only spike times, timers and the ``learning`` stream.
+weight updates read only spike times, timers and the ``learning`` stream,
+which also serves eq.-8 rounding: one uniform per changed synapse, in C
+order, in every tier.
 ``tests/test_fused.py``, ``tests/test_event_train.py`` and
 ``tests/test_gather_timers.py`` pin it.
 
@@ -67,7 +68,6 @@ from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.backend import backend_ops
-from repro.config.parameters import RoundingMode
 from repro.encoding.events import SparseRaster, sparsify
 from repro.engine.plasticity import (
     deterministic_rule_columns,
@@ -77,7 +77,6 @@ from repro.engine.plasticity import (
 from repro.errors import SimulationError
 from repro.learning.stochastic import LTDMode, StochasticSTDP
 from repro.network.wta import WTANetwork
-from repro.quantization.quantizer import FloatQuantizer
 
 if TYPE_CHECKING:
     from repro.engine.qevent import CodeStore
@@ -119,11 +118,11 @@ def gather_drive(
     ``acc_dtype = float64``: the reference loop's
     ``np.add.reduce(g[rows], axis=0) * amplitude``.  The code store passes
     its codes with ``scale = resolution * amplitude`` (a power-of-two
-    multiple of the amplitude, so exact) and ``acc_dtype = int64`` (or
-    float64 for its shadow twin); on-grid code sums below ``2^53`` are
-    exact in either dtype, so the one multiply is the only rounding, of the
-    same real product the float path rounds.  A single row skips the
-    reduction; a one-element sum is exact, so the result is the same.
+    multiple of the amplitude, so exact) and ``acc_dtype = int64``; on-grid
+    code sums below ``2^53`` are exact, so the one multiply is the only
+    rounding, of the same real product the float path rounds.  A single
+    row skips the reduction; a one-element sum is exact, so the result is
+    the same.
     """
     if rows.size == 1:
         return np.multiply(matrix[rows[0]], scale, out=out)
@@ -136,14 +135,13 @@ class FloatStore:
 
     ``network.synapses.g`` is the live state: the drive reads it (through a
     read-only device copy on a device backend) and STDP writes it on the
-    host.  Rules whose updates touch only the spiking columns and draw
-    nothing inside the quantiser run column-restricted
+    host.  Rules whose updates touch only the spiking columns run
+    column-restricted under every rounding option
     (:func:`~repro.engine.plasticity.stochastic_rule_columns` /
-    :func:`~repro.engine.plasticity.deterministic_rule_columns`); every
-    other config — stochastic rounding, the pair-LTD modes — runs the
-    reference ``rule.step``, called exactly at the steps where it touches
-    state or draws from the ``learning`` stream, so the stream stays
-    identical.
+    :func:`~repro.engine.plasticity.deterministic_rule_columns`); the
+    pair-LTD modes run the reference ``rule.step``, called exactly at the
+    steps where it touches state or draws from the ``learning`` stream, so
+    the stream stays identical.
     """
 
     def __init__(self, network: WTANetwork) -> None:
@@ -151,14 +149,7 @@ class FloatStore:
         self.net = network
         self._amplitude = network.amplitude
         self._acc_dtype = np.dtype(np.float64)
-        # Stochastic rounding draws inside the full-matrix quantise, which
-        # a column-restricted update would skip.
-        quantizer = network.synapses.quantizer
-        rounding_draws = (
-            not isinstance(quantizer, FloatQuantizer)
-            and quantizer.rounding is RoundingMode.STOCHASTIC
-        )
-        self._column_rule = None if rounding_draws else resolve_column_rule(network)
+        self._column_rule = resolve_column_rule(network)
         # PAIR/BOTH-mode LTD draws the learning stream at *pre*-spike steps
         # too, so the reference rule must also run at every input-event step.
         rule = network.rule

@@ -8,12 +8,11 @@ delta/quantise round trip in ``ConductanceMatrix.apply_delta`` can be
 replaced by :meth:`~repro.synapses.conductance.ConductanceMatrix.apply_delta_columns`
 over those columns.  :func:`resolve_column_rule` says which rules admit it.
 
-The learned values are identical either way; on float conductances the
-restriction is only valid when the quantiser draws no RNG inside
-``quantize()``/``quantize_delta()`` (otherwise the skipped columns would
-have consumed draws in the full-matrix path and the ``learning`` stream
-would diverge).  Under stochastic *rounding* and in the pair-LTD modes the
-float store therefore falls back to the reference rule object.
+The learned values and the ``learning`` draws are identical either way:
+``Quantizer.quantize_delta`` rounds only the changed synapses, in C order,
+which the columns reproduce, and the other columns neither move nor draw.
+Only the pair-LTD modes, which also update at pre-spike steps, make the
+float store fall back to the reference rule object.
 
 The Bernoulli draw shapes in the stochastic rule are ``(n_pre, k)`` in the
 reference implementation already, so consuming the ``learning`` stream
@@ -123,16 +122,13 @@ def deterministic_rule_columns(
 # code-domain variants (the integer ``qfused`` tier)
 # ----------------------------------------------------------------------
 #
-# Same column restriction, generalised over the storage dtype: conductances
-# live as Q-format *codes* (uint8/uint16 — or integer-valued float64 for the
-# shadow-twin storage used by equivalence checks) and the delta is rounded
-# straight to signed code increments by ``QCodec.delta_codes``, fusing eq.-8
-# stochastic rounding into the scatter as an integer compare-against-random.
-# The rounding draws come from the dedicated ``qrounding`` stream — one
-# uniform per *changed* synapse instead of the full-matrix draw the
-# float-simulated path burns inside ``Quantizer.quantize`` — while the
-# Bernoulli LTP/LTD draws consume the ``learning`` stream with exactly the
-# reference shapes, keeping that stream's position bit-identical.
+# Same column restriction over Q-format *codes* (uint8/uint16): the delta is
+# rounded straight to signed code increments by ``QCodec.delta_codes``,
+# fusing eq.-8 stochastic rounding into the scatter as an integer
+# compare-against-random.  The Bernoulli LTP/LTD draws and then the rounding
+# draws — one uniform per *changed* synapse, in C order — consume the
+# ``learning`` stream exactly as the float rules' ``quantize_delta`` does,
+# keeping that stream's position bit-identical across tiers.
 #
 # Backend generality: *codes* may be device-resident (the quantized engines
 # keep them on device for the whole run).  Timer state and the Bernoulli
@@ -222,9 +218,10 @@ def quantized_stochastic_columns(
 
     When :func:`unit_steps_exact` holds (<= 8 bits), the LTP mask minus the
     LTD mask lands as a saturating +-1 code step; otherwise eqs. 4-5 are
-    rounded to code increments by ``QCodec.delta_codes``.  The ``learning``
-    draws are the same either way, and at <= 8 bits neither path draws from
-    *rng_rounding*.
+    rounded to code increments by ``QCodec.delta_codes``, drawing from
+    *rng_rounding* (the ``learning`` stream, device-adapted) after the
+    Bernoulli draws.  The draws are the same either way, and at <= 8 bits
+    neither path draws from *rng_rounding*.
     """
     upload = _device_uploader(ops)
     xp = np if ops is None else ops.xp

@@ -279,11 +279,9 @@ class QFusedEngine(LockstepEvaluation):
     Runs the same presentation loop as ``fused`` with conductances held as
     uint8/uint16 Q-format codes (requires a fixed-point quantization
     config of at most 16 total bits).  Bit-identical to the reference
-    engine when rounding draws no random numbers (truncate/nearest) and in
-    evaluation; under stochastic rounding the eq.-8 draws move to the
-    dedicated ``qrounding`` stream, so the declared tier is
-    spike-equivalence and the float shadow twin (``storage="float"``) is
-    the oracle.  Evaluates images in lock-step over the frozen float view
+    engine under every rounding option and in evaluation: eq.-8 rounding
+    draws one ``learning`` uniform per changed synapse in every tier.
+    Evaluates images in lock-step over the frozen float view
     (:class:`LockstepEvaluation`).  Exposes the kernel's
     :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`.
     """

@@ -21,27 +21,21 @@ regime L-SPINE's integer SIMD engine targets:
   (:func:`~repro.engine.plasticity.quantized_stochastic_columns` /
   :func:`~repro.engine.plasticity.quantized_deterministic_columns`): eq.-(8)
   stochastic rounding is an integer compare-against-random drawing **one
-  uniform per changed synapse** from the dedicated ``qrounding`` stream,
-  instead of the full-matrix draw the float-simulated path makes per
-  update; at <= 8 bits an update is a saturating +-1 code step.
+  uniform per changed synapse** from the ``learning`` stream, the draws
+  every tier makes; at <= 8 bits an update is a saturating +-1 code step.
 
 Equivalence contract (``tests/test_qfused.py`` and ``tests/test_qevent.py``):
-
-- with truncate/nearest rounding — and in evaluation always — results are
-  **bit-identical** to the reference loop under pinned seeds: the rounding
-  draws nothing, so both compute the same arithmetic on the same draws;
-- with stochastic rounding the RNG accounting intentionally differs from
-  the float-simulated path (that is the point), so the oracle is the
-  *shadow twin*: the same kernel with ``storage="float"``, which runs the
-  identical algorithm on integer-valued float64 codes.  Spikes, codes and
-  thetas match it bit for bit.  The declared registry tier is
-  spike-equivalence.
+**bit-identical** to the reference loop under pinned seeds, under every
+rounding option and in evaluation.  Every tier rounds a change with one
+``learning`` uniform per changed synapse, in C order, and adds it to an
+on-grid value without re-rounding, so both compute the same arithmetic on
+the same draws.
 
 Backend discipline follows the loop: the codes live on the
 :class:`~repro.backend.ops.Ops` backend bound at construction; spike
-timers and every RNG draw stay host-side (the ``qrounding`` stream arrives
-as a :class:`~repro.engine.rng.DeviceRng` on device backends, so draws
-remain host-ordered), and the float view of ``synapses.g`` is
+timers and every RNG draw stay host-side (the rounding draws arrive
+through a :class:`~repro.engine.rng.DeviceRng` on device backends, so
+they remain host-ordered), and the float view of ``synapses.g`` is
 re-synchronised on the host at :meth:`~CodeStore.sync_out`, so everything
 outside a presentation (weight normalisation, checkpoints, the
 health sentinel) keeps seeing ordinary float conductances.
@@ -62,10 +56,6 @@ from repro.errors import ConfigurationError
 from repro.network.wta import WTANetwork
 from repro.quantization.codec import ENCODE_BLOCK_ROWS, QCodec, require_codec
 
-#: Storage modes: ``"int"`` is the real tier; ``"float"`` is the shadow
-#: twin used as the stochastic-rounding equivalence oracle.
-STORAGE_MODES = ("int", "float")
-
 
 class CodeStore:
     """Q-format codes as the presentation loop's store (``qfused``).
@@ -79,13 +69,9 @@ class CodeStore:
     #: Code-domain STDP runs at post spikes only.
     learns_at_input_events = False
 
-    def __init__(self, network: WTANetwork, storage: str = "int") -> None:
+    def __init__(self, network: WTANetwork) -> None:
         self._ops = backend_ops()
         xp = self._ops.xp
-        if storage not in STORAGE_MODES:
-            raise ConfigurationError(
-                f"qfused storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
         rule = resolve_column_rule(network)
         if rule is None:
             raise ConfigurationError(
@@ -96,18 +82,16 @@ class CodeStore:
             )
         self._stochastic_rule = rule == "stochastic"
         self.net = network
-        self.storage = storage
         self.codec = require_codec(network.synapses.quantizer, "qfused")
         # `resolution * amplitude` only shifts the amplitude's exponent, so
         # it is exact.
         self._scale = self.codec.resolution * network.amplitude
 
-        # The live code matrix (uint8/uint16, or float64 for the twin),
-        # resident on the kernel's backend for the whole run.
+        # The live uint8/uint16 code matrix, resident on the kernel's
+        # backend for the whole run.
         g_shape = network.synapses.g.shape
-        code_dtype = self.codec.dtype if storage == "int" else np.dtype(np.float64)
-        self.codes = xp.zeros(g_shape, dtype=code_dtype)
-        self._acc_dtype = np.dtype(np.int64) if storage == "int" else np.dtype(np.float64)
+        self.codes = xp.zeros(g_shape, dtype=self.codec.dtype)
+        self._acc_dtype = np.dtype(np.int64)
         self._encode_scratch = xp.empty(
             (min(ENCODE_BLOCK_ROWS, g_shape[0]), g_shape[1]), dtype=np.float64
         )
@@ -131,16 +115,16 @@ class CodeStore:
     def learn(self, rows: np.ndarray, post: np.ndarray, t_ms: float) -> None:
         """Code-domain STDP on the columns of the host spike mask *post*.
 
-        Each changed synapse is rounded with one ``qrounding`` draw, in
-        column order — the draws the float shadow twin makes on the same
-        spike trajectory.  The helpers upload the host-computed masks
-        through the explicit ops seam.
+        Each changed synapse is rounded with one ``learning`` draw, in C
+        order over the spiking columns — the draws the reference rule's
+        ``apply_delta`` makes on the same spike trajectory.  The helpers
+        upload the host-computed masks through the explicit ops seam.
         """
         net = self.net
         ops = self._ops
         # Eq.-8 rounding draws stay host-ordered on every backend; on a
         # device backend the stream arrives wrapped so draws upload.
-        rng_rounding = net.rngs.device_stream("qrounding", ops)
+        rng_rounding = net.rngs.device_stream("learning", ops)
         conn_mask = net.synapses.connectivity
         if self._stochastic_rule:
             quantized_stochastic_columns(
@@ -164,13 +148,12 @@ class QEventPresentation(EventPresentation):
     """The presentation loop over a :class:`CodeStore`.
 
     Construct once per training run and call :meth:`run` once per image.
-    *storage* ``"float"`` builds the shadow twin.
     """
 
     store: CodeStore
 
-    def __init__(self, network: WTANetwork, storage: str = "int") -> None:
-        super().__init__(network, CodeStore(network, storage))
+    def __init__(self, network: WTANetwork) -> None:
+        super().__init__(network, CodeStore(network))
 
     @property
     def codes(self) -> np.ndarray:

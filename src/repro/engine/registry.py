@@ -16,7 +16,7 @@ engines, and whatever comes next (CuPy, sharded, remote).  Each call site
 The built-in engines are one kernel per precision plus the oracle:
 ``reference`` (the per-step loop), ``fused`` (the float gather kernel,
 bit-exact to ``reference``), ``qfused`` (the same loop on integer Q-format
-codes) and the evaluation-only ``batched``/``qbatched``.
+codes, also bit-exact) and the evaluation-only ``batched``/``qbatched``.
 
 Engines are registered as :class:`EngineSpec` records carrying a *lazy*
 ``"module:Class"`` factory path, so this module imports nothing heavy and
@@ -313,7 +313,7 @@ register_engine(EngineSpec(
     factory="repro.engine.presentation:QFusedEngine",
     supports_learning=True,
     supports_batch=True,
-    equivalence=Equivalence.SPIKE_EQUIVALENT,
+    equivalence=Equivalence.BIT_EXACT,
     backends=("numpy", "guard"),
     summary="integer gather kernel on uint8/uint16 Q-format codes; lock-step evaluation",
     precisions=("uint8", "uint16"),

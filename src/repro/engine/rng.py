@@ -3,11 +3,11 @@
 The paper "performs stochastic process on-board the GPU to leverage the
 fast CUDA random number generator"; our substitute is a set of
 :class:`numpy.random.Generator` streams derived from one master seed via
-``SeedSequence.spawn``.  Each consumer (input encoding, stochastic STDP,
-stochastic rounding, weight initialisation, dataset generation) gets its own
-stream, so e.g. switching the rounding mode does not perturb the input spike
-trains — runs stay comparable across configurations, which the trend benches
-rely on.
+``SeedSequence.spawn``.  Each consumer (input encoding, stochastic STDP and
+the eq.-8 rounding of its updates, full-matrix rounding, weight
+initialisation, dataset generation) gets its own stream, so e.g. switching
+the rounding mode does not perturb the input spike trains — runs stay
+comparable across configurations, which the trend benches rely on.
 """
 
 from __future__ import annotations
@@ -20,17 +20,13 @@ from repro.backend.ops import Ops
 from repro.errors import SimulationError
 
 #: Stream names handed out in a fixed order so seeding is reproducible.
-#: ``qrounding`` (the integer ``qfused`` tier's dedicated eq.-8 rounding
-#: stream) is appended last: ``SeedSequence.spawn`` children are
-#: prefix-stable, so the original six streams draw exactly the sequences
-#: they always did.
-STREAM_NAMES = ("init", "encoding", "learning", "rounding", "dataset", "misc", "qrounding")
-
-#: Streams that may be absent from stored state dicts (added after the
-#: checkpoint v2 format shipped).  :meth:`RngStreams.load_state_dict` keeps
-#: the freshly derived state for these instead of erroring, so pre-existing
-#: checkpoints remain loadable.
-OPTIONAL_STREAMS = frozenset({"qrounding"})
+#: Eq.-8 rounding of STDP updates draws from ``learning`` in every engine;
+#: ``rounding`` serves the full-matrix passes (normalisation, loading).
+#: Checkpoints of earlier versions also hold a seventh, retired stream,
+#: ``qrounding``, spawned after ``misc``; :meth:`RngStreams.load_state_dict`
+#: ignores it, and since ``SeedSequence.spawn`` children are prefix-stable,
+#: these six draw exactly what they drew beside it.
+STREAM_NAMES = ("init", "encoding", "learning", "rounding", "dataset", "misc")
 
 #: Decorrelation salt mixed with the master seed to derive the batched
 #: evaluation stream (see :meth:`RngStreams.batched_eval`).  Previously an
@@ -62,7 +58,6 @@ STREAM_CONSUMERS = {
     ),
     "rounding": ("cli.py", "io/checkpoint.py", "pipeline/trainer.py"),
     "misc": ("cli.py", "pipeline/evaluator.py", "pipeline/experiment.py"),
-    "qrounding": ("engine/qevent.py",),
     "batched_eval": ("engine/batched.py", "engine/presentation.py"),
 }
 
@@ -228,16 +223,11 @@ class RngStreams:
                 f"'streams', got {state!r}"
             ) from exc
         self._build(int(seed))
-        missing = [
-            name
-            for name in STREAM_NAMES
-            if name not in streams and name not in OPTIONAL_STREAMS
-        ]
+        missing = [name for name in STREAM_NAMES if name not in streams]
         if missing:
             raise SimulationError(
                 f"RngStreams state is missing streams {missing}; have "
                 f"{sorted(streams)}"
             )
         for name in STREAM_NAMES:
-            if name in streams:
-                self._streams[name].bit_generator.state = streams[name]
+            self._streams[name].bit_generator.state = streams[name]

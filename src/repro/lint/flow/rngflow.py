@@ -1,7 +1,7 @@
 """R9 — RNG-stream provenance: draws audited against the rng.py manifest.
 
 Bit-identity across engine tiers (the ``fused``-vs-``reference`` and
-``qfused``-vs-twin equivalence claims) holds only if every named
+``qfused``-vs-``reference`` equivalence claims) holds only if every named
 ``RngStreams`` stream is drawn by exactly the documented call sites with
 matching draw counts.  The ground truth is declared as module-level
 literals in ``engine/rng.py`` itself — parsed from the AST by
@@ -16,7 +16,7 @@ carry their own manifest:
   are asserted bit-identical;
 - ``RESERVED_STREAMS``  stream -> one-line justification for a stream
   that is intentionally unconsumed (spawn-prefix stability forbids
-  removing entries from ``STREAM_NAMES``).
+  removing an entry that other streams follow in ``STREAM_NAMES``).
 
 Checks, all emitted as R9:
 

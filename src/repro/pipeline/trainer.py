@@ -168,10 +168,9 @@ class UnsupervisedTrainer:
             with use_backend(backend):
                 kernel = create_training_engine(engine_name, self.network)
         else:
-            # A pre-built engine instance (anything implementing run());
-            # used by the equivalence tests to drive configured kernels
-            # (e.g. the qfused float shadow twin) that have no registry
-            # name of their own.
+            # A pre-built engine instance (anything implementing run()):
+            # a kernel whose internals the caller inspects afterwards, or
+            # a wrapper with no registry name of its own.
             kernel = engine_choice
             engine_name = getattr(kernel, "name", "") or type(kernel).__name__
         occupancy = getattr(kernel, "occupancy", None)

@@ -2,9 +2,9 @@
 
 A conductance in format ``Qm.n`` is a *code* — the integer ``k`` such that
 ``G = k * 2^-n``.  The float-simulated quantisation path
-(:mod:`repro.quantization.quantizer`) stores the decoded float64 values and
-re-snaps them after every update; :class:`QCodec` instead gives the engines
-a direct integer representation:
+(:mod:`repro.quantization.quantizer`) stores the decoded float64 values,
+on the grid; :class:`QCodec` instead gives the engines a direct integer
+representation:
 
 - :meth:`QCodec.encode` / :meth:`QCodec.decode` map between float
   conductances and ``uint8``/``uint16`` codes.  Both directions are *exact*
@@ -17,8 +17,8 @@ a direct integer representation:
   ``Quantizer.quantize_delta``: the fixed-LSB fast path (±1 code for
   formats of 8 total bits or fewer) and, for wider formats, the three
   rounding options with eq. (8) stochastic rounding fused into an integer
-  compare-against-random — one uniform draw per *changed* synapse, from
-  whatever dedicated stream the caller supplies.
+  compare-against-random — one uniform draw per *changed* synapse, the
+  draws ``Quantizer.quantize_delta`` makes.
 
 Formats wider than :data:`MAX_CODE_BITS` (16) have no integer storage tier
 here; :func:`code_dtype` raises for them and callers fall back to the
@@ -105,22 +105,18 @@ class QCodec:
     # code <-> value kernels
     # ------------------------------------------------------------------
 
-    def encode(
-        self, values: np.ndarray, dtype: Optional["np.dtype[Any]"] = None
-    ) -> np.ndarray:
+    def encode(self, values: np.ndarray) -> np.ndarray:
         """Float conductances -> integer codes, clipped to ``[0, max_code]``.
 
         Exact (pure rescaling, no rounding error) for values already on the
-        storage grid; off-grid values snap to the nearest code.  *dtype*
-        overrides the storage dtype: ``float64`` gives the float shadow
-        twin's integer-valued codes.  The reference formulation of
-        :meth:`encode_into`, which the program uses: this one makes two
-        full-size float64 temporaries.
+        storage grid; off-grid values snap to the nearest code.  The
+        reference formulation of :meth:`encode_into`, which the program
+        uses: this one makes two full-size float64 temporaries.
         """
         arr = coerce_float64(values)
         codes = np.rint(arr * self.inv_resolution)
         np.clip(codes, 0.0, float(self.max_code), out=codes)
-        return codes.astype(self.dtype if dtype is None else dtype)
+        return codes.astype(self.dtype)
 
     def encode_into(
         self, values: np.ndarray, out: np.ndarray, scratch: np.ndarray
@@ -213,10 +209,10 @@ class QCodec:
         III-C).  Wider formats scale by ``2^n`` and round: truncate and
         nearest are deterministic; stochastic rounding is eq. (8) as an
         integer compare-against-random, drawing **one uniform per changed
-        entry** (``delta != 0``) from *rng* in C order — the quantity the
-        float-simulated path spends a full-matrix draw on.  On a device
-        backend, pass *xp* plus a :class:`~repro.engine.rng.DeviceRng` so
-        draws stay host-ordered while the compare runs on device.
+        entry** (``delta != 0``) from *rng* in C order — the draws
+        ``Quantizer.quantize_delta`` makes.  On a device backend, pass *xp*
+        plus a :class:`~repro.engine.rng.DeviceRng` so draws stay
+        host-ordered while the compare runs on device.
         """
         arr = xp.asarray(delta, dtype=np.float64)
         if self.fixed_lsb:
@@ -235,7 +231,7 @@ class QCodec:
                     "stochastic rounding requires a seeded RNG stream: the "
                     "config selected rounding=stochastic (eq. 8), which "
                     "draws one uniform per changed synapse; pass the "
-                    "dedicated 'qrounding' stream (RngStreams.qrounding)"
+                    "'learning' stream (RngStreams.learning)"
                 )
             draws = rng.random(size=changed.size)
             flat = down.reshape(-1)
@@ -251,23 +247,15 @@ class QCodec:
     ) -> None:
         """Scatter signed code increments onto the *cols* columns of *codes*.
 
-        Generalised over the storage dtype: unsigned-integer storage
-        widens to ``int64`` for the add (no wraparound), saturates into
-        ``[0, max_code]`` and narrows back; the float shadow twin's
-        ``float64`` code array takes the same arithmetic directly.  Both
-        produce identical integer values — the dtype-equivalence contract
-        of the ``qfused`` tier.  *mask_cols* (connectivity restricted to
-        *cols*) zeroes permanently-absent synapses, matching
-        ``ConductanceMatrix.apply_delta_columns``.
+        The unsigned codes widen to ``int64`` for the add (no wraparound),
+        saturate into ``[0, max_code]`` and narrow back.  *mask_cols*
+        (connectivity restricted to *cols*) zeroes permanently-absent
+        synapses, matching ``ConductanceMatrix.apply_delta_columns``.
         """
-        if codes.dtype.kind == "u":
-            updated = codes[:, cols].astype(np.int64)
-            updated += delta_codes.astype(np.int64)
-            np.clip(updated, 0, self.max_code, out=updated)
-            updated = updated.astype(codes.dtype)
-        else:
-            updated = codes[:, cols] + delta_codes
-            np.clip(updated, 0.0, float(self.max_code), out=updated)
+        updated = codes[:, cols].astype(np.int64)
+        updated += delta_codes.astype(np.int64)
+        np.clip(updated, 0, self.max_code, out=updated)
+        updated = updated.astype(codes.dtype)
         if mask_cols is not None:
             updated = np.where(mask_cols, updated, 0)
         codes[:, cols] = updated

@@ -9,7 +9,7 @@ The learning module talks to a single small interface:
   makes no full-matrix temporary;
 - ``quantize_delta(delta, rng)`` — quantise a conductance *change* before it
   is applied ("Quantization for low precision learning is performed before
-  the LTP/LTD phase", Section III-C);
+  the LTP/LTD phase", Section III-C), rounding only its nonzero entries;
 - ``lsb_delta()`` — the fixed per-event step ``1/2^n`` used for 8-bit and
   lower precisions;
 - ``uses_fixed_lsb`` — whether that fixed step is active for this format.
@@ -164,12 +164,18 @@ class Quantizer:
 
         For <= 8-bit formats the magnitude is replaced by one LSB with the
         original sign (Section III-C); for wider formats the computed change
-        is rounded onto the grid with the configured rounding option.
+        is rounded onto the grid with the configured rounding option.  Only
+        the nonzero entries are rounded: a zero change stays zero under
+        every option, so stochastic rounding draws one uniform per changed
+        synapse, in C order, and none for the rest.
         """
         arr = coerce_float64(delta)
         if self.uses_fixed_lsb:
             return np.sign(arr) * self._fmt.resolution
-        return self._round(arr, rng)
+        out = np.zeros(arr.shape, dtype=np.float64)
+        changed = arr != 0.0
+        out[changed] = self._round(arr[changed], rng)
+        return out
 
     def lsb_delta(self) -> float:
         """The fixed per-event conductance step for low-precision learning."""

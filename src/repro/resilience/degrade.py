@@ -12,10 +12,9 @@ outcome: the *reference* semantics are still perfectly computable.
 (``on_engine_fault="degrade"``) to roll the network back to the last
 presentation-boundary snapshot, rebuild the next-tier engine and re-present
 the image, emitting an :class:`EngineDegradedWarning` so the downgrade is
-visible in logs.  Because ``fused`` is bit-identical to ``reference``, and
-``qfused`` is too whenever its rounding draws no random numbers, a degraded
-run stays inside the published equivalence contract of the tier it lands
-on.
+visible in logs.  Because ``qfused`` and ``fused`` are both bit-identical
+to ``reference``, a degraded run stays inside the published equivalence
+contract of the tier it lands on.
 """
 
 from __future__ import annotations

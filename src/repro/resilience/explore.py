@@ -327,10 +327,9 @@ class ScenarioWorkload:
     """The small, fully seeded training workload every scenario runs.
 
     Mirrors the test suite's tiny fixtures: 8 WTA neurons over 8×8
-    synthetic digits, 50 ms presentations.  Quantized engines get a
-    Q-format config with **deterministic** rounding, because the
-    cross-tier degradation contract (qfused → fused → reference) is
-    bit-identical only when rounding consumes no RNG.
+    synthetic digits, 50 ms presentations.  Quantized engines train
+    ``quantized_fmt`` with stochastic rounding, the fixed-point presets'
+    default.
     """
 
     n_images: int = 8
@@ -376,7 +375,7 @@ class ScenarioWorkload:
             config = replace(
                 config,
                 quantization=QuantizationConfig(
-                    fmt=self.quantized_fmt, rounding=RoundingMode.NEAREST
+                    fmt=self.quantized_fmt, rounding=RoundingMode.STOCHASTIC
                 ),
             )
         return config
@@ -693,9 +692,9 @@ class ScenarioRunner:
             1 for w in caught if issubclass(w.category, EngineDegradedWarning)
         )
 
-        # Every fallback steps the same arithmetic on this workload: ``fused``
-        # falls to the bit-identical ``reference``, ``qfused`` to ``fused``
-        # (deterministic rounding).  So the degraded run must match the
+        # Every fallback steps the same arithmetic on the same draws:
+        # ``fused`` falls to the bit-identical ``reference``, ``qfused`` to
+        # the bit-identical ``fused``.  So the degraded run must match the
         # clean run bit for bit.
         identical = self._matches_exactly(net, log.spikes_per_image, base)
         contract_holds = hops >= 1 and identical

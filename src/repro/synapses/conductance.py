@@ -109,9 +109,13 @@ class ConductanceMatrix:
 
         *delta* must be broadcastable to the matrix shape.  The change is
         quantised *before* being applied (Section III-C: "Quantization for
-        low precision learning is performed before the LTP/LTD phase") and
-        the result is re-quantised to guarantee the storage grid invariant
-        even after floating-point accumulation.
+        low precision learning is performed before the LTP/LTD phase"),
+        drawing from *rng* once per changed synapse under stochastic
+        rounding, then added and clamped into ``[g_min, g_max]``.  Stored
+        values and the quantised change are both on the storage grid, and
+        a format of at most 32 bits holding conductances <= 1 sums two grid
+        values exactly in float64, so the result is on the grid without a
+        re-round: eq. 8 leaves an on-grid value where it is.
 
         The update mutates the stored array rather than rebinding it, so
         views of :attr:`g` handed out earlier keep observing the live
@@ -125,15 +129,8 @@ class ConductanceMatrix:
             raise TopologyError(
                 f"delta shape {delta.shape} not broadcastable to {self._g.shape}"
             ) from exc
-        quantized_delta = np.where(
-            delta != 0.0, self.quantizer.quantize_delta(delta, rng), 0.0
-        )
-        np.add(self._g, quantized_delta, out=self._g)
-        if isinstance(self.quantizer, FloatQuantizer):
-            # Float storage: quantize == clip, which runs fully in place.
-            np.clip(self._g, self.quantizer.g_min, self.quantizer.g_max, out=self._g)
-        else:
-            np.copyto(self._g, self.quantizer.quantize(self._g, rng))
+        np.add(self._g, self.quantizer.quantize_delta(delta, rng), out=self._g)
+        np.clip(self._g, self.g_min, self.g_max, out=self._g)
         if self._mask is not None:
             self._g[~self._mask] = 0.0
 
@@ -145,18 +142,14 @@ class ConductanceMatrix:
     ) -> None:
         """Apply a delta restricted to the *cols* post-neuron columns.
 
-        Value-equivalent to :meth:`apply_delta` with a full matrix that is
-        zero outside *cols*: stored conductances are already on the storage
-        grid and inside ``[g_min, g_max]``, so re-quantising the untouched
-        columns is the identity and can be skipped.  The fused training
-        kernel uses this to make each STDP event cost ``O(n_pre * k)``
-        instead of ``O(n_pre * n_post)``, ``k`` being the number of neurons
-        that spiked (usually 1 under winner-take-all).
-
-        With *stochastic rounding* the skipped columns would have consumed
-        RNG draws in the full-matrix path, so callers needing bit-identical
-        streams must not use this method then (the fused kernel falls back
-        to :meth:`apply_delta` in that case).
+        Equivalent to :meth:`apply_delta` with a full matrix that is zero
+        outside *cols*, values and *rng* draws alike: a zero change leaves
+        its synapse where it is and draws nothing, and C order over the
+        ``(n_pre, k)`` columns is C order over the full matrix restricted
+        to them (*cols* ascending, as ``np.flatnonzero`` gives them).  The
+        fused training kernel uses this to make each STDP event cost
+        ``O(n_pre * k)`` instead of ``O(n_pre * n_post)``, ``k`` being the
+        number of neurons that spiked (usually 1 under winner-take-all).
         """
         if not isinstance(cols, np.ndarray):
             # List/tuple input carries no residency to strip.
@@ -167,10 +160,8 @@ class ConductanceMatrix:
             raise TopologyError(
                 f"delta_cols must have shape {expected}, got {delta_cols.shape}"
             )
-        quantized_delta = np.where(
-            delta_cols != 0.0, self.quantizer.quantize_delta(delta_cols, rng), 0.0
-        )
-        updated = self.quantizer.quantize(self._g[:, cols] + quantized_delta, rng)
+        updated = self._g[:, cols] + self.quantizer.quantize_delta(delta_cols, rng)
+        np.clip(updated, self.g_min, self.g_max, out=updated)
         if self._mask is not None:
             updated = np.where(self._mask[:, cols], updated, 0.0)
         self._g[:, cols] = updated

@@ -22,7 +22,7 @@ from repro.analysis.distributions import (
 )
 from repro.analysis.rasters import ascii_raster, mean_rate_hz, spike_density
 from repro.analysis.report import format_table
-from repro.analysis.runtime import RuntimeComparison, simulated_learning_minutes, time_callable
+from repro.analysis.runtime import simulated_learning_minutes, time_callable
 from repro.errors import LabelingError, ReproError, SimulationError, TopologyError
 
 
@@ -164,20 +164,20 @@ class TestRuntime:
     def test_time_callable(self):
         assert time_callable(lambda: sum(range(1000)), repeats=2) >= 0.0
 
-    def test_comparison_speedup(self):
-        cmp = RuntimeComparison()
-        cmp.add("slow", 2.0)
-        cmp.add("fast", 0.5)
-        assert cmp.speedup("slow", "fast") == pytest.approx(4.0)
-        assert cmp.as_rows()[0][0] == "slow"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SimulationError):
-            RuntimeComparison().speedup("a", "b")
+    def test_time_callable_needs_one_repeat(self):
+        calls = []
+        with pytest.raises(SimulationError, match="repeats"):
+            time_callable(lambda: calls.append(1), repeats=0)
+        assert calls == []
 
     def test_simulated_learning_minutes_paper_number(self):
         # 60k images at 500 ms/image ~= 500 minutes (cf. 542 min in IV-C).
         assert simulated_learning_minutes(60_000, 500.0) == pytest.approx(500.0)
+
+    def test_simulated_learning_minutes_counts_rest_and_rejects_negative_counts(self):
+        assert simulated_learning_minutes(600, 80.0, 20.0) == pytest.approx(1.0)
+        with pytest.raises(SimulationError, match="n_images"):
+            simulated_learning_minutes(-1, 500.0)
 
 
 class TestReport:

@@ -168,8 +168,10 @@ class TestEngines:
         out = capsys.readouterr().out
         for name in ("reference", "fused", "qfused", "batched", "qbatched"):
             assert name in out
-        for tier in ("bit_exact", "spike_equivalent", "statistical"):
+        for tier in ("bit_exact", "statistical"):
             assert tier in out
+        qfused_row = next(line for line in out.splitlines() if "| qfused " in line)
+        assert "bit_exact" in qfused_row
         assert "precision" in out
         assert "uint8+uint16" in out
 

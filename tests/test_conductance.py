@@ -64,6 +64,42 @@ class TestApplyDelta:
         assert m.g[0, 1] == pytest.approx(before[0, 1] - 1 / 16)
         assert m.g[1, 0] == before[1, 0]
 
+    def test_stochastic_rounding_draws_once_per_changed_synapse(self):
+        """Eq. 8 draws only where a change lands, and a synapse with no
+        change keeps its stored value: storage is not re-rounded."""
+        q = Quantizer(parse_qformat("Q1.15"), RoundingMode.STOCHASTIC)
+        m = ConductanceMatrix(6, 5, quantizer=q, rng=np.random.default_rng(1))
+        before = m.g.copy()
+        delta = np.random.default_rng(4).normal(0.0, 0.01, size=(6, 5))
+        delta[[0, 2, 5]] = 0.0
+        delta[:, 1] = 0.0
+        rng = np.random.default_rng(2)
+        m.apply_delta(delta, rng)
+
+        advanced = np.random.default_rng(2)
+        advanced.random(np.count_nonzero(delta))
+        assert rng.bit_generator.state == advanced.bit_generator.state
+        unchanged = delta == 0.0
+        assert np.array_equal(m.g[unchanged], before[unchanged])
+        want = np.clip(
+            before + q.quantize_delta(delta, np.random.default_rng(2)), q.g_min, q.g_max
+        )
+        assert np.array_equal(m.g, want)
+
+    @pytest.mark.parametrize("method", ["matrix", "columns"])
+    def test_zero_delta_draws_nothing_under_stochastic_rounding(self, method):
+        q = Quantizer(parse_qformat("Q1.15"), RoundingMode.STOCHASTIC)
+        m = ConductanceMatrix(6, 5, quantizer=q, rng=np.random.default_rng(1))
+        before = m.g.copy()
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        if method == "matrix":
+            m.apply_delta(np.zeros((6, 5)), rng)
+        else:
+            m.apply_delta_columns(np.array([1, 4]), np.zeros((6, 2)), rng)
+        assert np.array_equal(m.g, before)
+        assert rng.bit_generator.state == state
+
     def test_broadcast_delta(self, rng):
         m = ConductanceMatrix(3, 2, g_init_low=0.4, g_init_high=0.4, rng=rng)
         m.apply_delta(np.array([0.1, -0.1]))  # per-column broadcast
@@ -180,9 +216,16 @@ class TestStorage:
 class TestApplyDeltaColumns:
     @pytest.mark.parametrize(
         "fmt, rounding",
-        [(None, None), ("Q1.7", RoundingMode.NEAREST), ("Q0.4", RoundingMode.TRUNCATE)],
+        [
+            (None, None),
+            ("Q1.7", RoundingMode.NEAREST),
+            ("Q0.4", RoundingMode.TRUNCATE),
+            ("Q1.7", RoundingMode.STOCHASTIC),
+            ("Q1.15", RoundingMode.STOCHASTIC),
+        ],
     )
     def test_matches_full_matrix_delta(self, fmt, rounding):
+        """Values and eq.-8 draws alike: only the changed synapses draw."""
         q = None if fmt is None else Quantizer(parse_qformat(fmt), rounding)
         cols = np.array([0, 3])
         delta_cols = np.random.default_rng(4).normal(0.0, 0.2, size=(6, 2))
@@ -190,9 +233,11 @@ class TestApplyDeltaColumns:
         full[:, cols] = delta_cols
         by_columns = ConductanceMatrix(6, 5, quantizer=q, rng=np.random.default_rng(1))
         by_matrix = ConductanceMatrix(6, 5, quantizer=q, rng=np.random.default_rng(1))
-        by_columns.apply_delta_columns(cols, delta_cols)
-        by_matrix.apply_delta(full)
+        rng_columns, rng_matrix = np.random.default_rng(2), np.random.default_rng(2)
+        by_columns.apply_delta_columns(cols, delta_cols, rng_columns)
+        by_matrix.apply_delta(full, rng_matrix)
         assert np.array_equal(by_columns.g, by_matrix.g)
+        assert rng_columns.bit_generator.state == rng_matrix.bit_generator.state
 
     def test_shape_checked(self, rng):
         m = ConductanceMatrix(6, 5, rng=rng)
@@ -210,13 +255,14 @@ class TestApplyDeltaColumns:
 
 @settings(max_examples=25)
 @given(
-    frac_bits=st.integers(min_value=2, max_value=7),
+    frac_bits=st.integers(min_value=2, max_value=31),
     deltas=st.lists(
         st.floats(min_value=-0.3, max_value=0.3, allow_nan=False), min_size=1, max_size=8
     ),
 )
 def test_invariant_storage_always_on_grid(frac_bits, deltas):
-    """After any sequence of updates, fixed-point storage stays on-grid."""
+    """After any sequence of updates, fixed-point storage stays on-grid:
+    above 8 bits too, where a rounded change is added without a re-round."""
     q = Quantizer(parse_qformat(f"Q0.{frac_bits}"), RoundingMode.STOCHASTIC)
     rng = np.random.default_rng(0)
     m = ConductanceMatrix(4, 4, quantizer=q, rng=rng)

@@ -63,20 +63,37 @@ class TestRngStreams:
         state = RngStreams(0).state_dict()
         assert sorted(state["streams"]) == sorted(STREAM_NAMES)
 
-    def test_load_tolerates_checkpoints_predating_qrounding(self):
-        """Old v2 checkpoints lack the (optional) qrounding stream: they
-        must still load, with qrounding freshly reseeded from the seed."""
+    def test_six_streams_are_the_first_spawn_children_of_seven(self):
+        """Retiring the last of seven streams re-seeds none of the others."""
+        children = np.random.SeedSequence(11).spawn(7)[:6]
+        streams = RngStreams(11)
+        assert len(STREAM_NAMES) == 6
+        for name, child in zip(STREAM_NAMES, children):
+            assert np.array_equal(
+                streams.get(name).random(4), np.random.default_rng(child).random(4)
+            )
+
+    def test_load_ignores_the_retired_qrounding_entry(self):
+        """v2 checkpoints of earlier versions also hold a ``qrounding``
+        stream; they still load, and the six streams resume exactly."""
         streams = RngStreams(5)
+        streams.learning.random(3)
         state = streams.state_dict()
-        del state["streams"]["qrounding"]
+        retired = np.random.default_rng(np.random.SeedSequence(5).spawn(7)[6])
+        state["streams"]["qrounding"] = retired.bit_generator.state
         restored = RngStreams(0)
         restored.load_state_dict(state)
-        assert np.array_equal(
-            restored.learning.random(4), RngStreams(5).learning.random(4)
-        )
-        assert np.array_equal(
-            restored.qrounding.random(4), RngStreams(5).qrounding.random(4)
-        )
+        assert restored.state_dict() == streams.state_dict()
+        assert np.array_equal(restored.learning.random(4), streams.learning.random(4))
+
+    def test_retired_qrounding_stream_is_unknown(self):
+        streams = RngStreams(0)
+        with pytest.raises(SimulationError, match="qrounding"):
+            streams.get("qrounding")
+        with pytest.raises(SimulationError, match="qrounding"):
+            streams.device_stream("qrounding")
+        with pytest.raises(AttributeError):
+            streams.qrounding
 
     def test_load_still_requires_the_mandatory_streams(self):
         state = RngStreams(5).state_dict()

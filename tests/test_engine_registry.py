@@ -86,7 +86,7 @@ class TestRegistry:
         spec = get_engine_spec("qfused")
         assert spec.supports_learning
         assert spec.supports_batch
-        assert spec.equivalence is Equivalence.SPIKE_EQUIVALENT
+        assert spec.equivalence is Equivalence.BIT_EXACT
         assert spec.precisions == ("uint8", "uint16")
         assert "float64" not in spec.precisions
         assert spec.backends == ("numpy", "guard")

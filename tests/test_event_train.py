@@ -21,7 +21,6 @@ from repro.config.presets import get_preset
 from repro.encoding.events import sparsify
 from repro.engine.event_train import EventPresentation
 from repro.engine.presentation import ReferenceEngine
-from repro.engine.qevent import QEventPresentation
 from repro.errors import ConfigurationError, SimulationError
 from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
@@ -62,7 +61,8 @@ class TestSpikeTrajectoryEquivalence:
         _assert_bit_identical(tiny_config, small_images)
 
     def test_q17_stochastic_rounding(self, tiny_config, small_images):
-        """Q1.7 + stochastic rounding exercises the full-matrix rule fallback."""
+        """Q1.7 + stochastic rounding runs the column-restricted rule path
+        too: a one-LSB step draws no rounding uniform."""
         cfg = get_preset("8bit", n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=tiny_config.simulation)
         _assert_bit_identical(cfg, small_images)
@@ -138,16 +138,29 @@ class TestQuietInput:
         return log.spikes_per_image, net.conductances, net.neurons.theta, responses
 
     @pytest.mark.parametrize(
-        "engine, fmt",
-        [("fused", None), ("qfused", "Q1.7"), ("qfused", "Q8.8")],
-        ids=["fused", "qfused-Q1.7-nearest", "qfused-Q8.8-nearest"],
+        "engine, fmt, rounding",
+        [
+            ("fused", None, RoundingMode.NEAREST),
+            ("qfused", "Q1.7", RoundingMode.NEAREST),
+            ("qfused", "Q8.8", RoundingMode.NEAREST),
+            ("qfused", "Q1.7", RoundingMode.STOCHASTIC),
+            ("qfused", "Q8.8", RoundingMode.STOCHASTIC),
+        ],
+        ids=[
+            "fused",
+            "qfused-Q1.7-nearest",
+            "qfused-Q8.8-nearest",
+            "qfused-Q1.7-stochastic",
+            "qfused-Q8.8-stochastic",
+        ],
     )
-    def test_matches_reference(self, tiny_config, tiny_dataset, engine, fmt):
+    def test_matches_reference(self, tiny_config, tiny_dataset, engine, fmt, rounding):
         """With a zero-rate background most steps carry no input event.
         The gather kernels still step every one of them with the reference
-        arithmetic, so they match the reference loop bit for bit: spikes,
-        learned conductances (hence codes), thetas and evaluation responses."""
-        cfg = self._quiet(tiny_config, fmt)
+        arithmetic and its eq.-8 draws, so they match the reference loop bit
+        for bit: spikes, learned conductances (hence codes), thetas and
+        evaluation responses."""
+        cfg = self._quiet(tiny_config, fmt, rounding)
         spikes, g, theta, responses = self._run(cfg, tiny_dataset, engine, engine)
         r_spikes, r_g, r_theta, r_responses = self._run(
             cfg, tiny_dataset, "reference", "reference"
@@ -157,29 +170,6 @@ class TestQuietInput:
         assert np.array_equal(g, r_g)
         assert np.array_equal(theta, r_theta)
         assert np.array_equal(responses, r_responses)
-
-    @pytest.mark.parametrize("fmt", ["Q1.7", "Q8.8"])
-    def test_matches_float_twin_under_stochastic_rounding(
-        self, tiny_config, tiny_dataset, fmt
-    ):
-        """Eq.-8 rounding draws from ``qrounding``, so the reference loop is
-        no oracle here; the float shadow twin steps the same quiet input to
-        the same spikes, codes, thetas and responses."""
-        cfg = self._quiet(tiny_config, fmt, RoundingMode.STOCHASTIC)
-        images = tiny_dataset.train_images[:6]
-        twin_net = WTANetwork(cfg, n_pixels=images[0].size)
-        twin = QEventPresentation(twin_net, storage="float")
-        twin_log = UnsupervisedTrainer(twin_net).train(images, engine=twin)
-        twin_net.freeze()
-        twin_responses = Evaluator(twin_net, t_present_ms=50.0, engine="qfused").collect_responses(
-            tiny_dataset.test_images[:4]
-        )
-        spikes, g, theta, responses = self._run(cfg, tiny_dataset, "qfused", "qfused")
-        assert sum(spikes) > 0 and responses.sum() > 0
-        assert spikes == twin_log.spikes_per_image
-        assert np.array_equal(g, twin_net.conductances)
-        assert np.array_equal(theta, twin_net.neurons.theta)
-        assert np.array_equal(responses, twin_responses)
 
     def test_silent_presentation_matches_reference(self, tiny_config, small_images):
         """An all-black image emits no events at f_min=0.  The gather kernel

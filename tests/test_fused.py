@@ -61,7 +61,8 @@ class TestBitIdentity:
         _assert_bit_identical(tiny_config, small_images)
 
     def test_q17_stochastic_rounding(self, tiny_config, small_images):
-        """Q1.7 + stochastic rounding exercises the full-matrix rule fallback."""
+        """Q1.7 + stochastic rounding runs the column-restricted rule path
+        too: a one-LSB step draws no rounding uniform."""
         cfg = get_preset("8bit", n_neurons=8, seed=0)
         cfg = replace(cfg, simulation=tiny_config.simulation)
         _assert_bit_identical(cfg, small_images)

@@ -14,7 +14,8 @@ result, and each test here pins it against that formulation, bit for bit:
 - at <= 8 bits the code-domain STDP columns apply the LTP mask minus the
   LTD mask as a saturating +-1 code step, against eqs. 4-5 rounded by
   ``QCodec.delta_codes``, with the magnitude path kept where eq. 4
-  underflows;
+  underflows and above 8 bits, where eq. 8 draws from the one stream that
+  also draws the STDP decisions;
 - the integer kernel's entry encode runs through a row-block scratch,
   against ``QCodec.encode``, for off-grid, out-of-range and NaN values.
 """
@@ -237,19 +238,22 @@ class _DeltaCodesSpy:
         monkeypatch.setattr(QCodec, "delta_codes", spy)
 
 
-def _run_updates(rule, codec, storage, masked, stochastic, fn, steps=25):
-    """*steps* post-spike updates from pinned seeds: final codes, stream states."""
+def _run_updates(rule, codec, masked, stochastic, fn, steps=25, shared=False):
+    """*steps* post-spike updates from pinned seeds: final codes, stream states.
+
+    *shared* passes one generator as both the learning and the rounding
+    stream, as ``CodeStore.learn`` does with ``learning``."""
     n_pre, n_post = 60, 9
     setup = np.random.default_rng(11)
-    dtype = codec.dtype if storage == "int" else np.float64
     # Start with plenty of codes at both bounds so saturation is exercised.
     codes = setup.choice([0, codec.max_code, codec.max_code // 2], size=(n_pre, n_post))
-    codes = codes.astype(dtype)
+    codes = codes.astype(codec.dtype)
     conn_mask = setup.random((n_pre, n_post)) < 0.8 if masked else None
     if masked:
         codes[~conn_mask] = 0
     timers = SpikeTimers(n_pre, n_post)
-    rng, rng_rounding = np.random.default_rng(21), np.random.default_rng(22)
+    rng = np.random.default_rng(21)
+    rng_rounding = rng if shared else np.random.default_rng(22)
     t_ms = 0.0
     for _ in range(steps):
         t_ms += 7.0
@@ -271,8 +275,7 @@ class TestUnitStepMask:
     @pytest.mark.parametrize("fmt", ["Q1.7", "Q0.4", "Q0.2"])
     @pytest.mark.parametrize("stochastic", [True, False], ids=["stochastic", "deterministic"])
     @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-    @pytest.mark.parametrize("storage", ["int", "float"])
-    def test_equals_the_magnitude_path(self, monkeypatch, fmt, stochastic, masked, storage):
+    def test_equals_the_magnitude_path(self, monkeypatch, fmt, stochastic, masked):
         codec = _codec(fmt)
         rule = _STOCHASTIC if stochastic else _DETERMINISTIC
         oracle = _stochastic_oracle if stochastic else _deterministic_oracle
@@ -280,9 +283,9 @@ class TestUnitStepMask:
         magnitudes = rule.magnitudes if stochastic else rule.params
         assert unit_steps_exact(magnitudes, codec)
 
-        want = _run_updates(rule, codec, storage, masked, stochastic, oracle)
+        want = _run_updates(rule, codec, masked, stochastic, oracle)
         spy = _DeltaCodesSpy(monkeypatch)
-        got = _run_updates(rule, codec, storage, masked, stochastic, kernel)
+        got = _run_updates(rule, codec, masked, stochastic, kernel)
         assert spy.calls == 0, "the <= 8-bit update took the magnitude path"
         assert got[0].dtype == want[0].dtype
         assert np.array_equal(got[0], want[0])
@@ -305,21 +308,42 @@ class TestUnitStepMask:
             rule = DeterministicSTDP(magnitudes)
             oracle, kernel = _deterministic_oracle, quantized_deterministic_columns
 
-        want = _run_updates(rule, codec, "int", False, stochastic, oracle)
+        want = _run_updates(rule, codec, False, stochastic, oracle)
         spy = _DeltaCodesSpy(monkeypatch)
-        got = _run_updates(rule, codec, "int", False, stochastic, kernel)
+        got = _run_updates(rule, codec, False, stochastic, kernel)
         assert spy.calls > 0, "the underflowing rule did not take the fallback"
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
         # The fallback matters: +-1 steps would have moved synapses that
         # eq. 4 leaves in place.
         unit = _run_updates(
-            rule, codec, "int", False, stochastic, partial(oracle, update=_unit_update)
+            rule, codec, False, stochastic, partial(oracle, update=_unit_update)
         )
         assert not np.array_equal(unit[0], want[0])
 
     def test_wider_formats_keep_the_magnitude_path(self):
         assert not unit_steps_exact(DeterministicSTDPParameters(), _codec("Q1.15"))
+
+    @pytest.mark.parametrize("stochastic", [True, False], ids=["stochastic", "deterministic"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    def test_wider_formats_round_on_the_learning_stream(self, monkeypatch, stochastic, masked):
+        """At 16 bits eq. 8 draws from the stream that also drew the STDP
+        decisions: the kernel interleaves both kinds of draw as the oracle
+        does, so codes and the one stream's end state match."""
+        codec = _codec("Q1.15")
+        rule = _STOCHASTIC if stochastic else _DETERMINISTIC
+        oracle = _stochastic_oracle if stochastic else _deterministic_oracle
+        kernel = quantized_stochastic_columns if stochastic else quantized_deterministic_columns
+
+        want = _run_updates(rule, codec, masked, stochastic, oracle, shared=True)
+        spy = _DeltaCodesSpy(monkeypatch)
+        got = _run_updates(rule, codec, masked, stochastic, kernel, shared=True)
+        assert spy.calls > 0, "the 16-bit update left the magnitude path"
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        # The rounding draws landed on the shared stream.
+        separate = _run_updates(rule, codec, masked, stochastic, oracle)
+        assert want[1] != separate[1]
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +353,11 @@ class TestUnitStepMask:
 
 class TestEntryEncode:
     @staticmethod
-    def _kernel(storage):
+    def _kernel():
         # 150 input rows: three row blocks of ENCODE_BLOCK_ROWS.
         net = WTANetwork(get_preset("8bit", n_neurons=30, seed=0), 150)
         assert net.synapses.g.shape[0] > 2 * ENCODE_BLOCK_ROWS
-        return net, QEventPresentation(net, storage=storage)
+        return net, QEventPresentation(net)
 
     @staticmethod
     def _values(shape, with_nan):
@@ -347,19 +371,17 @@ class TestEntryEncode:
             values[140, 7] = np.nan
         return values
 
-    @pytest.mark.parametrize("storage", ["int", "float"])
-    def test_codes_equal_qcodec_encode(self, storage):
-        net, kernel = self._kernel(storage)
+    def test_codes_equal_qcodec_encode(self):
+        net, kernel = self._kernel()
         values = self._values(net.synapses.g.shape, with_nan=False)
         net.synapses.g[...] = values
         kernel.run(np.zeros(150), 0.0, 0, 1.0)
-        dtype = None if storage == "int" else np.float64
-        want = kernel.codec.encode(values, dtype=dtype)
+        want = kernel.codec.encode(values)
         assert kernel.codes.dtype == want.dtype
         assert np.array_equal(asnumpy(kernel.codes), want)
 
     def test_nan_gives_the_same_codes_and_cast_warning(self):
-        net, kernel = self._kernel("int")
+        net, kernel = self._kernel()
         values = self._values(net.synapses.g.shape, with_nan=True)
         with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
             want = kernel.codec.encode(values)
@@ -367,14 +389,6 @@ class TestEntryEncode:
         with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
             kernel.run(np.zeros(150), 0.0, 0, 1.0)
         assert np.array_equal(asnumpy(kernel.codes), want)
-
-    def test_float_twin_keeps_nan(self):
-        net, kernel = self._kernel("float")
-        values = self._values(net.synapses.g.shape, with_nan=True)
-        net.synapses.g[...] = values
-        kernel.run(np.zeros(150), 0.0, 0, 1.0)
-        want = kernel.codec.encode(values, dtype=np.float64)
-        assert np.array_equal(asnumpy(kernel.codes), want, equal_nan=True)
 
     @pytest.mark.parametrize("block_rows", [1, 5, 64, 200])
     def test_encode_into_matches_encode_at_any_block_size(self, block_rows):

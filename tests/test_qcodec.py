@@ -9,9 +9,7 @@ Pins the invariants :mod:`repro.quantization.codec` promises:
 - ``delta_codes`` mirrors ``Quantizer.quantize_delta`` in the code domain
   for all three rounding options plus the fixed-LSB regime, and the fused
   eq.-8 kernel draws exactly one uniform per changed entry;
-- ``apply_delta_codes`` saturates instead of wrapping for unsigned storage
-  and computes the same integers in float storage (the shadow-twin
-  contract).
+- ``apply_delta_codes`` saturates instead of wrapping for unsigned storage.
 """
 
 import numpy as np
@@ -80,12 +78,6 @@ class TestRoundTrip:
         codes = codec.encode(np.array([-0.5, 0.0, 2.0]))
         assert list(codes) == [0, 0, codec.max_code]
 
-    def test_encode_float_dtype_override_for_shadow_twin(self):
-        codec = _codec("Q1.7")
-        codes = codec.encode(np.array([0.25, 0.5]), dtype=np.dtype(np.float64))
-        assert codes.dtype == np.float64
-        assert list(codes) == [32.0, 64.0]
-
     def test_decode_into_preallocated(self):
         codec = _codec("Q1.7")
         out = np.empty(3, dtype=np.float64)
@@ -136,7 +128,7 @@ class TestDeltaCodes:
 
     def test_stochastic_without_rng_names_the_stream(self):
         codec = _codec("Q1.15", RoundingMode.STOCHASTIC)
-        with pytest.raises(QuantizationError, match="qrounding"):
+        with pytest.raises(QuantizationError, match="learning"):
             codec.delta_codes(np.array([0.3]))
 
     def test_stochastic_without_rng_but_no_changes_is_fine(self):
@@ -155,16 +147,6 @@ class TestApplyDeltaCodes:
         delta = np.array([[-20.0, 5.0], [-1.0, 1.0], [100.0, -100.0]])
         codec.apply_delta_codes(codes, cols, delta)
         assert codes.tolist() == [[0, 15], [0, 1], [128, 20]]
-
-    def test_float_storage_computes_identical_integers(self):
-        codec = _codec("Q1.7")
-        cols = np.array([0, 1])
-        delta = np.array([[-20.0, 5.0], [-1.0, 1.0], [100.0, -100.0]])
-        int_codes = self._codes(np.uint8)
-        float_codes = self._codes(np.float64)
-        codec.apply_delta_codes(int_codes, cols, delta)
-        codec.apply_delta_codes(float_codes, cols, delta)
-        assert np.array_equal(int_codes, float_codes.astype(np.uint8))
 
     def test_connectivity_mask_zeroes_absent_synapses(self):
         codec = _codec("Q1.7")

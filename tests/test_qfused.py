@@ -1,18 +1,13 @@
 """The integer-native ``qfused`` engine and its equivalence contract.
 
 ``qfused`` runs the integer gather kernel
-(:class:`~repro.engine.qevent.QEventPresentation`).  The tiers pinned here:
+(:class:`~repro.engine.qevent.QEventPresentation`).  The tiers pinned here
+(the reference loop as oracle is pinned in ``tests/test_qevent.py``):
 
-- **truncate/nearest rounding** — training is bit-identical to the float
-  ``fused`` engine simulating the same Q-format: deterministic rounding
-  consumes no RNG, so both compute the very same arithmetic on the same
-  draws;
-- **stochastic rounding** — the RNG accounting intentionally differs from
-  the float path (one draw per changed synapse from the dedicated
-  ``qrounding`` stream instead of a full-matrix draw per update), so the
-  oracle is the float *shadow twin*: the same kernel with
-  ``storage="float"``.  Codes, conductances and spikes match it bit for
-  bit;
+- **training, under every rounding option** — bit-identical to the float
+  ``fused`` engine simulating the same Q-format: both compute the very
+  same arithmetic on the same draws, eq.-8 stochastic rounding included
+  (one ``learning`` uniform per changed synapse, in C order);
 - **evaluation** — plasticity frozen, no rounding at all: bit-identical
   response matrices vs the fused engine;
 - **resumability** — kill-and-resume through v2 checkpoints (which store
@@ -29,6 +24,7 @@ from repro.backend import asnumpy
 from repro.config.parameters import (
     QuantizationConfig,
     RoundingMode,
+    STDPKind,
 )
 from repro.engine.qevent import QEventPresentation
 from repro.engine.registry import create_training_engine
@@ -73,34 +69,30 @@ class TestDeterministicRoundingBitExact:
         assert q_log.spikes_per_image == fused_log.spikes_per_image
 
 
-class TestStochasticShadowTwin:
+class TestStochasticRoundingBitExact:
     @pytest.mark.parametrize("fmt", ["Q1.7", "Q1.15"])
-    def test_integer_storage_matches_float_twin(
-        self, tiny_config, small_images, fmt
-    ):
-        config = _quantized(tiny_config, fmt=fmt)
+    def test_matches_fused_bit_for_bit(self, tiny_config, small_images, fmt):
+        config = _quantized(tiny_config, fmt=fmt, rounding=RoundingMode.STOCHASTIC)
+        fused_net, fused_log = _train(config, small_images, "fused")
+        q_net, q_log = _train(config, small_images, "qfused")
+        assert np.array_equal(q_net.conductances, fused_net.conductances)
+        assert np.array_equal(q_net.neurons.theta, fused_net.neurons.theta)
+        assert q_log.spikes_per_image == fused_log.spikes_per_image
+        assert q_net.rngs.state_dict() == fused_net.rngs.state_dict()
 
-        int_net = WTANetwork(config, small_images[0].size)
-        int_log = UnsupervisedTrainer(int_net).train(small_images, engine="qfused")
-
-        twin_net = WTANetwork(config, small_images[0].size)
-        twin = QEventPresentation(twin_net, storage="float")
-        twin_log = UnsupervisedTrainer(twin_net).train(small_images, engine=twin)
-
-        assert np.array_equal(int_net.conductances, twin_net.conductances)
-        assert np.array_equal(int_net.neurons.theta, twin_net.neurons.theta)
-        assert int_log.spikes_per_image == twin_log.spikes_per_image
-
-    def test_learning_and_rounding_streams_are_separate(
-        self, tiny_config, small_images
-    ):
-        """The eq.-8 draws come from ``qrounding``, not the learning stream:
-        training must advance both."""
-        config = _quantized(tiny_config, fmt="Q1.15")
-        net = WTANetwork(config, small_images[0].size)
-        before = net.rngs.qrounding.bit_generator.state
-        UnsupervisedTrainer(net).train(small_images, engine="qfused")
-        assert net.rngs.qrounding.bit_generator.state != before
+    def test_eq8_draws_come_from_the_learning_stream(self, tiny_config, small_images):
+        """Deterministic STDP draws nothing itself, so at Q1.15 only eq.-8
+        rounding can advance ``learning``: it does under stochastic rounding
+        and not under nearest rounding."""
+        config = replace(tiny_config, stdp_kind=STDPKind.DETERMINISTIC)
+        fresh = WTANetwork(config, small_images[0].size).rngs.learning.bit_generator.state
+        states = {}
+        for rounding in (RoundingMode.NEAREST, RoundingMode.STOCHASTIC):
+            net, log = _train(_quantized(config, "Q1.15", rounding), small_images, "qfused")
+            assert sum(log.spikes_per_image) > 0
+            states[rounding] = net.rngs.learning.bit_generator.state
+        assert states[RoundingMode.NEAREST] == fresh
+        assert states[RoundingMode.STOCHASTIC] != fresh
 
 
 class TestCodesStorage:
@@ -192,12 +184,6 @@ class TestValidation:
         net = WTANetwork(config, small_images[0].size, ltd_mode=LTDMode.PAIR)
         with pytest.raises(ConfigurationError, match="pair-LTD"):
             create_training_engine("qfused", net)
-
-    def test_unknown_storage_mode_rejected(self, tiny_config, small_images):
-        config = _quantized(tiny_config)
-        net = WTANetwork(config, small_images[0].size)
-        with pytest.raises(ConfigurationError, match="storage"):
-            QEventPresentation(net, storage="fp8")
 
     def test_config_requires_fixed_point_for_qfused_engine(self, tiny_config):
         with pytest.raises(ConfigurationError, match="fixed-point"):

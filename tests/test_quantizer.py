@@ -8,6 +8,7 @@ from repro.config.parameters import QuantizationConfig, RoundingMode
 from repro.errors import QuantizationError
 from repro.quantization.qformat import parse_qformat
 from repro.quantization.quantizer import FloatQuantizer, Quantizer, make_quantizer
+from repro.quantization.rounding import round_nearest, round_stochastic, round_truncate
 
 
 class TestFloatQuantizer:
@@ -58,6 +59,38 @@ class TestFixedPointQuantizer:
         res = 2.0**-15
         out = q.quantize_delta(np.array([0.4 * res, 0.6 * res]))
         assert np.allclose(out, [0.0, res])
+
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    @pytest.mark.parametrize("zeros", [False, True], ids=["dense", "sparse"])
+    def test_delta_equals_rounding_the_whole_array(self, mode, zeros):
+        """Rounding only the nonzero entries gives what rounding every entry
+        gives (a zero rounds to zero); under stochastic rounding the changed
+        entries take the whole array's draws in C order, and the generator
+        advances by exactly ``count_nonzero(delta)`` draws."""
+        q = Quantizer(parse_qformat("Q1.15"), mode)
+        res = q.fmt.resolution
+        delta = np.random.default_rng(4).uniform(-3 * res, 3 * res, size=(40, 7))
+        if zeros:
+            delta[::3] = 0.0
+            delta[:, 2] = 0.0
+        rng = np.random.default_rng(9)
+        out = q.quantize_delta(delta, rng)
+
+        changed = delta != 0.0
+        if mode is RoundingMode.STOCHASTIC:
+            want = np.zeros_like(delta)
+            want[changed] = round_stochastic(delta[changed], res, np.random.default_rng(9))
+            if not zeros:
+                whole = round_stochastic(delta, res, np.random.default_rng(9))
+                assert np.array_equal(want, whole)
+        elif mode is RoundingMode.NEAREST:
+            want = round_nearest(delta, res)
+        else:
+            want = round_truncate(delta, res)
+        assert np.array_equal(out, want)
+        advanced = np.random.default_rng(9)
+        advanced.random(np.count_nonzero(delta) if mode is RoundingMode.STOCHASTIC else 0)
+        assert rng.bit_generator.state == advanced.bit_generator.state
 
     def test_stochastic_rounding_requires_rng(self):
         q = Quantizer(parse_qformat("Q1.15"), RoundingMode.STOCHASTIC)

@@ -160,11 +160,11 @@ class TestIntegerCodeStorage:
         with pytest.raises(CheckpointError, match="g_frac_bits"):
             load_run_checkpoint(path)
 
-    def test_checkpoint_predating_qrounding_stream_loads(
+    def test_checkpoint_holding_retired_qrounding_stream_loads(
         self, tmp_path, run_state
     ):
-        """v2 files written before the qrounding stream existed must stay
-        loadable: the stream is optional and reseeds from the run seed."""
+        """v2 files of earlier versions also hold a ``qrounding`` stream:
+        they stay loadable, and the six live streams resume exactly."""
         import json
 
         path = tmp_path / "run.npz"
@@ -172,13 +172,15 @@ class TestIntegerCodeStorage:
         with np.load(path) as data:
             payload = {name: data[name] for name in data.files}
         rng_state = json.loads(str(payload["rng_json"]))
-        del rng_state["streams"]["qrounding"]
+        retired = np.random.default_rng(np.random.SeedSequence(7).spawn(7)[6])
+        rng_state["streams"]["qrounding"] = retired.bit_generator.state
         payload["rng_json"] = np.array(json.dumps(rng_state))
         np.savez(path, **payload)
         loaded = load_run_checkpoint(path)
         net = loaded.build_network()
-        assert "qrounding" not in loaded.rng_state["streams"]
+        assert "qrounding" in loaded.rng_state["streams"]
         assert np.array_equal(net.conductances, run_state.conductances)
+        assert net.rngs.state_dict() == run_state.rng_state
 
 
 class TestRejection:

@@ -2,10 +2,10 @@
 
 A faulting accelerated engine must not take the run down with it: the
 trainer rolls the network back to the presentation boundary, drops one
-tier, re-presents the image, and warns loudly.  Because the fused kernel
-is bit-identical to the reference kernel (and qfused is too under
-deterministic rounding), a degraded run must land on exactly the weights
-an undegraded run would have produced.
+tier, re-presents the image, and warns loudly.  Because the qfused and
+fused kernels are both bit-identical to the reference kernel, under every
+rounding option, a degraded run must land on exactly the weights an
+undegraded run would have produced.
 """
 
 import warnings
@@ -118,6 +118,23 @@ class TestDegradedRuns:
         assert np.array_equal(degraded.conductances, baseline.conductances)
         assert np.array_equal(degraded.neurons.theta, baseline.neurons.theta)
 
+    def test_qfused_degrades_to_fused_under_16_bit_stochastic_rounding(
+        self, tiny_config, tiny_dataset
+    ):
+        """At Q1.15 eq. 8 draws from ``learning``, in qfused and fused alike,
+        so the rolled-back stream replays the same draws on the fused tier."""
+        config = replace(
+            tiny_config,
+            quantization=QuantizationConfig(fmt="Q1.15", rounding=RoundingMode.STOCHASTIC),
+        )
+        images = tiny_dataset.train_images[:6]
+        baseline, base_log = _train_plain(config, images, "fused")
+        degraded, log = _train_degraded(config, images, "qfused", fail_at=2)
+        assert log.spikes_per_image == base_log.spikes_per_image
+        assert np.array_equal(degraded.conductances, baseline.conductances)
+        assert np.array_equal(degraded.neurons.theta, baseline.neurons.theta)
+        assert degraded.rngs.state_dict() == baseline.rngs.state_dict()
+
     def test_fault_on_first_presentation(self, tiny_config, tiny_dataset):
         images = tiny_dataset.train_images[:4]
         baseline, _ = _train_plain(tiny_config, images, "fused")
@@ -133,9 +150,9 @@ class TestFullChainWalk:
         on exactly the clean reference trajectory — weights, thresholds,
         spike log and final inference responses all bit for bit.
 
-        Deterministic (``NEAREST``) rounding is what makes the quantized
-        tiers code-exact; under stochastic rounding each tier would consume
-        a different RNG stream and only statistical equivalence would hold.
+        The workload trains Q1.7 with stochastic rounding, the fixed-point
+        presets' default; every tier rounds eq. 8 on the same ``learning``
+        draws, so the quantized tiers stay code-exact.
         """
         workload = ScenarioWorkload()
         images = workload.load_images()

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.config.parameters import RoundingMode
+from repro.config.presets import get_preset
 from repro.errors import CheckpointError, ConfigurationError
 from repro.resilience.explore import (
     DAMAGE_MODES,
@@ -171,6 +173,13 @@ class TestScenarioWorkload:
         assert q_config.quantization is not None
         assert q_config.quantization.fmt == "Q1.7"
         assert wl.config_for("fused").quantization.fmt is None
+
+    def test_quantized_engines_train_at_the_presets_default_rounding(self):
+        """Scenarios exercise stochastic rounding, the fixed-point presets'
+        default, not a rounding chosen to keep the tiers in step."""
+        wl = ScenarioWorkload()
+        assert wl.config_for("qfused").quantization.rounding is RoundingMode.STOCHASTIC
+        assert get_preset("8bit").quantization.rounding is RoundingMode.STOCHASTIC
 
     def test_images_are_seeded(self):
         a = ScenarioWorkload().load_images()
