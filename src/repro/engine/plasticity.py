@@ -24,13 +24,13 @@ stream position is part of the ``fused`` engine's contract and covered by
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
 from repro.backend.ops import Ops
 from repro.config.parameters import DeterministicSTDPParameters
-from repro.engine.rng import DeviceRng
+from repro.engine.rng import on_backend
 from repro.learning.deterministic import DeterministicSTDP
 from repro.learning.stochastic import LTDMode, StochasticSTDP
 from repro.learning.updates import (
@@ -135,8 +135,9 @@ def deterministic_rule_columns(
 # draws are host subsystems, so probabilities and masks are computed on the
 # host — identical draw order on every backend — and uploaded through the
 # explicit ``ops.to_device`` seam before they meet the device codes.  The
-# rounding stream arrives pre-adapted (a ``DeviceRng`` on device backends),
-# so ``QCodec.delta_codes`` draws host-identically too.
+# eq.-8 rounding draws come from the same stream, which the kernels wrap for
+# the backend (a ``DeviceRng`` on device backends, see ``on_backend``), so
+# ``QCodec.delta_codes`` draws host-identically too.
 #
 # At <= 8 bits (the fixed-LSB regime) ``QCodec.delta_codes`` reduces every
 # change to ``sign(delta)`` and draws nothing, so once eqs. 4-5 are known to
@@ -210,7 +211,6 @@ def quantized_stochastic_columns(
     post: np.ndarray,
     t_ms: float,
     rng: np.random.Generator,
-    rng_rounding: Union[np.random.Generator, DeviceRng],
     conn_mask: Optional[np.ndarray] = None,
     ops: Optional[Ops] = None,
 ) -> None:
@@ -219,9 +219,9 @@ def quantized_stochastic_columns(
     When :func:`unit_steps_exact` holds (<= 8 bits), the LTP mask minus the
     LTD mask lands as a saturating +-1 code step; otherwise eqs. 4-5 are
     rounded to code increments by ``QCodec.delta_codes``, drawing from
-    *rng_rounding* (the ``learning`` stream, device-adapted) after the
-    Bernoulli draws.  The draws are the same either way, and at <= 8 bits
-    neither path draws from *rng_rounding*.
+    *rng* (the ``learning`` stream) after the Bernoulli draws.  The
+    Bernoulli draws are the same either way, and at <= 8 bits neither path
+    makes a rounding draw.
     """
     upload = _device_uploader(ops)
     xp = np if ops is None else ops.xp
@@ -250,7 +250,7 @@ def quantized_stochastic_columns(
         upload(dep_mask), dg_dep, 0.0
     )
     delta_codes = np.where(
-        delta_cols != 0.0, codec.delta_codes(delta_cols, rng_rounding, xp=xp), 0.0
+        delta_cols != 0.0, codec.delta_codes(delta_cols, on_backend(rng, ops), xp=xp), 0.0
     )
     codec.apply_delta_codes(codes, cols, delta_codes, mask_cols)
 
@@ -262,7 +262,7 @@ def quantized_deterministic_columns(
     timers: SpikeTimers,
     post: np.ndarray,
     t_ms: float,
-    rng_rounding: Union[np.random.Generator, DeviceRng],
+    rng: np.random.Generator,
     conn_mask: Optional[np.ndarray] = None,
     ops: Optional[Ops] = None,
 ) -> None:
@@ -270,7 +270,8 @@ def quantized_deterministic_columns(
 
     When :func:`unit_steps_exact` holds (<= 8 bits), the spiking columns
     step +1 code on recently active rows and -1 on the rest, saturating;
-    otherwise eqs. 4-5 are rounded by ``QCodec.delta_codes``.
+    otherwise eqs. 4-5 are rounded by ``QCodec.delta_codes``, drawing from
+    *rng* (the ``learning`` stream).
     """
     upload = _device_uploader(ops)
     xp = np if ops is None else ops.xp
@@ -286,6 +287,6 @@ def quantized_deterministic_columns(
     dg_dep = depression_magnitude(g_cols, rule.params)
     delta_cols = np.where(recent, dg_pot, -dg_dep)
     delta_codes = np.where(
-        delta_cols != 0.0, codec.delta_codes(delta_cols, rng_rounding, xp=xp), 0.0
+        delta_cols != 0.0, codec.delta_codes(delta_cols, on_backend(rng, ops), xp=xp), 0.0
     )
     codec.apply_delta_codes(codes, cols, delta_codes, mask_cols)

@@ -33,12 +33,13 @@ the same draws.
 
 Backend discipline follows the loop: the codes live on the
 :class:`~repro.backend.ops.Ops` backend bound at construction; spike
-timers and every RNG draw stay host-side (the rounding draws arrive
-through a :class:`~repro.engine.rng.DeviceRng` on device backends, so
-they remain host-ordered), and the float view of ``synapses.g`` is
-re-synchronised on the host at :meth:`~CodeStore.sync_out`, so everything
-outside a presentation (weight normalisation, checkpoints, the
-health sentinel) keeps seeing ordinary float conductances.
+timers and every RNG draw stay host-side (the STDP kernels wrap the
+rounding draws in a :class:`~repro.engine.rng.DeviceRng` on device
+backends, so they remain host-ordered), and the float view of
+``synapses.g`` is re-synchronised on the host at
+:meth:`~CodeStore.sync_out`, so everything outside a presentation
+(weight normalisation, checkpoints, the health sentinel) keeps seeing
+ordinary float conductances.
 """
 
 from __future__ import annotations
@@ -122,19 +123,16 @@ class CodeStore:
         """
         net = self.net
         ops = self._ops
-        # Eq.-8 rounding draws stay host-ordered on every backend; on a
-        # device backend the stream arrives wrapped so draws upload.
-        rng_rounding = net.rngs.device_stream("learning", ops)
         conn_mask = net.synapses.connectivity
         if self._stochastic_rule:
             quantized_stochastic_columns(
                 net.rule, self.codes, self.codec, net.timers, post, t_ms,
-                net.rngs.learning, rng_rounding, conn_mask, ops=ops,
+                net.rngs.learning, conn_mask, ops=ops,
             )
         else:
             quantized_deterministic_columns(
                 net.rule, self.codes, self.codec, net.timers, post, t_ms,
-                rng_rounding, conn_mask, ops=ops,
+                net.rngs.learning, conn_mask, ops=ops,
             )
 
     def sync_out(self) -> None:

@@ -110,6 +110,20 @@ class DeviceRng:
         return self.ops.to_device(self.rng.random(size))
 
 
+def on_backend(
+    rng: np.random.Generator, ops: Optional[Ops] = None
+) -> Union[np.random.Generator, DeviceRng]:
+    """*rng* adapted to *ops*' backend.
+
+    On the host backend (or with no ops) this is *rng* itself, at zero
+    overhead; on a device backend it is wrapped in :class:`DeviceRng`, so
+    draws are host-identical but land in device memory.
+    """
+    if ops is None or ops.is_host:
+        return rng
+    return DeviceRng(rng, ops)
+
+
 class RngStreams:
     """A bundle of named RNG streams derived from one master seed."""
 
@@ -146,17 +160,9 @@ class RngStreams:
     def device_stream(
         self, name: str, ops: Optional[Ops] = None
     ) -> Union[np.random.Generator, DeviceRng]:
-        """Stream *name* adapted to *ops*' backend.
-
-        On the host backend (or with no ops) this is exactly :meth:`get` —
-        the raw generator, zero overhead.  On a device backend the stream
-        is wrapped in :class:`DeviceRng` so draws are host-identical but
-        land in device memory.
-        """
-        rng = self.get(name)
-        if ops is None or ops.is_host:
-            return rng
-        return DeviceRng(rng, ops)
+        """Stream *name* adapted to *ops*' backend (see :func:`on_backend`):
+        exactly :meth:`get` on the host."""
+        return on_backend(self.get(name), ops)
 
     def batched_eval(
         self, ops: Optional[Ops] = None
@@ -181,9 +187,7 @@ class RngStreams:
         rng = np.random.default_rng(
             np.random.SeedSequence((self.seed, BATCHED_EVAL_SALT))
         )
-        if ops is None or ops.is_host:
-            return rng
-        return DeviceRng(rng, ops)
+        return on_backend(rng, ops)
 
     def reseed(self, seed: int) -> None:
         """Replace every stream with fresh ones derived from *seed*."""

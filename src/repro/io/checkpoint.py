@@ -229,30 +229,46 @@ def _decode_conductances_into(
     return out
 
 
-def _decode_common(payload: Dict[str, np.ndarray], path: Path) -> Dict[str, Any]:
-    """Fields shared by both formats, decoded and type-checked.
+#: The members that say which network a checkpoint holds.
+_HEADER = ("magic", "config_json", "n_pixels")
+
+
+def _decode_header(
+    payload: Dict[str, np.ndarray], path: Path
+) -> Tuple[ExperimentConfig, int]:
+    """The stored config and input pixel count, type-checked."""
+    try:
+        config = config_from_dict(json.loads(str(payload["config_json"])))
+        n_pixels = int(payload["n_pixels"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CheckpointError(
+            f"{path} is missing or has malformed checkpoint fields: {exc}"
+        ) from exc
+    return config, n_pixels
+
+
+def _decode_learned(
+    payload: Dict[str, np.ndarray], path: Path, n_neurons: int
+) -> Dict[str, Any]:
+    """The learned state, type-checked against the config's neuron count.
 
     The conductances stay in their stored form (``g_stored`` and
     ``g_frac_bits``) until :func:`_decode_conductances_into` writes them
     into their destination.
     """
     try:
-        config = config_from_dict(json.loads(str(payload["config_json"])))
-        n_pixels = int(payload["n_pixels"])
         g_stored, g_frac_bits = _stored_conductances(payload, path)
         theta = np.asarray(payload["theta"], dtype=np.float64)
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(
             f"{path} is missing or has malformed checkpoint fields: {exc}"
         ) from exc
-    if theta.shape != (config.wta.n_neurons,):
+    if theta.shape != (n_neurons,):
         raise CheckpointError(
             f"{path}: stored theta {theta.shape} does not match the "
-            f"config's neuron count {(config.wta.n_neurons,)}"
+            f"config's neuron count {(n_neurons,)}"
         )
     return {
-        "config": config,
-        "n_pixels": n_pixels,
         "g_stored": g_stored,
         "g_frac_bits": g_frac_bits,
         "theta": theta,
@@ -274,11 +290,14 @@ def load_checkpoint(
     position for bit-identical training resumption.
     """
     path = Path(path)
-    payload = _open_payload(path)
-    fields = _decode_common(payload, path)
-
-    network = WTANetwork(fields["config"], fields["n_pixels"])
+    config, n_pixels = _decode_header(_open_payload(path, _HEADER), path)
+    # Build first and read the arrays after, and drop the stored matrix
+    # once decoded: it is held neither while the network draws its initial
+    # matrix nor while the re-quantise below works.
+    network = WTANetwork(config, n_pixels)
+    fields = _decode_learned(_open_payload(path), path, config.wta.n_neurons)
     g = _decode_conductances_into(fields, path, network.synapses.g)
+    del fields["g_stored"]
     # Re-quantise in place: stored values are on the grid, so this changes
     # none of them, but it makes the rounding-stream draws the loader has
     # always made, so every stream ends where it always has.
@@ -332,7 +351,8 @@ def load_run_checkpoint(path: Union[str, Path]) -> "TrainingRunState":
             f"{path} is a {magic} checkpoint: it stores learned state only "
             f"and cannot resume a training run (need {_MAGIC_V2})"
         )
-    fields = _decode_common(payload, path)
+    config, n_pixels = _decode_header(payload, path)
+    fields = _decode_learned(payload, path, config.wta.n_neurons)
     try:
         rng_state = json.loads(str(payload["rng_json"]))
         run = json.loads(str(payload["run_json"]))
@@ -342,12 +362,12 @@ def load_run_checkpoint(path: Union[str, Path]) -> "TrainingRunState":
             f"{path} is missing or has malformed run-state fields: {exc}"
         ) from exc
 
-    shape = (fields["n_pixels"], fields["config"].wta.n_neurons)
+    shape = (n_pixels, config.wta.n_neurons)
     conductances = _decode_conductances_into(fields, path, np.empty(shape))
 
     return TrainingRunState.from_payload(
-        config=fields["config"],
-        n_pixels=fields["n_pixels"],
+        config=config,
+        n_pixels=n_pixels,
         conductances=conductances,
         theta=fields["theta"],
         rng_state=rng_state,

@@ -101,14 +101,24 @@ class TestCorrectness:
 class TestPerformance:
     def test_faster_than_sequential(self, trained, tiny_dataset):
         images = np.repeat(tiny_dataset.test_images[:10], 3, axis=0)  # 30 images
-        t0 = time.perf_counter()
-        Evaluator(trained, t_present_ms=100.0).collect_responses(images)
-        sequential_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        BatchedInference(trained).collect_responses(
-            images, t_present_ms=100.0, rng=np.random.default_rng(0)
-        )
-        batched_s = time.perf_counter() - t0
+
+        def sequential():
+            Evaluator(trained, t_present_ms=100.0).collect_responses(images)
+
+        def batched():
+            BatchedInference(trained).collect_responses(
+                images, t_present_ms=100.0, rng=np.random.default_rng(0)
+            )
+
+        # Best of three alternating repeats: a burst of load from another
+        # process on the host slows one repeat, not every repeat of one side.
+        best = {sequential: np.inf, batched: np.inf}
+        for _ in range(3):
+            for side in best:
+                t0 = time.perf_counter()
+                side()
+                best[side] = min(best[side], time.perf_counter() - t0)
+        sequential_s, batched_s = best[sequential], best[batched]
         assert batched_s < sequential_s
 
 

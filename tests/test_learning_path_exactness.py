@@ -238,11 +238,15 @@ class _DeltaCodesSpy:
         monkeypatch.setattr(QCodec, "delta_codes", spy)
 
 
+_KERNELS = (quantized_stochastic_columns, quantized_deterministic_columns)
+
+
 def _run_updates(rule, codec, masked, stochastic, fn, steps=25, shared=False):
     """*steps* post-spike updates from pinned seeds: final codes, stream states.
 
-    *shared* passes one generator as both the learning and the rounding
-    stream, as ``CodeStore.learn`` does with ``learning``."""
+    The kernels take one stream for the STDP decisions and the rounding, as
+    ``CodeStore.learn`` hands them ``learning``.  An oracle takes a rounding
+    stream of its own, which *shared* makes the same generator."""
     n_pre, n_post = 60, 9
     setup = np.random.default_rng(11)
     # Start with plenty of codes at both bounds so saturation is exercised.
@@ -260,7 +264,9 @@ def _run_updates(rule, codec, masked, stochastic, fn, steps=25, shared=False):
         timers.record_pre(setup.random(n_pre) < 0.4, t_ms - setup.integers(0, 90))
         post = setup.random(n_post) < 0.3
         post[setup.integers(n_post)] = True
-        if stochastic:
+        if fn in _KERNELS:
+            fn(rule, codes, codec, timers, post, t_ms, rng, conn_mask)
+        elif stochastic:
             fn(rule, codes, codec, timers, post, t_ms, rng, rng_rounding, conn_mask)
         else:
             fn(rule, codes, codec, timers, post, t_ms, rng_rounding, conn_mask)

@@ -153,9 +153,9 @@ def _traced_peak(fn):
 
 
 class TestAllocationPeaks:
-    @pytest.fixture
-    def config(self):
-        return get_preset("8bit", n_neurons=1000, seed=1)
+    @pytest.fixture(params=["8bit", "16bit"])
+    def config(self, request):
+        return get_preset(request.param, n_neurons=1000, seed=1)
 
     def test_build_network(self, config):
         build_network(config, 4)  # first-call costs are not the matrix's

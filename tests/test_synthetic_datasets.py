@@ -3,14 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.datasets import synthetic_mnist
 from repro.datasets.synthetic_fashion import (
     FASHION_CLASS_NAMES,
     class_overlap_matrix,
     generate_fashion,
     render_fashion,
 )
-from repro.datasets.synthetic_mnist import digit_skeleton, generate_digits, render_digit
+from repro.datasets.synthetic_mnist import (
+    digit_skeleton,
+    generate_digits,
+    render_digit,
+    render_points,
+)
 from repro.errors import DatasetError
+
+
+def _render_points_oracle(points, size, pen_sigma, peak):
+    """The per-pixel formulation: an ``(n_pixels, k, 2)`` difference to every
+    point, squared and summed, then the min over the points."""
+    coords = points * (size - 1)
+    ys, xs = np.mgrid[0:size, 0:size]
+    pix = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+    d2 = ((pix[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    img = peak * np.exp(-d2.min(axis=1) / (2.0 * pen_sigma**2))
+    return img.reshape(size, size)
 
 
 class TestDigits:
@@ -75,6 +92,35 @@ class TestDigits:
         img = render_digit(0, size=16, rng=np.random.default_rng(0))
         assert img.max() > 150
         assert np.percentile(img, 25) < 30
+
+
+class TestRenderPoints:
+    """The per-axis renderer against the per-pixel oracle, byte for byte.
+
+    No golden digest is pinned: ``np.exp`` may round differently on another
+    CPU, but both formulations call it on the same operands."""
+
+    @pytest.mark.parametrize("size", [4, 5, 16, 28, 64])
+    def test_equals_the_per_pixel_oracle(self, size):
+        rng = np.random.default_rng(size)
+        for digit in range(10):
+            skeleton = digit_skeleton(digit)
+            points = skeleton + rng.normal(0.0, 0.05, size=skeleton.shape)
+            points = np.clip(points, 0.02, 0.98)
+            for pen_sigma in (0.5, 0.8, size / 16.0, 3.0):
+                peak = rng.uniform(200.0, 255.0)
+                got = render_points(points, size, pen_sigma, peak)
+                want = _render_points_oracle(points, size, pen_sigma, peak)
+                assert got.shape == (size, size)
+                assert got.tobytes() == want.tobytes(), (digit, pen_sigma)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1.0, 4.0])
+    def test_generate_digits_equals_the_oracle(self, monkeypatch, jitter):
+        got = generate_digits(40, size=28, seed=3, jitter=jitter)
+        monkeypatch.setattr(synthetic_mnist, "render_points", _render_points_oracle)
+        want = generate_digits(40, size=28, seed=3, jitter=jitter)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
 
 
 class TestFashion:
