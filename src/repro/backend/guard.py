@@ -28,10 +28,11 @@ Scalar extraction (``float(x)``, ``x.item()``, reductions returning NumPy
 scalars) is treated as a synchronisation point, not a counted transfer —
 the counters track *array* movement, which is what dominates PCIe cost.
 
-Known blind spots, accepted by design and covered by lint rule R6 plus
+Known blind spots, accepted by design and covered by lint rule R8 plus
 the explicit ``Ops`` seams instead: ``np.asarray(device_array)`` called
 through the *plain* ``numpy`` namespace strips the guard silently (NumPy's
-``asarray`` does not dispatch ``__array_function__`` for subclasses), and
+``asarray`` does not dispatch ``__array_function__`` for subclasses) —
+R8 traces device arrays through calls to exactly those conversions — and
 ``host_array[device_mask]`` dispatches on the host operand.  Kernel code
 must therefore route array creation/conversion through ``xp``.
 """

@@ -6,7 +6,9 @@ explicit transfer directions.  Engines obtain one from
 :func:`repro.backend.backend_ops` at construction time and route *all*
 array creation/conversion and host↔device movement through it; plain
 ``numpy`` remains legal only for host-side state (checkpoints, logs,
-label maps), which is exactly what lint rule R6 enforces.
+label maps).  The engine suites run under the guard backend in CI, which
+raises on any host array that meets a device one; lint rule R8 covers
+the conversions the guard cannot see.
 
 On the ``numpy`` backend both transfer directions are identity functions
 returning the *same* object — host engines bind live network arrays with

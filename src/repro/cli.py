@@ -10,8 +10,8 @@ Commands:
 - ``evaluate`` — load a checkpoint and classify a test split;
 - ``presets`` — list the Table I learning options and their parameters;
 - ``engines`` — list registered presentation engines and capabilities;
-- ``lint`` — run the determinism/numerics static-analysis rules (R1–R6,
-  plus the interprocedural R7–R9 flow passes and W0 under ``--flow``);
+- ``lint`` — run the determinism/numerics static-analysis rules (R1–R5,
+  the interprocedural R7–R9 flow passes and the W0 stale-pragma check);
 - ``resilience`` — sample the fault space, run the scenario ensemble and
   tabulate recovery outcomes into a versioned ``ResilienceReport``
   (``--check`` gates on zero ``UNRECOVERED`` scenarios);
@@ -41,12 +41,12 @@ from repro.config.presets import available_presets, get_preset, table_i_rows
 from repro.config.serialize import save_json
 from repro.datasets.dataset import load_dataset
 from repro.engine.registry import available_engines, capability_rows
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.neurons.analysis import fi_curve
 from repro.neurons.lif import LIFPopulation
 from repro.pipeline.evaluator import Evaluator
-from repro.pipeline.experiment import build_network, run_experiment
+from repro.pipeline.experiment import run_experiment
 from repro.pipeline.progress import PrintProgress
 from repro.network.inference import classify_batch
 
@@ -124,32 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to PATH",
     )
     lint.add_argument(
-        "--no-contracts", action="store_true",
-        help="skip the R3 engine-registry conformance checks",
-    )
-    lint.add_argument(
-        "--flow", action="store_true",
-        help="add the interprocedural R7/R8/R9 dataflow passes and the "
-        "W0 stale-pragma check",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="report only findings in files changed vs git HEAD "
-        "(analysis still covers the full corpus)",
-    )
-    lint.add_argument(
         "--sarif", metavar="PATH", default=None,
         help="also write a SARIF 2.1.0 report to PATH (code scanning)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="suppress findings listed in this baseline JSON file; "
-        "stale entries are reported as W0",
-    )
-    lint.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help="flow summary cache file (per-file content-hash incremental "
-        "re-extraction); no cache is written unless given",
     )
 
     res = sub.add_parser(
@@ -295,12 +271,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(ascii_map(maps[idx], g_max=float(result.conductances.max())))
 
     if args.save:
-        network = build_network(config, dataset.n_pixels)
-        # Trained conductances are already on the quantization grid; the
-        # rounding stream makes the re-snap well-defined under
-        # rounding=stochastic (where quantizing without an RNG raises).
-        network.synapses.set_conductances(result.conductances, network.rngs.rounding)
-        save_checkpoint(args.save, network, result.evaluation.neuron_labels)
+        save_checkpoint(args.save, result.network, result.evaluation.neuron_labels)
         print(f"checkpoint written to {args.save}")
     return 0
 
@@ -449,46 +420,12 @@ def _cmd_engines(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_files() -> List[str]:
-    """Display paths of .py files changed vs HEAD (staged, unstaged, new)."""
-    import subprocess
-
-    changed: List[str] = []
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as err:
-            raise ConfigurationError(
-                f"--changed needs a git checkout: {' '.join(cmd)} failed ({err})"
-            )
-        changed.extend(line.strip() for line in proc.stdout.splitlines())
-    return sorted({path for path in changed if path.endswith(".py")})
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.lint import lint_paths
 
-    restrict = None
-    if args.changed:
-        restrict = _git_changed_files()
-        if not restrict:
-            print("no changed .py files vs HEAD: nothing to lint")
-            return 0
-    report = lint_paths(
-        args.paths,
-        include_contracts=not args.no_contracts,
-        flow=args.flow,
-        cache_path=args.cache,
-        baseline_path=args.baseline,
-        restrict_paths=restrict,
-    )
+    report = lint_paths(args.paths)
     if args.format == "json":
         print(report.to_json())
     else:

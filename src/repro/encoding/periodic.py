@@ -33,7 +33,7 @@ class PeriodicEncoder:
         self._freq_hz: Optional[np.ndarray] = None
         # Accumulated phase per channel, in cycles.  A spike fires whenever
         # the integer part advances.
-        self._phase = np.zeros(n_pixels, dtype=np.float64)  # host state  # lint-ok: R6
+        self._phase = np.zeros(n_pixels, dtype=np.float64)
 
     @property
     def frequencies_hz(self) -> Optional[np.ndarray]:
@@ -41,7 +41,7 @@ class PeriodicEncoder:
 
     def set_image(self, image: np.ndarray, rng: Optional[np.random.Generator] = None) -> None:
         """Load an image and reset phases (randomised when enabled)."""
-        flat = np.asarray(image).reshape(-1)  # host API input  # lint-ok: R6
+        flat = np.asarray(image).reshape(-1)
         if flat.shape != (self.n_pixels,):
             raise DatasetError(
                 f"image has {flat.size} pixels, encoder expects {self.n_pixels}"
@@ -50,7 +50,7 @@ class PeriodicEncoder:
         if self.random_phase and rng is not None:
             self._phase = rng.random(self.n_pixels)
         else:
-            self._phase = np.zeros(self.n_pixels, dtype=np.float64)  # host state  # lint-ok: R6
+            self._phase = np.zeros(self.n_pixels, dtype=np.float64)
 
     def clear(self) -> None:
         self._freq_hz = None
@@ -58,7 +58,7 @@ class PeriodicEncoder:
     def step(self, dt_ms: float, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Advance phases by one step; spike where a cycle boundary passed."""
         if self._freq_hz is None:
-            return np.zeros(self.n_pixels, dtype=bool)  # host raster  # lint-ok: R6
+            return np.zeros(self.n_pixels, dtype=bool)
         if dt_ms <= 0.0:
             raise SimulationError(f"dt_ms must be positive, got {dt_ms}")
         before = np.floor(self._phase)
@@ -90,9 +90,9 @@ class PeriodicEncoder:
         if dt_ms <= 0.0:
             raise SimulationError(f"dt_ms must be positive, got {dt_ms}")
         if self._freq_hz is None or n_steps == 0:
-            raster = np.zeros((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
+            raster = np.zeros((n_steps, self.n_pixels), dtype=bool)
         else:
-            increments = np.empty((n_steps + 1, self.n_pixels), dtype=np.float64)  # host raster  # lint-ok: R6
+            increments = np.empty((n_steps + 1, self.n_pixels), dtype=np.float64)
             increments[0] = self._phase
             increments[1:] = self._freq_hz * (dt_ms / 1000.0)
             phases = np.cumsum(increments, axis=0)
@@ -113,7 +113,7 @@ class PeriodicEncoder:
         """A full raster ``(n_steps, n_pixels)`` for *image*."""
         self.set_image(image, rng)
         n_steps = int(round(duration_ms / dt_ms))
-        raster = np.empty((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
+        raster = np.empty((n_steps, self.n_pixels), dtype=bool)
         for i in range(n_steps):
             raster[i] = self.step(dt_ms)
         return raster

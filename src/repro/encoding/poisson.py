@@ -43,7 +43,7 @@ class PoissonEncoder:
 
     def set_image(self, image: np.ndarray) -> None:
         """Load an image; its flattened pixels drive the trains."""
-        flat = np.asarray(image).reshape(-1)  # host API input  # lint-ok: R6
+        flat = np.asarray(image).reshape(-1)
         if flat.shape != (self.n_pixels,):
             raise DatasetError(
                 f"image has {flat.size} pixels, encoder expects {self.n_pixels}"
@@ -57,7 +57,7 @@ class PoissonEncoder:
     def step(self, dt_ms: float, rng: np.random.Generator) -> np.ndarray:
         """One time step of spikes as a boolean mask of shape ``(n_pixels,)``."""
         if self._freq_hz is None:
-            return np.zeros(self.n_pixels, dtype=bool)  # host raster  # lint-ok: R6
+            return np.zeros(self.n_pixels, dtype=bool)
         if dt_ms <= 0.0:
             raise SimulationError(f"dt_ms must be positive, got {dt_ms}")
         p = self._freq_hz * (dt_ms / 1000.0)
@@ -93,12 +93,12 @@ class PoissonEncoder:
         if dt_ms <= 0.0:
             raise SimulationError(f"dt_ms must be positive, got {dt_ms}")
         if self._freq_hz is None:
-            raster = np.zeros((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
+            raster = np.zeros((n_steps, self.n_pixels), dtype=bool)
         else:
             p = self._freq_hz * (dt_ms / 1000.0)
-            raster = np.empty((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
+            raster = np.empty((n_steps, self.n_pixels), dtype=bool)
             block_steps = min(DRAW_BLOCK_STEPS, n_steps)
-            uniforms = np.empty((block_steps, self.n_pixels))  # host draws  # lint-ok: R6
+            uniforms = np.empty((block_steps, self.n_pixels))
             for start in range(0, n_steps, DRAW_BLOCK_STEPS):
                 stop = min(start + DRAW_BLOCK_STEPS, n_steps)
                 block = uniforms[: stop - start]
@@ -114,7 +114,7 @@ class PoissonEncoder:
         """A full raster ``(n_steps, n_pixels)`` for *image* (Fig. 6a data)."""
         self.set_image(image)
         n_steps = int(round(duration_ms / dt_ms))
-        raster = np.empty((n_steps, self.n_pixels), dtype=bool)  # host raster  # lint-ok: R6
+        raster = np.empty((n_steps, self.n_pixels), dtype=bool)
         for i in range(n_steps):
             raster[i] = self.step(dt_ms, rng)
         return raster

@@ -100,7 +100,7 @@ class BatchedInference:
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Per-image output spike counts, shape ``(n_images, n_neurons)``."""
-        batch = np.asarray(images, dtype=np.float64)  # host API input  # lint-ok: R6
+        batch = np.asarray(images, dtype=np.float64)
         if batch.ndim == 2:
             batch = batch[None]
         if batch.ndim != 3:

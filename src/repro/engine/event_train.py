@@ -157,7 +157,7 @@ class FloatStore:
             rule, StochasticSTDP
         ) and rule.ltd_mode in (LTDMode.PAIR, LTDMode.BOTH)
         # Host-side: consumed only by the reference rule, a host subsystem.
-        self._pre_mask = np.empty(network.n_pixels, dtype=bool)  # lint-ok: R6
+        self._pre_mask = np.empty(network.n_pixels, dtype=bool)
         self._g = self._ops.to_device(network.synapses.g)
 
     def sync_in(self) -> None:

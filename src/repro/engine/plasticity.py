@@ -170,7 +170,7 @@ def unit_steps_exact(params: DeterministicSTDPParameters, codec: QCodec) -> bool
     if not codec.fixed_lsb:
         return False
     # A handful of scalar evaluations on the host, never a kernel operand.
-    g = codec.decode(np.arange(codec.max_code + 1))  # lint-ok: R6
+    g = codec.decode(np.arange(codec.max_code + 1))
     tiny = np.finfo(np.float64).tiny
     return bool(
         np.all(potentiation_magnitude(g, params) >= tiny)
@@ -184,7 +184,6 @@ def _step_codes(
     up: np.ndarray,
     down: np.ndarray,
     max_code: int,
-    mask_cols: Optional[np.ndarray],
 ) -> None:
     """Saturating +1 on *up* and -1 on *down* over the *cols* columns of *codes*.
 
@@ -197,8 +196,6 @@ def _step_codes(
     updated = codes[:, cols]
     updated += up & (updated < max_code)
     updated -= down & (updated > 0)
-    if mask_cols is not None:
-        updated = np.where(mask_cols, updated, 0)
     # Saturated by the guards above, which R7 cannot see (it wants a clip).
     codes[:, cols] = updated  # lint-ok: R7
 
@@ -211,7 +208,6 @@ def quantized_stochastic_columns(
     post: np.ndarray,
     t_ms: float,
     rng: np.random.Generator,
-    conn_mask: Optional[np.ndarray] = None,
     ops: Optional[Ops] = None,
 ) -> None:
     """:func:`stochastic_rule_columns` operating on Q-format codes.
@@ -237,11 +233,8 @@ def quantized_stochastic_columns(
     if not pot_mask.any() and not dep_mask.any():
         return
 
-    mask_cols = None if conn_mask is None else upload(conn_mask[:, cols])
     if unit_steps_exact(rule.magnitudes, codec):
-        _step_codes(
-            codes, cols, upload(pot_mask), upload(dep_mask), codec.max_code, mask_cols
-        )
+        _step_codes(codes, cols, upload(pot_mask), upload(dep_mask), codec.max_code)
         return
     g_cols = codec.decode(codes[:, cols])
     dg_pot = potentiation_magnitude(g_cols, rule.magnitudes)
@@ -252,7 +245,7 @@ def quantized_stochastic_columns(
     delta_codes = np.where(
         delta_cols != 0.0, codec.delta_codes(delta_cols, on_backend(rng, ops), xp=xp), 0.0
     )
-    codec.apply_delta_codes(codes, cols, delta_codes, mask_cols)
+    codec.apply_delta_codes(codes, cols, delta_codes)
 
 
 def quantized_deterministic_columns(
@@ -263,7 +256,6 @@ def quantized_deterministic_columns(
     post: np.ndarray,
     t_ms: float,
     rng: np.random.Generator,
-    conn_mask: Optional[np.ndarray] = None,
     ops: Optional[Ops] = None,
 ) -> None:
     """:func:`deterministic_rule_columns` operating on Q-format codes.
@@ -278,9 +270,8 @@ def quantized_deterministic_columns(
     elapsed = timers.elapsed_pre(t_ms)
     recent = upload(elapsed[:, None] <= rule.params.window_ms)
     cols = np.flatnonzero(post)
-    mask_cols = None if conn_mask is None else upload(conn_mask[:, cols])
     if unit_steps_exact(rule.params, codec):
-        _step_codes(codes, cols, recent, ~recent, codec.max_code, mask_cols)
+        _step_codes(codes, cols, recent, ~recent, codec.max_code)
         return
     g_cols = codec.decode(codes[:, cols])
     dg_pot = potentiation_magnitude(g_cols, rule.params)
@@ -289,4 +280,4 @@ def quantized_deterministic_columns(
     delta_codes = np.where(
         delta_cols != 0.0, codec.delta_codes(delta_cols, on_backend(rng, ops), xp=xp), 0.0
     )
-    codec.apply_delta_codes(codes, cols, delta_codes, mask_cols)
+    codec.apply_delta_codes(codes, cols, delta_codes)

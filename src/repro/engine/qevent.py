@@ -123,16 +123,15 @@ class CodeStore:
         """
         net = self.net
         ops = self._ops
-        conn_mask = net.synapses.connectivity
         if self._stochastic_rule:
             quantized_stochastic_columns(
                 net.rule, self.codes, self.codec, net.timers, post, t_ms,
-                net.rngs.learning, conn_mask, ops=ops,
+                net.rngs.learning, ops=ops,
             )
         else:
             quantized_deterministic_columns(
                 net.rule, self.codes, self.codec, net.timers, post, t_ms,
-                net.rngs.learning, conn_mask, ops=ops,
+                net.rngs.learning, ops=ops,
             )
 
     def sync_out(self) -> None:

@@ -38,7 +38,7 @@ BATCHED_EVAL_SALT = 0xBA7C4
 #: The RNG-provenance manifest (lint rule R9).  Ground truth for *who may
 #: draw which stream*: ``repro.lint.flow`` parses these literals from this
 #: module's AST and checks every ``rngs.<stream>`` /
-#: ``rngs.device_stream(...)`` site in the tree against them.  Adding a
+#: ``rngs.get(...)`` site in the tree against them.  Adding a
 #: consumer module without listing it here is a lint error — deliberately,
 #: because an undocumented draw changes draw counts and silently breaks
 #: bit-identity between runs that should be comparable.
@@ -56,17 +56,10 @@ STREAM_CONSUMERS = {
         "engine/qevent.py",
         "network/wta.py",
     ),
-    "rounding": ("cli.py", "io/checkpoint.py", "pipeline/trainer.py"),
+    "rounding": ("io/checkpoint.py", "pipeline/trainer.py"),
     "misc": ("cli.py", "pipeline/evaluator.py", "pipeline/experiment.py"),
     "batched_eval": ("engine/batched.py", "engine/presentation.py"),
 }
-
-#: Kernel modules asserted bit-identical to one another (the equivalence
-#: suites) must consume the same streams with the same conditionality, or
-#: draw-count parity — and with it bit-identity — dies.  R9 enforces each
-#: group.  Empty: one kernel module per precision remains, and the float
-#: one's oracle is the reference loop in ``network/wta.py``.
-PARITY_GROUPS: Tuple[Tuple[str, ...], ...] = ()
 
 #: Streams intentionally without consumers, with the reason.  Removing a
 #: name from ``STREAM_NAMES`` would shift every later spawn child and
@@ -156,13 +149,6 @@ class RngStreams:
                 f"no RNG stream named {name!r}; have {STREAM_NAMES}"
             )
         return self._streams[name]
-
-    def device_stream(
-        self, name: str, ops: Optional[Ops] = None
-    ) -> Union[np.random.Generator, DeviceRng]:
-        """Stream *name* adapted to *ops*' backend (see :func:`on_backend`):
-        exactly :meth:`get` on the host."""
-        return on_backend(self.get(name), ops)
 
     def batched_eval(
         self, ops: Optional[Ops] = None

@@ -47,6 +47,7 @@ import numpy as np
 from repro.config.parameters import ExperimentConfig
 from repro.config.serialize import config_from_dict, config_to_dict
 from repro.errors import CheckpointError, DatasetError
+from repro.network.labeling import UNLABELED
 from repro.network.wta import WTANetwork
 from repro.quantization.codec import codec_for
 from repro.quantization.quantizer import ENCODE_BLOCK_ROWS, make_quantizer
@@ -252,6 +253,9 @@ def _decode_learned(
 ) -> Dict[str, Any]:
     """The learned state, type-checked against the config's neuron count.
 
+    Neuron labels, when stored, must be what a save writes: one integer
+    per neuron, a class index or ``UNLABELED``.
+
     The conductances stay in their stored form (``g_stored`` and
     ``g_frac_bits``) until :func:`_decode_conductances_into` writes them
     into their destination.
@@ -268,11 +272,21 @@ def _decode_learned(
             f"{path}: stored theta {theta.shape} does not match the "
             f"config's neuron count {(n_neurons,)}"
         )
+    labels = payload.get("neuron_labels")
+    if labels is not None and (
+        labels.dtype.kind not in "iu"
+        or labels.shape != (n_neurons,)
+        or (labels.size and labels.min() < UNLABELED)
+    ):
+        raise CheckpointError(
+            f"{path}: stored neuron_labels must be {n_neurons} integer labels "
+            f">= {UNLABELED} (unlabelled), got {labels.dtype} {labels.shape}"
+        )
     return {
         "g_stored": g_stored,
         "g_frac_bits": g_frac_bits,
         "theta": theta,
-        "neuron_labels": payload.get("neuron_labels"),
+        "neuron_labels": labels,
     }
 
 

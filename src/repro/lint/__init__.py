@@ -5,7 +5,7 @@ equivalence tiers depend on.  Bit-identity between the reference, fused and
 qfused execution paths only holds when every random draw flows through an
 explicitly seeded :class:`~repro.engine.rng.RngStreams` stream and every hot
 buffer has a pinned dtype — properties a test suite can only sample, but an
-AST walk can prove for the whole tree.  Four rules:
+AST walk can prove for the whole tree.  Every run applies every rule:
 
 - **R1** — no seedless or module-level ``np.random`` construction outside
   ``engine/rng.py``; randomness must come from ``RngStreams`` or an
@@ -19,13 +19,13 @@ AST walk can prove for the whole tree.  Four rules:
   no simulation).
 - **R4** — no mutable default arguments; parameters defaulting to ``None``
   must be annotated ``Optional``.
-- **R5/R6** — exception hygiene and backend discipline (syntactic).
-
-``python -m repro lint --flow`` adds the interprocedural dataflow passes
-of :mod:`repro.lint.flow` — **R7** (integer-width flow for Q-format
-codes), **R8** (device-residency flow to host-only sinks), **R9**
-(RNG-stream provenance against the ``engine/rng.py`` manifest) — plus
-**W0**, which reports suppressions that no longer suppress anything.
+- **R5** — exception hygiene: no bare or blanket ``except`` outside the
+  resilience package.
+- **R7**, **R8**, **R9** — the interprocedural dataflow passes of
+  :mod:`repro.lint.flow`: integer-width flow for Q-format codes,
+  device-residency flow to host-only sinks, and RNG-stream provenance
+  against the ``engine/rng.py`` manifest.
+- **W0** — suppressions that no longer suppress anything.
 
 A finding can be suppressed in place with a ``# lint-ok`` comment (all
 rules) or ``# lint-ok: R1`` (specific rules) on the offending line.

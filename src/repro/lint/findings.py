@@ -15,8 +15,11 @@ from typing import Any, Dict, List, Tuple
 #: Bump on any incompatible change to :meth:`LintReport.as_dict`.
 #: v2: findings carry ``severity``; the report gains ``flow`` and
 #: ``baseline`` sections and a ``by_severity`` summary; rules R7-R9 and
-#: the W0 warning join the rule table.
-REPORT_SCHEMA_VERSION = 2
+#: the W0 warning join the rule table.  v3: every rule always runs, so
+#: the ``flow`` section (with its cache counters) and the ``baseline``
+#: section leave the report, ``functions_checked`` joins it, and R6
+#: leaves the rule table.
+REPORT_SCHEMA_VERSION = 3
 
 #: Rule identifiers and the convention each one enforces.
 RULE_DESCRIPTIONS: Dict[str, str] = {
@@ -41,12 +44,6 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
         "resilience package: catch specific error types; broad catches are "
         "reserved for sanctioned fault-isolation boundaries"
     ),
-    "R6": (
-        "backend discipline in backend-generic kernels: array creation and "
-        "conversion must go through the xp module / Ops converters of "
-        "repro.backend, not numpy directly — np.asarray and friends do not "
-        "dispatch to the active backend and silently strip device residency"
-    ),
     "R7": (
         "integer width flow: a uint8/uint16 Q-format code value that is "
         "widened (cast, sum, arithmetic) must pass through a saturating "
@@ -61,13 +58,12 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "R9": (
         "RNG-stream provenance: every named RngStreams draw site must be "
         "declared in the STREAM_CONSUMERS manifest of engine/rng.py; "
-        "unknown streams, undeclared or silent consumers, unreserved dead "
-        "streams and draw-parity breaks between engine tiers are flagged"
+        "unknown streams, undeclared or silent consumers and unreserved "
+        "dead streams are flagged"
     ),
     "W0": (
         "stale suppression: a '# lint-ok' pragma that suppresses no "
-        "finding under the full rule set, or a baseline entry matching no "
-        "current finding, should be removed"
+        "finding under the full rule set should be removed"
     ),
 }
 
@@ -106,22 +102,9 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
+    #: Functions and methods the flow passes analysed.
+    functions_checked: int = 0
     contracts_checked: int = 0
-    #: Flow-analysis coverage: enabled flag, modules/functions analyzed
-    #: and summary-cache hit/miss counters.
-    flow: Dict[str, Any] = field(
-        default_factory=lambda: {
-            "enabled": False,
-            "modules": 0,
-            "functions": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-        }
-    )
-    #: Baseline suppression: file used (or None) and match counters.
-    baseline: Dict[str, Any] = field(
-        default_factory=lambda: {"path": None, "suppressed": 0, "stale": 0}
-    )
 
     @property
     def exit_code(self) -> int:
@@ -146,9 +129,8 @@ class LintReport:
             "tool": "repro-lint",
             "rules": dict(RULE_DESCRIPTIONS),
             "files_checked": self.files_checked,
+            "functions_checked": self.functions_checked,
             "contracts_checked": self.contracts_checked,
-            "flow": dict(self.flow),
-            "baseline": dict(self.baseline),
             "summary": {
                 "total": len(self.findings),
                 "by_rule": self.counts_by_rule(),
@@ -163,16 +145,9 @@ class LintReport:
     def format_text(self) -> str:
         lines = [f.format() for f in sorted(self.findings, key=Finding.sort_key)]
         scope = (
-            f"{self.files_checked} files, "
+            f"{self.files_checked} files, {self.functions_checked} functions, "
             f"{self.contracts_checked} registered engine specs"
         )
-        if self.flow.get("enabled"):
-            scope += (
-                f", flow over {self.flow['modules']} modules"
-                f"/{self.flow['functions']} functions"
-            )
-        if self.baseline.get("suppressed"):
-            scope += f", {self.baseline['suppressed']} baselined"
         if not self.findings:
             lines.append(f"checked {scope}: clean")
         else:

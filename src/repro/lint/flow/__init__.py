@@ -5,12 +5,10 @@ properties; this package proves *flow* properties across call chains.  It
 works in two phases:
 
 1. **Extraction** (:mod:`repro.lint.flow.summary`) lowers each module's AST
-   into a compact, JSON-serialisable :class:`ModuleSummary`: per-function
-   statement IR restricted to the facts the lattices care about, call sites
-   with best-effort callee references, RNG-stream consumption sites, and
-   the module-level declarations the R9 pass reads from ``engine/rng.py``.
-   Extraction is the expensive part and is what the content-hash cache
-   (:mod:`repro.lint.flow.cache`) memoises per file.
+   into a compact :class:`ModuleSummary`: per-function statement IR
+   restricted to the facts the lattices care about, call sites with
+   best-effort callee references, RNG-stream consumption sites, and the
+   module-level declarations the R9 pass reads from ``engine/rng.py``.
 
 2. **Propagation** (:mod:`repro.lint.flow.width`, ``residency``,
    ``rngflow``) runs whole-program fixpoints over the summaries:
@@ -23,12 +21,11 @@ works in two phases:
      ``to_device``-uploaded) arrays are traced through calls; reaching a
      host-only conversion (``np.asarray`` and friends, which silently strip
      residency — the guard backend's documented blind spot) is flagged,
-     including transitively through helper functions R6 cannot see.
+     directly or through any chain of analyzed helper functions.
    - **R9** (RNG-stream provenance): every named ``RngStreams`` consumer
      site is checked against the ``STREAM_CONSUMERS`` manifest declared in
-     ``engine/rng.py``; undeclared consumers, unknown stream names, dead
-     streams and draw-parity asymmetries between engine tiers declared
-     equivalent (``PARITY_GROUPS``) are flagged.
+     ``engine/rng.py``; undeclared consumers, unknown stream names and
+     dead streams are flagged.
 
 Soundness limits are documented in DESIGN.md: the analysis is
 flow-insensitive within a function (values join across branches), method
@@ -41,20 +38,15 @@ zero false positives on the live tree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.flow.residency import check_residency
 from repro.lint.flow.rngflow import check_rng_provenance
-from repro.lint.flow.summary import (
-    SUMMARY_FORMAT_VERSION,
-    ModuleSummary,
-    extract_summary,
-)
+from repro.lint.flow.summary import ModuleSummary, extract_summary
 from repro.lint.flow.width import check_width
 
 __all__ = [
-    "SUMMARY_FORMAT_VERSION",
     "ModuleSummary",
     "analyze_flow",
     "extract_summary",
@@ -74,8 +66,3 @@ def analyze_flow(summaries: Sequence[ModuleSummary]) -> List[Finding]:
     findings.extend(check_residency(corpus))
     findings.extend(check_rng_provenance(corpus))
     return sorted(findings, key=Finding.sort_key)
-
-
-def flow_function_count(summaries: Sequence[ModuleSummary]) -> Tuple[int, int]:
-    """(modules, functions) covered — the report's flow coverage counters."""
-    return len(summaries), sum(len(s.functions) for s in summaries)

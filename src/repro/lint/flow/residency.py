@@ -6,9 +6,10 @@ uploaded with ``to_device``).  The guard backend is the runtime ground
 truth this pass must agree with: ``GuardArray`` is an ndarray subclass
 whose documented blind spot is the ``np.asarray`` conversion family,
 which does **not** dispatch ``__array_function__`` and silently strips
-residency instead of raising.  R6 already rejects *direct* ``np.``
-creation/conversion calls inside backend-generic kernels; R8 extends the
-same discipline transitively — a device array handed through any chain of
+residency instead of raising.  Every other misuse — a host array mixed
+with a device one in a ufunc or an array function — raises under the
+guard backend, which the engine suites run under in CI; R8 covers the
+blind spot.  A device array handed directly or through any chain of
 analyzed calls into ``np.asarray``/``np.array``/``np.ascontiguousarray``/
 ``np.asfortranarray`` is flagged at the sink.
 

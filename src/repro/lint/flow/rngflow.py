@@ -1,9 +1,11 @@
 """R9 — RNG-stream provenance: draws audited against the rng.py manifest.
 
 Bit-identity across engine tiers (the ``fused``-vs-``reference`` and
-``qfused``-vs-``reference`` equivalence claims) holds only if every named
-``RngStreams`` stream is drawn by exactly the documented call sites with
-matching draw counts.  The ground truth is declared as module-level
+``qfused``-vs-``reference`` equivalence claims) and between runs of one
+configuration holds only if every named ``RngStreams`` stream is drawn by
+exactly the documented call sites.  An undeclared draw shifts a stream
+for every later consumer, and no equivalence test fails when both sides
+of the comparison make it.  The ground truth is declared as module-level
 literals in ``engine/rng.py`` itself — parsed from the AST by
 :mod:`repro.lint.flow.summary`, never imported, so fixture corpora can
 carry their own manifest:
@@ -11,9 +13,6 @@ carry their own manifest:
 - ``STREAM_NAMES``      the spawn-ordered stream tuple (already present);
 - ``STREAM_CONSUMERS``  stream -> list of module-path suffixes allowed to
   draw it (``"batched_eval"`` covers the salted pseudo-stream);
-- ``PARITY_GROUPS``     lists of module suffixes that must consume the
-  same stream set with the same conditionality, because their engines
-  are asserted bit-identical;
 - ``RESERVED_STREAMS``  stream -> one-line justification for a stream
   that is intentionally unconsumed (spawn-prefix stability forbids
   removing an entry that other streams follow in ``STREAM_NAMES``).
@@ -26,10 +25,7 @@ Checks, all emitted as R9:
 4. a declared consumer module never actually draws the stream
    (manifest rot);
 5. a stream with no sites at all and no ``RESERVED_STREAMS`` entry
-   (dead stream);
-6. within a parity group: members draw different stream sets, or one
-   member draws a stream conditionally while a peer draws it
-   unconditionally (draw-count parity breaks).
+   (dead stream).
 
 Sites with non-constant stream names (``rngs.get(variable)``) are
 invisible — an accepted, documented soundness limit.
@@ -74,12 +70,7 @@ def check_rng_provenance(corpus: Dict[str, ModuleSummary]) -> List[Finding]:
     consumers_decl = decls.get("STREAM_CONSUMERS", {"value": {}, "line": names_line})
     consumers: Dict[str, List[str]] = dict(consumers_decl["value"])
     consumers_line = consumers_decl["line"]
-    parity_decl = decls.get("PARITY_GROUPS", {"value": [], "line": names_line})
-    parity_groups: List[List[str]] = [list(g) for g in parity_decl["value"]]
-    parity_line = parity_decl["line"]
-    reserved_decl = decls.get("RESERVED_STREAMS", {"value": {}, "line": names_line})
-    reserved = reserved_decl["value"]
-    reserved_names = set(reserved) if isinstance(reserved, (dict, list)) else set()
+    reserved_names = set(decls.get("RESERVED_STREAMS", {"value": {}})["value"])
 
     known = set(stream_names) | {BATCHED_EVAL}
     findings: List[Finding] = []
@@ -158,44 +149,5 @@ def check_rng_provenance(corpus: Dict[str, ModuleSummary]) -> List[Finding]:
             "justification (dead stream; spawn-prefix stability forbids "
             "removal — reserve it instead)",
         )
-
-    # 6: parity groups.
-    for group in parity_groups:
-        members: List[Tuple[str, str]] = []  # (suffix, resolved path)
-        for suffix in group:
-            paths = [p for p in sorted(corpus) if _module_matches(p, suffix)]
-            if paths:
-                members.append((suffix, paths[0]))
-        if len(members) < 2:
-            continue
-        per_member: Dict[str, Dict[str, bool]] = {}
-        for suffix, path in members:
-            streams: Dict[str, bool] = {}
-            for site in corpus[path].rng_sites:
-                unconditional = streams.get(site.stream, False)
-                streams[site.stream] = unconditional or not site.conditional
-            per_member[suffix] = streams
-        all_streams = sorted({s for m in per_member.values() for s in m})
-        for stream in all_streams:
-            holders = [sfx for sfx, m in per_member.items() if stream in m]
-            missing = [sfx for sfx, _ in members if stream not in per_member[sfx]]
-            if missing:
-                add(
-                    manifest.path, parity_line, 1,
-                    f"parity group ({', '.join(s for s, _ in members)}): stream "
-                    f"'{stream}' is drawn by {', '.join(holders)} but not by "
-                    f"{', '.join(missing)} — draw-count parity cannot hold",
-                )
-                continue
-            modes = {sfx: per_member[sfx][stream] for sfx, _ in members}
-            if len(set(modes.values())) > 1:
-                conditional_only = sorted(s for s, v in modes.items() if not v)
-                add(
-                    manifest.path, parity_line, 1,
-                    f"parity group ({', '.join(s for s, _ in members)}): stream "
-                    f"'{stream}' is drawn only conditionally in "
-                    f"{', '.join(conditional_only)} but unconditionally in its "
-                    "peers — conditional draws break draw-count parity",
-                )
 
     return sorted(findings, key=Finding.sort_key)

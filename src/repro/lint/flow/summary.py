@@ -1,8 +1,7 @@
-"""Per-module fact extraction: AST -> serialisable dataflow IR.
+"""Per-module fact extraction: AST -> dataflow IR.
 
 One :class:`ModuleSummary` holds everything the interprocedural passes
-need from one source file, in a compact JSON-serialisable form so the
-content-hash cache can skip re-parsing unchanged files:
+need from one source file:
 
 - every function/method lowered to an ordered list of **IR statements**
   over **expression descriptors** — only the shapes the width/residency
@@ -10,12 +9,9 @@ content-hash cache can skip re-parsing unchanged files:
   with best-effort callee references, dtype expressions); everything else
   collapses to ``["unknown"]``;
 - **RNG consumption sites**: each ``<x>.rngs.<stream>`` attribute access,
-  ``.get("stream")`` / ``.device_stream("stream")`` call and
-  ``.batched_eval()`` call, with its enclosing function and whether it
-  sits under a conditional;
+  ``.get("stream")`` call and ``.batched_eval()`` call;
 - the **R9 declarations** (``STREAM_NAMES``, ``STREAM_CONSUMERS``,
-  ``PARITY_GROUPS``, ``RESERVED_STREAMS``) when the module is an
-  ``engine/rng.py``;
+  ``RESERVED_STREAMS``) when the module is an ``engine/rng.py``;
 - import tables (numpy aliases, from-imports) for callee resolution.
 
 Descriptor grammar (plain lists, first element is the tag)::
@@ -60,10 +56,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-#: Bump whenever the IR shapes or extraction semantics change: cache
-#: entries carrying an older version are discarded, not misread.
-SUMMARY_FORMAT_VERSION = 1
-
 #: Dtype literals the width lattice treats as narrow code storage.
 NARROW_DTYPES = frozenset({"uint8", "uint16"})
 
@@ -79,7 +71,7 @@ WIDE_DTYPES = frozenset(
 RNG_API_ATTRS = frozenset(
     {
         "state_dict", "load_state_dict", "reseed", "seed",
-        "get", "device_stream", "batched_eval",
+        "get", "batched_eval",
     }
 )
 
@@ -87,12 +79,7 @@ RNG_API_ATTRS = frozenset(
 _RNGS_NAMES = frozenset({"rngs", "_rngs", "rng_streams"})
 
 #: Module-level constants the R9 pass reads from ``engine/rng.py``.
-RNG_DECLARATION_NAMES = (
-    "STREAM_NAMES",
-    "STREAM_CONSUMERS",
-    "PARITY_GROUPS",
-    "RESERVED_STREAMS",
-)
+RNG_DECLARATION_NAMES = ("STREAM_NAMES", "STREAM_CONSUMERS", "RESERVED_STREAMS")
 
 
 @dataclass
@@ -105,25 +92,6 @@ class FunctionSummary:
     is_method: bool
     stmts: List[Any] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": self.params,
-            "is_method": self.is_method,
-            "stmts": self.stmts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=data["qualname"],
-            line=data["line"],
-            params=list(data["params"]),
-            is_method=bool(data["is_method"]),
-            stmts=data["stmts"],
-        )
-
 
 @dataclass
 class RngSite:
@@ -132,30 +100,6 @@ class RngSite:
     stream: str
     line: int
     col: int
-    function: Optional[str]   #: enclosing function qualname, None at module level
-    conditional: bool         #: under an ``if``/``while``/``try`` guard
-    via: str                  #: "attr" | "get" | "device_stream" | "batched_eval"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "stream": self.stream,
-            "line": self.line,
-            "col": self.col,
-            "function": self.function,
-            "conditional": self.conditional,
-            "via": self.via,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RngSite":
-        return cls(
-            stream=data["stream"],
-            line=data["line"],
-            col=data["col"],
-            function=data["function"],
-            conditional=bool(data["conditional"]),
-            via=data["via"],
-        )
 
 
 @dataclass
@@ -169,29 +113,6 @@ class ModuleSummary:
     declarations: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: local alias -> (module, name) for ``from m import n [as a]``.
     from_imports: Dict[str, List[str]] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "format": SUMMARY_FORMAT_VERSION,
-            "path": self.path,
-            "functions": {q: f.as_dict() for q, f in self.functions.items()},
-            "rng_sites": [s.as_dict() for s in self.rng_sites],
-            "declarations": self.declarations,
-            "from_imports": self.from_imports,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"],
-            functions={
-                q: FunctionSummary.from_dict(f)
-                for q, f in data["functions"].items()
-            },
-            rng_sites=[RngSite.from_dict(s) for s in data["rng_sites"]],
-            declarations=data["declarations"],
-            from_imports={k: list(v) for k, v in data["from_imports"].items()},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +198,6 @@ class _Lowerer:
         for kw in node.keywords:
             if kw.arg is not None:
                 kwargs[kw.arg] = self.lower(kw.value)
-        # Builtin width-erasing casts inside dtype positions: float / int.
-        if callee == ["func", "float"] or callee == ["func", "int"]:
-            pass  # result is a scalar; lowered as a call, evaluated by passes
         return ["call", callee, args, kwargs, node.lineno, node.col_offset + 1]
 
     # -- statements ---------------------------------------------------
@@ -395,63 +313,25 @@ class _RngCollector(ast.NodeVisitor):
 
     def __init__(self) -> None:
         self.sites: List[RngSite] = []
-        self._func_stack: List[str] = []
-        self._cond_depth = 0
-        #: Call nodes already claimed by get/device_stream/batched_eval so
+        #: Call nodes already claimed by get/batched_eval so
         #: their ``func`` attribute is not double-counted by visit_Attribute.
         self._claimed: set = set()
 
-    # -- scope / conditional tracking ---------------------------------
-
-    def _visit_function(self, node: Any) -> None:
-        self._func_stack.append(node.name)
-        self.generic_visit(node)
-        self._func_stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._func_stack.append(node.name)
-        self.generic_visit(node)
-        self._func_stack.pop()
-
-    def _visit_conditional(self, node: Any) -> None:
-        self._cond_depth += 1
-        self.generic_visit(node)
-        self._cond_depth -= 1
-
-    visit_If = _visit_conditional
-    visit_While = _visit_conditional
-    visit_Try = _visit_conditional
-    visit_IfExp = _visit_conditional
-
-    # -- sites --------------------------------------------------------
-
-    def _add(self, stream: str, node: ast.AST, via: str) -> None:
-        self.sites.append(
-            RngSite(
-                stream=stream,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                function=".".join(self._func_stack) or None,
-                conditional=self._cond_depth > 0,
-                via=via,
-            )
-        )
+    def _add(self, stream: str, node: ast.expr) -> None:
+        self.sites.append(RngSite(stream, node.lineno, node.col_offset + 1))
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and _is_rngs_base(func.value):
             if func.attr == "batched_eval":
                 self._claimed.add(id(func))
-                self._add("batched_eval", node, "batched_eval")
-            elif func.attr in ("get", "device_stream"):
+                self._add("batched_eval", node)
+            elif func.attr == "get":
                 self._claimed.add(id(func))
                 if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
                     node.args[0].value, str
                 ):
-                    self._add(node.args[0].value, node, func.attr)
+                    self._add(node.args[0].value, node)
                 # Non-constant stream names are invisible to the analysis;
                 # R9 documents this as an accepted soundness limit.
         self.generic_visit(node)
@@ -463,7 +343,7 @@ class _RngCollector(ast.NodeVisitor):
             and node.attr not in RNG_API_ATTRS
             and not node.attr.startswith("_")
         ):
-            self._add(node.attr, node, "attr")
+            self._add(node.attr, node)
         self.generic_visit(node)
 
 
@@ -510,39 +390,9 @@ def _collect_declarations(tree: ast.Module) -> Dict[str, Dict[str, Any]]:
                 try:
                     literal = ast.literal_eval(value)
                 except ValueError:
-                    # frozenset({...}) and similar constructor calls.
-                    if (
-                        isinstance(value, ast.Call)
-                        and isinstance(value.func, ast.Name)
-                        and value.func.id in ("frozenset", "set", "tuple", "list", "dict")
-                        and value.args
-                    ):
-                        try:
-                            literal = ast.literal_eval(value.args[0])
-                        except ValueError:
-                            continue
-                    elif (
-                        isinstance(value, ast.Call)
-                        and isinstance(value.func, ast.Name)
-                        and value.func.id in ("frozenset", "set", "tuple", "list", "dict")
-                    ):
-                        literal = []
-                    else:
-                        continue
-                out[target.id] = {"value": _jsonable(literal), "line": node.lineno}
+                    continue  # not a plain literal: invisible to R9
+                out[target.id] = {"value": literal, "line": node.lineno}
     return out
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _function_params(node: Any, is_method: bool) -> List[str]:

@@ -1,5 +1,5 @@
-"""AST rules R1, R2, R4, R5 and R6: determinism, numerics, exception and
-backend hygiene.
+"""AST rules R1, R2, R4 and R5: determinism, numerics and exception
+hygiene.
 
 Each rule is a :class:`ast.NodeVisitor` over one parsed module.  The rules
 are deliberately syntactic — they prove properties of the *source*, not of
@@ -52,29 +52,11 @@ _PRAGMA_RE = re.compile(r"#\s*lint-ok(?:\s*:\s*(?P<rules>[A-Za-z0-9,\s]+))?")
 
 
 def suppressed_rules(source: str) -> Dict[int, Optional[FrozenSet[str]]]:
-    """Per-line pragma map: line number -> ``None`` (all rules) or a rule set."""
-    out: Dict[int, Optional[FrozenSet[str]]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA_RE.search(text)
-        if match is None:
-            continue
-        rules = match.group("rules")
-        if rules is None:
-            out[lineno] = None
-        else:
-            out[lineno] = frozenset(
-                r.strip().upper() for r in rules.split(",") if r.strip()
-            )
-    return out
+    """Per-line pragma map: line number -> ``None`` (all rules) or a rule set.
 
-
-def comment_pragmas(source: str) -> Dict[int, Optional[FrozenSet[str]]]:
-    """Like :func:`suppressed_rules` but restricted to real ``#`` comments.
-
-    The suppression map is line-based and therefore also matches pragma
-    *text* quoted inside docstrings (this module's own rule docs, say);
-    those lines must never be reported as stale pragmas, so the W0 pass
-    re-detects pragmas from tokenizer COMMENT tokens only.
+    Only real ``#`` comments count (tokenizer COMMENT tokens), so pragma
+    *text* quoted in a docstring (this module's own rule docs, say)
+    neither suppresses a finding nor is reported as a stale pragma.
     """
     out: Dict[int, Optional[FrozenSet[str]]] = {}
     try:
@@ -93,7 +75,7 @@ def comment_pragmas(source: str) -> Dict[int, Optional[FrozenSet[str]]]:
                     r.strip().upper() for r in rules.split(",") if r.strip()
                 )
     except tokenize.TokenError:
-        pass  # unterminated construct: fall back to reporting nothing
+        pass  # unterminated construct: the parse already failed loudly
     return out
 
 
@@ -562,97 +544,6 @@ class R5ExceptionHygiene(_RuleVisitor):
 
 
 # ---------------------------------------------------------------------------
-# R6: backend discipline in backend-generic kernels
-# ---------------------------------------------------------------------------
-
-#: Modules written against the ``xp`` array module of
-#: :mod:`repro.backend.ops`: hot-path kernels (and the helpers they call
-#: with device-resident arrays) where any array created or converted via
-#: numpy directly would be pinned to the host no matter which backend the
-#: kernel runs on.
-R6_BACKEND_GENERIC_SUFFIXES: Tuple[str, ...] = (
-    "engine/event_train.py",
-    "engine/qevent.py",
-    "engine/batched.py",
-    "engine/plasticity.py",
-    "quantization/codec.py",
-    "encoding/poisson.py",
-    "encoding/periodic.py",
-)
-
-#: numpy functions that materialise or convert arrays *on the host*.
-#: Ufuncs and ``*_like`` constructors dispatch through the array protocols
-#: (``__array_ufunc__`` / ``__array_function__``) and follow their
-#: operands' backend; these do not — ``np.asarray(device_array)`` silently
-#: copies to a plain host ndarray, the exact bug class the guard backend
-#: exists to catch.
-R6_HOST_CREATION_FNS: FrozenSet[str] = frozenset(
-    {
-        "array",
-        "asarray",
-        "ascontiguousarray",
-        "asfortranarray",
-        "empty",
-        "zeros",
-        "ones",
-        "full",
-        "arange",
-        "linspace",
-        "eye",
-        "identity",
-        "frombuffer",
-        "fromiter",
-        "fromfunction",
-    }
-)
-
-
-class R6BackendDiscipline(_RuleVisitor):
-    """No direct numpy array creation/conversion in backend-generic code.
-
-    The hazard: numpy's creation and conversion functions bypass the
-    dispatch protocols, so in a kernel that may hold device-resident
-    arrays they either pin new state to the host or — the silent failure
-    mode — strip a device array's residency without an error, poisoning
-    the next ufunc (a BackendError under the guard backend, an implicit
-    transfer or crash under CuPy).  Route them through the kernel's ``xp``
-    module or the ``Ops`` converters.  Host-side arrays the kernel
-    genuinely wants (rasters bound for host plasticity, index scratch,
-    timer exports) carry a ``# lint-ok: R6`` pragma naming the intent.
-    """
-
-    rule = "R6"
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self._np_aliases = {"np", "numpy"}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "numpy":
-                self._np_aliases.add(alias.asname or "numpy")
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self._np_aliases
-            and func.attr in R6_HOST_CREATION_FNS
-        ):
-            self.flag(
-                node,
-                f"{func.value.id}.{func.attr}(...) in a backend-generic "
-                "kernel creates/converts on the host without dispatching "
-                "to the active backend: use the kernel's xp module or the "
-                "Ops converters (to_device/to_host), or mark a deliberate "
-                "host-side array with '# lint-ok: R6'",
-            )
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
 # per-module driver
 # ---------------------------------------------------------------------------
 
@@ -675,10 +566,6 @@ def _r5_applies(path: PurePosixPath) -> bool:
     return not R5_EXEMPT_DIRS.intersection(path.parts)
 
 
-def _r6_applies(path: PurePosixPath) -> bool:
-    return str(path).endswith(R6_BACKEND_GENERIC_SUFFIXES)
-
-
 def check_module_raw(tree: ast.AST, path: str) -> List[Finding]:
     """Run every syntactic rule over one parsed module, pragma-blind.
 
@@ -696,8 +583,6 @@ def check_module_raw(tree: ast.AST, path: str) -> List[Finding]:
         visitors.append(R2DtypeDiscipline(path, int_native=_r2_int_native(posix)))
     if _r5_applies(posix):
         visitors.append(R5ExceptionHygiene(path))
-    if _r6_applies(posix):
-        visitors.append(R6BackendDiscipline(path))
 
     findings: List[Finding] = []
     for visitor in visitors:

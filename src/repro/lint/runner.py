@@ -2,39 +2,27 @@
 
 The runner is what the CLI subcommand calls: it expands file/directory
 arguments into a deterministic file list, runs the syntactic rules per
-file, optionally appends the R3 registry-conformance findings, and — with
-``flow=True`` — the interprocedural R7/R8/R9 passes plus the W0
-stale-pragma check.  Findings come back in one report with stable
-ordering (sorted by path, line, column, rule).
-
-Flow runs support three orthogonal speedups/controls:
-
-- ``cache_path``: per-file content-hash memoisation of everything derived
-  from one file alone (parse, syntactic findings, pragma maps, flow IR),
-  plus a whole-corpus key memoising the propagation result (sound because
-  propagation is a pure function of the summaries) — so a fully warm run
-  does little more than hash the sources;
-- ``baseline_path``: suppress known findings by (rule, path, message)
-  with a justification each; stale entries surface as W0;
-- ``restrict_paths``: report only findings anchored in the given display
-  paths (``--changed`` uses this — the *analysis* still covers the whole
-  corpus, because flow facts are interprocedural).
+file, the interprocedural R7/R8/R9 passes over the whole file set, the W0
+stale-pragma check and the R3 registry-conformance checks.  Findings come
+back in one report with stable ordering (sorted by path, line, column,
+rule).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.lint.contracts import check_engine_contracts
 from repro.lint.findings import Finding, LintReport
+from repro.lint.flow import analyze_flow, extract_summary
+from repro.lint.flow.summary import ModuleSummary
 from repro.lint.rules import (
     apply_suppressions,
     check_module,
     check_module_raw,
-    comment_pragmas,
     suppressed_rules,
 )
 
@@ -68,196 +56,84 @@ def _display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def lint_source(source: str, path: str) -> List[Finding]:
-    """Findings for one module given as text (fixture tests use this)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as err:
-        return [
-            Finding(
-                rule="PARSE",
-                path=path,
-                line=err.lineno or 1,
-                col=err.offset or 1,
-                message=f"syntax error: {err.msg}",
-            )
-        ]
-    return check_module(tree, source, path)
-
-
-def _compute_facts(display: str, source: str, want_summary: bool) -> "FileFacts":
-    """Derive everything one lint run needs from one file's text."""
-    from repro.lint.flow.cache import FileFacts
-
-    tree: Optional[ast.Module] = None
-    try:
-        tree = ast.parse(source, filename=display)
-        raw = check_module_raw(tree, display)
-    except SyntaxError as err:
-        raw = [
-            Finding(
-                rule="PARSE",
-                path=display,
-                line=err.lineno or 1,
-                col=err.offset or 1,
-                message=f"syntax error: {err.msg}",
-            )
-        ]
-    summary = None
-    if want_summary:
-        from repro.lint.flow import extract_summary
-        from repro.lint.flow.summary import ModuleSummary
-
-        summary = (
-            extract_summary(tree, display) if tree is not None
-            else ModuleSummary(path=display)
-        )
-    return FileFacts(
-        display=display,
-        raw=raw,
-        suppress=suppressed_rules(source),
-        pragma_lines=sorted(comment_pragmas(source)),
-        summary=summary,
+def _parse_error(path: str, err: SyntaxError) -> Finding:
+    return Finding(
+        rule="PARSE",
+        path=path,
+        line=err.lineno or 1,
+        col=err.offset or 1,
+        message=f"syntax error: {err.msg}",
     )
 
 
-def lint_paths(
-    paths: Sequence[PathLike] = ("src",),
-    include_contracts: bool = True,
-    *,
-    flow: bool = False,
-    cache_path: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-    restrict_paths: Optional[Sequence[str]] = None,
-) -> LintReport:
+def lint_source(source: str, path: str) -> List[Finding]:
+    """Syntactic findings for one module given as text (fixture tests use this)."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as err:
+        return [_parse_error(path, err)]
+    return check_module(tree, source, path)
+
+
+def lint_paths(paths: Sequence[PathLike] = ("src",)) -> LintReport:
     """Lint *paths* (files or directories) and return the full report.
 
-    *include_contracts* additionally runs the R3 registry checks against
-    every currently registered engine spec; they are global (not tied to
-    the scanned files) because the registry is process-global state.
-    *flow* adds the interprocedural R7/R8/R9 passes over the same file
-    set and, because only the full rule set can decide staleness, the W0
-    stale-pragma check.
+    Every rule runs: the syntactic R1/R2/R4/R5 per file, the flow passes
+    R7/R8/R9 over the whole file set (one program), W0 on every pragma the
+    full rule set leaves unused, and R3 against every registered engine
+    spec (global, not tied to the scanned files, because the registry is
+    process-global state).
     """
     files = iter_source_files(paths)
-    sources: Dict[str, str] = {}
+    per_file: Dict[str, List[Finding]] = {}
+    pragmas: Dict[str, Dict[int, Optional[FrozenSet[str]]]] = {}
+    summaries: List[ModuleSummary] = []
     for path in files:
-        sources[_display_path(path)] = path.read_text()
+        display = _display_path(path)
+        if display in per_file:
+            continue
+        source = path.read_text()
+        pragmas[display] = suppressed_rules(source)
+        try:
+            tree = ast.parse(source, filename=display)
+        except SyntaxError as err:
+            per_file[display] = [_parse_error(display, err)]
+            summaries.append(ModuleSummary(path=display))
+            continue
+        per_file[display] = check_module_raw(tree, display)
+        summaries.append(extract_summary(tree, display))
 
-    flow_stats: Dict[str, object] = {
-        "enabled": False,
-        "modules": 0,
-        "functions": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-    }
-    facts_by_display: Dict[str, Any] = {}
-    flow_findings: List[Finding] = []
-    if flow:
-        from repro.lint.flow import analyze_flow, flow_function_count
-        from repro.lint.flow.cache import SummaryCache, content_hash, corpus_key
-
-        cache = SummaryCache(cache_path)
-        hashes: Dict[str, str] = {}
-        for display in sorted(sources):
-            source_hash = content_hash(sources[display])
-            hashes[display] = source_hash
-            facts = cache.get_facts(display, source_hash)
-            if facts is None:
-                facts = _compute_facts(display, sources[display], want_summary=True)
-                cache.put_facts(display, source_hash, facts)
-            facts_by_display[display] = facts
-
-        summaries = [facts_by_display[d].summary for d in sorted(facts_by_display)]
-        key = corpus_key(hashes)
-        cached = cache.get_result(key)
-        if cached is not None:
-            flow_findings = [Finding(**entry) for entry in cached]
-        else:
-            flow_findings = analyze_flow(summaries)
-            cache.set_result(key, [f.as_dict() for f in flow_findings])
-        cache.prune(sources.keys())
-        cache.save()
-
-        modules, functions = flow_function_count(summaries)
-        flow_stats = {
-            "enabled": True,
-            "modules": modules,
-            "functions": functions,
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
-        }
-    else:
-        for display in sorted(sources):
-            facts_by_display[display] = _compute_facts(
-                display, sources[display], want_summary=False
-            )
-
-    per_file: Dict[str, List[Finding]] = {
-        display: list(facts_by_display[display].raw)
-        for display in facts_by_display
-    }
-    for finding in flow_findings:
-        per_file.setdefault(finding.path, []).append(finding)
+    for finding in analyze_flow(summaries):
+        per_file[finding.path].append(finding)
 
     # Pragma suppression is applied centrally so used pragma lines are
-    # known; W0 then flags the (real-comment) pragmas that earned nothing.
+    # known; W0 then flags the pragmas that earned nothing.
     findings: List[Finding] = []
     for display in sorted(per_file):
-        facts = facts_by_display.get(display)
-        if facts is None:
-            continue
-        kept, used_lines = apply_suppressions(per_file[display], facts.suppress)
-        per_file[display] = kept
-        if flow:
-            for line in facts.pragma_lines:
-                if line not in used_lines:
-                    per_file[display].append(
-                        Finding(
-                            rule="W0",
-                            path=display,
-                            line=line,
-                            col=1,
-                            message=(
-                                "stale '# lint-ok' pragma: suppresses no "
-                                "finding under the full rule set"
-                            ),
-                            severity="warning",
-                        )
-                    )
+        kept, used_lines = apply_suppressions(per_file[display], pragmas[display])
+        findings.extend(kept)
+        findings.extend(
+            Finding(
+                rule="W0",
+                path=display,
+                line=line,
+                col=1,
+                message=(
+                    "stale '# lint-ok' pragma: suppresses no finding under "
+                    "the full rule set"
+                ),
+                severity="warning",
+            )
+            for line in sorted(pragmas[display])
+            if line not in used_lines
+        )
 
-    findings.extend(f for display in sorted(per_file) for f in per_file[display])
+    from repro.engine.registry import available_engines
 
-    contracts_checked = 0
-    if include_contracts:
-        from repro.engine.registry import available_engines
-
-        contracts_checked = len(available_engines())
-        findings.extend(check_engine_contracts())
-
-    baseline_stats: Dict[str, object] = {"path": None, "suppressed": 0, "stale": 0}
-    if baseline_path is not None:
-        from repro.lint.flow.baseline import apply_baseline, load_baseline
-
-        baseline = load_baseline(baseline_path)
-        findings, suppressed, stale = apply_baseline(findings, baseline)
-        findings.extend(stale)
-        baseline_stats = {
-            "path": baseline_path,
-            "suppressed": suppressed,
-            "stale": len(stale),
-        }
-
-    if restrict_paths is not None:
-        allowed = set(restrict_paths)
-        if baseline_path is not None:
-            allowed.add(baseline_path)  # stale-entry warnings always surface
-        findings = [f for f in findings if f.path in allowed]
-
+    findings.extend(check_engine_contracts())
     return LintReport(
         findings=sorted(findings, key=Finding.sort_key),
         files_checked=len(files),
-        contracts_checked=contracts_checked,
-        flow=flow_stats,
-        baseline=baseline_stats,
+        functions_checked=sum(len(s.functions) for s in summaries),
+        contracts_checked=len(available_engines()),
     )

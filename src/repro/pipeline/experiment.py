@@ -4,7 +4,7 @@
 It wires a :class:`WTANetwork` from an :class:`ExperimentConfig`, trains on
 the dataset's training split, runs the label-then-infer protocol on the test
 split, and returns an :class:`ExperimentResult` with accuracy, run-time
-bookkeeping and a conductance snapshot for the figure benches.
+bookkeeping and the trained network.
 """
 
 from __future__ import annotations
@@ -33,13 +33,20 @@ class ExperimentResult:
     config: ExperimentConfig
     evaluation: EvaluationResult
     training: TrainingLog
-    conductances: np.ndarray
+    #: The trained network (learned conductances and thresholds), as
+    #: evaluated: what ``repro run --save`` checkpoints.
+    network: WTANetwork
     #: Optional (image_index, moving_error) samples collected during training.
     moving_error: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def accuracy(self) -> float:
         return self.evaluation.accuracy
+
+    @property
+    def conductances(self) -> np.ndarray:
+        """The learned ``(n_pixels, n_neurons)`` conductances."""
+        return self.network.conductances
 
     def summary_row(self) -> List[object]:
         """A row for the Fig. 8b-style comparison tables."""
@@ -154,7 +161,7 @@ def run_experiment(
         config=config,
         evaluation=evaluation,
         training=log,
-        conductances=network.conductances.copy(),
+        network=network,
         moving_error=moving,
     )
 

@@ -243,22 +243,16 @@ class QCodec:
         codes: np.ndarray,
         cols: np.ndarray,
         delta_codes: np.ndarray,
-        mask_cols: Optional[np.ndarray] = None,
     ) -> None:
         """Scatter signed code increments onto the *cols* columns of *codes*.
 
         The unsigned codes widen to ``int64`` for the add (no wraparound),
-        saturate into ``[0, max_code]`` and narrow back.  *mask_cols*
-        (connectivity restricted to *cols*) zeroes permanently-absent
-        synapses, matching ``ConductanceMatrix.apply_delta_columns``.
+        saturate into ``[0, max_code]`` and narrow back.
         """
         updated = codes[:, cols].astype(np.int64)
         updated += delta_codes.astype(np.int64)
         np.clip(updated, 0, self.max_code, out=updated)
-        updated = updated.astype(codes.dtype)
-        if mask_cols is not None:
-            updated = np.where(mask_cols, updated, 0)
-        codes[:, cols] = updated
+        codes[:, cols] = updated.astype(codes.dtype)
 
 
 def require_codec(quantizer: object, engine: str) -> QCodec:

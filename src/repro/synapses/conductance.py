@@ -47,11 +47,7 @@ class ConductanceMatrix:
         g_init_low: float = 0.2,
         g_init_high: float = 0.6,
         rng: Optional[np.random.Generator] = None,
-        connectivity: Optional[np.ndarray] = None,
     ) -> None:
-        """*connectivity*, when given, is a boolean ``(n_pre, n_post)`` mask:
-        ``False`` entries are permanently absent synapses — initialised to
-        zero and immune to every later update (sparse wiring support)."""
         if n_pre < 1 or n_post < 1:
             raise TopologyError(
                 f"conductance matrix needs n_pre, n_post >= 1, got ({n_pre}, {n_post})"
@@ -64,22 +60,12 @@ class ConductanceMatrix:
                 f"initial band [{g_init_low}, {g_init_high}] invalid for "
                 f"g_min={self.quantizer.g_min}"
             )
-        if connectivity is not None:
-            connectivity = np.asarray(connectivity, dtype=bool)
-            if connectivity.shape != (n_pre, n_post):
-                raise TopologyError(
-                    f"connectivity mask must have shape ({n_pre}, {n_post}), "
-                    f"got {connectivity.shape}"
-                )
-        self._mask = connectivity
         rng = rng if rng is not None else np.random.default_rng(DEFAULT_INIT_SEED)
         high = min(g_init_high, self.quantizer.g_max)
         low = min(g_init_low, high)
         # The uniform draw becomes the storage and is quantised in place.
         self._g = rng.uniform(low, high, size=(n_pre, n_post))
         self.quantizer.quantize_into(self._g, self._g, rng)
-        if self._mask is not None:
-            self._g[~self._mask] = 0.0
 
     @property
     def n_pre(self) -> int:
@@ -131,8 +117,6 @@ class ConductanceMatrix:
             ) from exc
         np.add(self._g, self.quantizer.quantize_delta(delta, rng), out=self._g)
         np.clip(self._g, self.g_min, self.g_max, out=self._g)
-        if self._mask is not None:
-            self._g[~self._mask] = 0.0
 
     def apply_delta_columns(
         self,
@@ -162,8 +146,6 @@ class ConductanceMatrix:
             )
         updated = self._g[:, cols] + self.quantizer.quantize_delta(delta_cols, rng)
         np.clip(updated, self.g_min, self.g_max, out=updated)
-        if self._mask is not None:
-            updated = np.where(self._mask[:, cols], updated, 0.0)
         self._g[:, cols] = updated
 
     def set_conductances(
@@ -180,8 +162,6 @@ class ConductanceMatrix:
                 f"values must have shape {self._g.shape}, got {values.shape}"
             )
         self.quantizer.quantize_into(values, self._g, rng)
-        if self._mask is not None:
-            self._g[~self._mask] = 0.0
 
     def per_neuron_maps(self, side: Optional[int] = None) -> np.ndarray:
         """Reshape to per-post-neuron square maps for visualisation (Fig. 5).
@@ -216,19 +196,3 @@ class ConductanceMatrix:
         scale = np.where(sums > 0.0, target_sum / np.maximum(sums, 1e-12), 1.0)
         np.multiply(self._g, scale, out=self._g)
         self.quantizer.quantize_into(self._g, self._g, rng)
-        if self._mask is not None:
-            self._g[~self._mask] = 0.0
-
-    @property
-    def connectivity(self) -> Optional[np.ndarray]:
-        """The boolean wiring mask, or ``None`` for all-to-all."""
-        return self._mask
-
-    @staticmethod
-    def random_connectivity(
-        n_pre: int, n_post: int, probability: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """A Bernoulli wiring mask with the given connection *probability*."""
-        if not 0.0 < probability <= 1.0:
-            raise TopologyError(f"probability must be in (0, 1], got {probability}")
-        return rng.random((n_pre, n_post)) < probability

@@ -1,8 +1,7 @@
-"""Event-tier fixture: conditional and unmapped draws.
+"""Event-tier fixture: an unmapped draw.
 
-The conditional ``encoding`` draw breaks draw-count parity with the
-fused tier (which draws it unconditionally); ``retired`` is a known
-stream without any STREAM_CONSUMERS entry.
+``retired`` is a known stream without any STREAM_CONSUMERS entry; the
+other two draws are declared.
 """
 
 

@@ -1,9 +1,8 @@
 """R9 bad-fixture manifest (parsed from the AST, never imported).
 
-The corpus around it is engineered so all six R9 check categories fire:
+The corpus around it is engineered so all five R9 check categories fire:
 an unknown stream, an undeclared consumer, an unmapped drawn stream, a
-silent declared consumer, an unreserved dead stream, and both kinds of
-parity break.
+silent declared consumer and an unreserved dead stream.
 """
 
 STREAM_NAMES = ("encoding", "learning", "retired", "spare")
@@ -12,7 +11,5 @@ STREAM_CONSUMERS = {
     "encoding": ("engine/fused.py", "engine/event.py", "engine/encoder.py"),
     "learning": ("engine/event.py",),
 }
-
-PARITY_GROUPS = (("engine/fused.py", "engine/event.py"),)
 
 RESERVED_STREAMS = {}

@@ -1,8 +1,8 @@
-"""Event-tier fixture: same streams as the fused tier, drawn through the
-``get``/``device_stream`` API forms, all unconditional."""
+"""Event-tier fixture: same streams as the fused tier, one drawn through
+the ``get`` API form."""
 
 
-def train(rngs, steps, ops):
+def train(rngs, steps):
     noise = rngs.get("encoding").random(steps)
-    jitter = rngs.device_stream("learning", ops).random(steps)
+    jitter = rngs.learning.random(steps)
     return noise, jitter

@@ -1,8 +1,7 @@
 """R9 good-fixture manifest: every declaration matches the corpus.
 
-Both tiers draw the same streams unconditionally (parity holds), every
-consumer is declared and actually draws, and the one dead stream carries
-a RESERVED_STREAMS justification.
+Every consumer is declared and actually draws, and the one dead stream
+carries a RESERVED_STREAMS justification.
 """
 
 STREAM_NAMES = ("encoding", "learning", "spare")
@@ -11,8 +10,6 @@ STREAM_CONSUMERS = {
     "encoding": ("engine/fused.py", "engine/event.py"),
     "learning": ("engine/fused.py", "engine/event.py"),
 }
-
-PARITY_GROUPS = (("engine/fused.py", "engine/event.py"),)
 
 RESERVED_STREAMS = {
     "spare": "reserved for future tooling; spawn-prefix stability forbids removal",

@@ -2,4 +2,4 @@
 
 
 def helper(values):
-    return list(values)  # lint-ok: R6
+    return list(values)  # lint-ok: R5

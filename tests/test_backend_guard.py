@@ -5,7 +5,7 @@ import pytest
 
 import repro.backend as backend
 from repro.backend import guard
-from repro.engine.rng import DeviceRng, RngStreams
+from repro.engine.rng import DeviceRng, RngStreams, on_backend
 from repro.errors import BackendError
 
 
@@ -162,7 +162,7 @@ class TestDeviceRng:
     def test_draws_bit_identical_to_host_stream(self):
         ops = backend.backend_ops("guard")
         host_stream = RngStreams(11).encoding
-        dev_stream = RngStreams(11).device_stream("encoding", ops)
+        dev_stream = on_backend(RngStreams(11).encoding, ops)
         assert isinstance(dev_stream, DeviceRng)
         a = host_stream.random((7, 3))
         b = dev_stream.random((7, 3))
@@ -170,13 +170,13 @@ class TestDeviceRng:
         assert np.array_equal(a, guard.asnumpy(b))
 
     def test_host_ops_returns_raw_generator(self):
-        streams = RngStreams(11)
-        assert streams.device_stream("encoding", backend.backend_ops("numpy")) is streams.encoding
-        assert streams.device_stream("encoding", None) is streams.encoding
+        stream = RngStreams(11).encoding
+        assert on_backend(stream, backend.backend_ops("numpy")) is stream
+        assert on_backend(stream, None) is stream
 
     def test_scalar_draw_stays_on_host(self):
         ops = backend.backend_ops("guard")
-        value = RngStreams(1).device_stream("misc", ops).random()
+        value = on_backend(RngStreams(1).misc, ops).random()
         assert isinstance(value, float)
 
     def test_batched_eval_adapts(self):

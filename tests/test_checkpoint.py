@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.errors import DatasetError
-from repro.io.checkpoint import load_checkpoint, save_checkpoint
+from repro.config.presets import get_preset
+from repro.errors import CheckpointError, DatasetError
+from repro.io.checkpoint import (
+    load_checkpoint,
+    load_run_checkpoint,
+    save_checkpoint,
+    save_run_checkpoint,
+)
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
-from repro.pipeline.trainer import UnsupervisedTrainer
+from repro.pipeline.trainer import TrainingLog, UnsupervisedTrainer
+from repro.resilience.run_state import TrainingRunState
 
 
 @pytest.fixture
@@ -73,3 +80,41 @@ class TestValidation:
     def test_wrong_label_shape_rejected(self, tmp_path, trained):
         with pytest.raises(DatasetError):
             save_checkpoint(tmp_path / "x.npz", trained, neuron_labels=np.zeros(3, dtype=int))
+
+    @staticmethod
+    def _with_stored_labels(tmp_path, labels):
+        """A 6-neuron v2 checkpoint whose ``neuron_labels`` are *labels*."""
+        net = WTANetwork(get_preset("float32", n_neurons=6, seed=2), 16)
+        state = TrainingRunState.capture(
+            net, TrainingLog(), t_ms=0.0, presentation_index=0, epochs=1, n_images=1
+        )
+        path = tmp_path / "run.npz"
+        save_run_checkpoint(path, state)
+        with np.load(path) as data:
+            payload = {name: data[name] for name in data.files}
+        payload["neuron_labels"] = labels
+        np.savez(path, **payload)
+        return path
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([1.5, 7.0, -3.0]),
+            np.array([0.0, 1.0, 2.0, 3.0, 1.5, -1.0]),
+            np.array([0, 1, 2, -3, 1, -1]),
+            np.arange(3),
+        ],
+        ids=["float-short-negative", "float", "below-unlabeled", "short"],
+    )
+    @pytest.mark.parametrize("load", [load_checkpoint, load_run_checkpoint])
+    def test_malformed_stored_labels_rejected(self, tmp_path, labels, load):
+        path = self._with_stored_labels(tmp_path, labels)
+        with pytest.raises(CheckpointError, match="neuron_labels"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_checkpoint, load_run_checkpoint])
+    def test_stored_labels_with_unlabeled_neurons_load(self, tmp_path, load):
+        labels = np.array([0, -1, 9, 3, -1, 0])
+        loaded = load(self._with_stored_labels(tmp_path, labels))
+        stored = loaded[1] if isinstance(loaded, tuple) else loaded.neuron_labels
+        assert np.array_equal(stored, labels)

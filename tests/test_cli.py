@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.config.parameters import RoundingMode, STDPKind
 from repro.config.presets import get_preset
+from repro.datasets import load_dataset
 from repro.io import checkpoint
 from repro.network.wta import WTANetwork
-from repro.pipeline.trainer import TrainingLog
+from repro.pipeline.experiment import build_network
+from repro.pipeline.trainer import TrainingLog, UnsupervisedTrainer
 from repro.resilience.run_state import TrainingRunState
 
 
@@ -64,6 +67,30 @@ class TestRun:
         out = capsys.readouterr().out
         assert "neurons" in out
         assert "labeled" in out
+
+    def test_run_save_keeps_the_trained_state(self, capsys, tmp_path):
+        """The checkpoint holds the network the run trained and scored: its
+        adapted thresholds and its conductances, not a rebuilt network's."""
+        path = tmp_path / "net.npz"
+        assert main(
+            ["run", "--preset", "8bit", "--neurons", "10", "--size", "8",
+             "--n-train", "20", "--n-test", "20", "--n-labeling", "10",
+             "--epochs", "1", "--seed", "1", "--quiet", "--save", str(path)]
+        ) == 0
+        capsys.readouterr()
+        dataset = load_dataset("mnist", n_train=20, n_test=20, size=8, seed=1)
+        config = get_preset(
+            "8bit", stdp_kind=STDPKind.STOCHASTIC, rounding=RoundingMode.STOCHASTIC,
+            n_neurons=10, seed=1,
+        )
+        trained = build_network(config, dataset.n_pixels)
+        UnsupervisedTrainer(trained).train(dataset.train_images)
+        assert np.all(trained.neurons.theta > 0.0)
+
+        loaded, labels = checkpoint.load_checkpoint(path)
+        assert np.array_equal(loaded.neurons.theta, trained.neurons.theta)
+        assert np.array_equal(loaded.conductances, trained.conductances)
+        assert labels.shape == (10,)
 
 
 class TestInfo:

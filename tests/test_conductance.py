@@ -175,7 +175,6 @@ class TestStorage:
         m = ConductanceMatrix(7, 3, rng=rng)
         assert (m.n_pre, m.n_post) == (7, 3)
         assert m.g.shape == (7, 3)
-        assert m.connectivity is None
 
     @pytest.mark.parametrize("fmt", [None, "Q1.7", "Q0.4"])
     def test_bounds_follow_the_quantizer(self, rng, fmt):
@@ -209,9 +208,6 @@ class TestStorage:
         assert np.array_equal(results[0], results[1])
         assert q.fmt.is_representable(results[0]).all()
 
-    def test_random_connectivity_probability_one_is_full(self, rng):
-        assert ConductanceMatrix.random_connectivity(5, 4, 1.0, rng).all()
-
 
 class TestApplyDeltaColumns:
     @pytest.mark.parametrize(
@@ -243,14 +239,6 @@ class TestApplyDeltaColumns:
         m = ConductanceMatrix(6, 5, rng=rng)
         with pytest.raises(TopologyError):
             m.apply_delta_columns(np.array([1, 2]), np.zeros((6, 3)))
-
-    def test_absent_synapses_stay_zero(self, rng):
-        mask = np.ones((4, 3), dtype=bool)
-        mask[1, 2] = False
-        m = ConductanceMatrix(4, 3, rng=rng, connectivity=mask)
-        m.apply_delta_columns(np.array([2]), np.full((4, 1), 0.3))
-        assert m.g[1, 2] == 0.0
-        assert np.all(m.g[mask[:, 2], 2] > 0.0)
 
 
 @settings(max_examples=25)

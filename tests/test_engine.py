@@ -90,8 +90,6 @@ class TestRngStreams:
         streams = RngStreams(0)
         with pytest.raises(SimulationError, match="qrounding"):
             streams.get("qrounding")
-        with pytest.raises(SimulationError, match="qrounding"):
-            streams.device_stream("qrounding")
         with pytest.raises(AttributeError):
             streams.qrounding
 

@@ -197,14 +197,6 @@ class TestConductanceDeltaPaths:
         mat_cols.apply_delta_columns(cols, delta_cols)
         assert np.array_equal(mat_full.g, mat_cols.g)
 
-    def test_apply_delta_columns_respects_connectivity_mask(self):
-        mask = np.random.default_rng(0).random((12, 6)) < 0.5
-        mat = ConductanceMatrix(
-            12, 6, rng=np.random.default_rng(1), connectivity=mask
-        )
-        mat.apply_delta_columns(np.array([0, 3]), np.full((12, 2), 0.2))
-        assert (mat.g[~mask] == 0.0).all()
-
 
 class TestKernelGuards:
     def test_runs_on_guard_backend_bit_identically(self, tiny_config, small_images):

@@ -133,10 +133,8 @@ class TestBlockDraw:
 
 class TestInPlaceNormalisation:
     @staticmethod
-    def _matrix(mask=None):
-        m = ConductanceMatrix(
-            50, 12, FloatQuantizer(), rng=np.random.default_rng(5), connectivity=mask
-        )
+    def _matrix():
+        m = ConductanceMatrix(50, 12, FloatQuantizer(), rng=np.random.default_rng(5))
         m.g[:, 3] = 0.0  # a zero column keeps scale 1
         return m
 
@@ -163,14 +161,6 @@ class TestInPlaceNormalisation:
         assert np.array_equal(whole, expected)
         assert np.array_equal(part, expected[:, 2:5])
 
-    def test_masked_out_synapses_stay_zero(self):
-        mask = np.random.default_rng(9).random((50, 12)) < 0.7
-        m = self._matrix(mask)
-        expected = self._expected(m.g.copy(), 30.0)
-        m.normalize_columns(30.0)
-        assert np.all(m.g[~mask] == 0.0)
-        assert np.array_equal(m.g[mask], expected[mask])
-
 
 # ----------------------------------------------------------------------
 # <= 8-bit code-domain STDP: the +-1 mask against the magnitude path
@@ -181,7 +171,7 @@ def _codec(fmt):
     return QCodec.from_quantizer(Quantizer(parse_qformat(fmt), RoundingMode.STOCHASTIC))
 
 
-def _magnitude_update(rule, codes, codec, pot, dep, cols, rng_rounding, conn_mask):
+def _magnitude_update(rule, codes, codec, pot, dep, cols, rng_rounding):
     """The magnitude path: eqs. 4-5, ``delta_codes``, ``apply_delta_codes``."""
     magnitudes = getattr(rule, "magnitudes", None) or rule.params
     g_cols = codec.decode(codes[:, cols])
@@ -189,20 +179,16 @@ def _magnitude_update(rule, codes, codec, pot, dep, cols, rng_rounding, conn_mas
         dep, depression_magnitude(g_cols, magnitudes), 0.0
     )
     increments = np.where(delta != 0.0, codec.delta_codes(delta, rng_rounding), 0.0)
-    mask_cols = None if conn_mask is None else conn_mask[:, cols]
-    codec.apply_delta_codes(codes, cols, increments, mask_cols)
+    codec.apply_delta_codes(codes, cols, increments)
 
 
-def _unit_update(rule, codes, codec, pot, dep, cols, rng_rounding, conn_mask):
+def _unit_update(rule, codes, codec, pot, dep, cols, rng_rounding):
     """A plain +-1 code step, whatever eqs. 4-5 say (right only if they are positive)."""
-    stepped = np.clip(codes[:, cols].astype(np.int64) + pot - dep, 0, codec.max_code)
-    if conn_mask is not None:
-        stepped = np.where(conn_mask[:, cols], stepped, 0)
-    codes[:, cols] = stepped
+    codes[:, cols] = np.clip(codes[:, cols].astype(np.int64) + pot - dep, 0, codec.max_code)
 
 
 def _stochastic_oracle(
-    rule, codes, codec, timers, post, t_ms, rng, rng_rounding, conn_mask,
+    rule, codes, codec, timers, post, t_ms, rng, rng_rounding,
     update=_magnitude_update,
 ):
     elapsed = timers.elapsed_pre(t_ms)
@@ -212,16 +198,16 @@ def _stochastic_oracle(
     dep_draws = rng.random(size=pot.shape)
     dep = ~pot & (dep_draws < depression_probability(elapsed, rule.params)[:, None])
     if pot.any() or dep.any():
-        update(rule, codes, codec, pot, dep, cols, rng_rounding, conn_mask)
+        update(rule, codes, codec, pot, dep, cols, rng_rounding)
 
 
 def _deterministic_oracle(
-    rule, codes, codec, timers, post, t_ms, rng_rounding, conn_mask,
+    rule, codes, codec, timers, post, t_ms, rng_rounding,
     update=_magnitude_update,
 ):
     recent = (timers.elapsed_pre(t_ms) <= rule.params.window_ms)[:, None]
     cols = np.flatnonzero(post)
-    update(rule, codes, codec, recent, ~recent, cols, rng_rounding, conn_mask)
+    update(rule, codes, codec, recent, ~recent, cols, rng_rounding)
 
 
 class _DeltaCodesSpy:
@@ -241,7 +227,7 @@ class _DeltaCodesSpy:
 _KERNELS = (quantized_stochastic_columns, quantized_deterministic_columns)
 
 
-def _run_updates(rule, codec, masked, stochastic, fn, steps=25, shared=False):
+def _run_updates(rule, codec, stochastic, fn, steps=25, shared=False):
     """*steps* post-spike updates from pinned seeds: final codes, stream states.
 
     The kernels take one stream for the STDP decisions and the rounding, as
@@ -252,9 +238,6 @@ def _run_updates(rule, codec, masked, stochastic, fn, steps=25, shared=False):
     # Start with plenty of codes at both bounds so saturation is exercised.
     codes = setup.choice([0, codec.max_code, codec.max_code // 2], size=(n_pre, n_post))
     codes = codes.astype(codec.dtype)
-    conn_mask = setup.random((n_pre, n_post)) < 0.8 if masked else None
-    if masked:
-        codes[~conn_mask] = 0
     timers = SpikeTimers(n_pre, n_post)
     rng = np.random.default_rng(21)
     rng_rounding = rng if shared else np.random.default_rng(22)
@@ -265,11 +248,11 @@ def _run_updates(rule, codec, masked, stochastic, fn, steps=25, shared=False):
         post = setup.random(n_post) < 0.3
         post[setup.integers(n_post)] = True
         if fn in _KERNELS:
-            fn(rule, codes, codec, timers, post, t_ms, rng, conn_mask)
+            fn(rule, codes, codec, timers, post, t_ms, rng)
         elif stochastic:
-            fn(rule, codes, codec, timers, post, t_ms, rng, rng_rounding, conn_mask)
+            fn(rule, codes, codec, timers, post, t_ms, rng, rng_rounding)
         else:
-            fn(rule, codes, codec, timers, post, t_ms, rng_rounding, conn_mask)
+            fn(rule, codes, codec, timers, post, t_ms, rng_rounding)
     return codes, rng.bit_generator.state, rng_rounding.bit_generator.state
 
 
@@ -280,8 +263,7 @@ _DETERMINISTIC = DeterministicSTDP(DeterministicSTDPParameters(window_ms=40.0))
 class TestUnitStepMask:
     @pytest.mark.parametrize("fmt", ["Q1.7", "Q0.4", "Q0.2"])
     @pytest.mark.parametrize("stochastic", [True, False], ids=["stochastic", "deterministic"])
-    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-    def test_equals_the_magnitude_path(self, monkeypatch, fmt, stochastic, masked):
+    def test_equals_the_magnitude_path(self, monkeypatch, fmt, stochastic):
         codec = _codec(fmt)
         rule = _STOCHASTIC if stochastic else _DETERMINISTIC
         oracle = _stochastic_oracle if stochastic else _deterministic_oracle
@@ -289,9 +271,9 @@ class TestUnitStepMask:
         magnitudes = rule.magnitudes if stochastic else rule.params
         assert unit_steps_exact(magnitudes, codec)
 
-        want = _run_updates(rule, codec, masked, stochastic, oracle)
+        want = _run_updates(rule, codec, stochastic, oracle)
         spy = _DeltaCodesSpy(monkeypatch)
-        got = _run_updates(rule, codec, masked, stochastic, kernel)
+        got = _run_updates(rule, codec, stochastic, kernel)
         assert spy.calls == 0, "the <= 8-bit update took the magnitude path"
         assert got[0].dtype == want[0].dtype
         assert np.array_equal(got[0], want[0])
@@ -314,16 +296,16 @@ class TestUnitStepMask:
             rule = DeterministicSTDP(magnitudes)
             oracle, kernel = _deterministic_oracle, quantized_deterministic_columns
 
-        want = _run_updates(rule, codec, False, stochastic, oracle)
+        want = _run_updates(rule, codec, stochastic, oracle)
         spy = _DeltaCodesSpy(monkeypatch)
-        got = _run_updates(rule, codec, False, stochastic, kernel)
+        got = _run_updates(rule, codec, stochastic, kernel)
         assert spy.calls > 0, "the underflowing rule did not take the fallback"
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
         # The fallback matters: +-1 steps would have moved synapses that
         # eq. 4 leaves in place.
         unit = _run_updates(
-            rule, codec, False, stochastic, partial(oracle, update=_unit_update)
+            rule, codec, stochastic, partial(oracle, update=_unit_update)
         )
         assert not np.array_equal(unit[0], want[0])
 
@@ -331,8 +313,7 @@ class TestUnitStepMask:
         assert not unit_steps_exact(DeterministicSTDPParameters(), _codec("Q1.15"))
 
     @pytest.mark.parametrize("stochastic", [True, False], ids=["stochastic", "deterministic"])
-    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-    def test_wider_formats_round_on_the_learning_stream(self, monkeypatch, stochastic, masked):
+    def test_wider_formats_round_on_the_learning_stream(self, monkeypatch, stochastic):
         """At 16 bits eq. 8 draws from the stream that also drew the STDP
         decisions: the kernel interleaves both kinds of draw as the oracle
         does, so codes and the one stream's end state match."""
@@ -341,14 +322,14 @@ class TestUnitStepMask:
         oracle = _stochastic_oracle if stochastic else _deterministic_oracle
         kernel = quantized_stochastic_columns if stochastic else quantized_deterministic_columns
 
-        want = _run_updates(rule, codec, masked, stochastic, oracle, shared=True)
+        want = _run_updates(rule, codec, stochastic, oracle, shared=True)
         spy = _DeltaCodesSpy(monkeypatch)
-        got = _run_updates(rule, codec, masked, stochastic, kernel, shared=True)
+        got = _run_updates(rule, codec, stochastic, kernel, shared=True)
         assert spy.calls > 0, "the 16-bit update left the magnitude path"
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
         # The rounding draws landed on the shared stream.
-        separate = _run_updates(rule, codec, masked, stochastic, oracle)
+        separate = _run_updates(rule, codec, stochastic, oracle)
         assert want[1] != separate[1]
 
 

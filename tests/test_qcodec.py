@@ -148,15 +148,6 @@ class TestApplyDeltaCodes:
         codec.apply_delta_codes(codes, cols, delta)
         assert codes.tolist() == [[0, 15], [0, 1], [128, 20]]
 
-    def test_connectivity_mask_zeroes_absent_synapses(self):
-        codec = _codec("Q1.7")
-        codes = np.array([[10, 10]], dtype=np.uint8)
-        mask = np.array([[True, False]])
-        codec.apply_delta_codes(
-            codes, np.array([0, 1]), np.array([[5.0, 5.0]]), mask_cols=mask
-        )
-        assert codes.tolist() == [[15, 0]]
-
     def test_untouched_columns_stay_untouched(self):
         codec = _codec("Q1.7")
         codes = np.array([[1, 2, 3]], dtype=np.uint8)

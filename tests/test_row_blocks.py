@@ -93,16 +93,12 @@ def _stochastic(fmt):
 
 
 class TestConductanceMatrix:
-    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("fmt", STOCHASTIC_FORMATS)
-    def test_init_equals_quantize_of_the_uniform_draw(self, fmt, masked):
+    def test_init_equals_quantize_of_the_uniform_draw(self, fmt):
         quantizer = _stochastic(fmt)
-        mask = np.random.default_rng(1).random((150, 30)) < 0.7 if masked else None
         want_rng, got_rng = np.random.default_rng(4), np.random.default_rng(4)
         want = quantizer.quantize(want_rng.uniform(0.2, 0.6, size=(150, 30)), want_rng)
-        if masked:
-            want = np.where(mask, want, 0.0)
-        got = ConductanceMatrix(150, 30, quantizer, 0.2, 0.6, got_rng, mask).g
+        got = ConductanceMatrix(150, 30, quantizer, 0.2, 0.6, got_rng).g
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
