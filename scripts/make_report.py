@@ -43,7 +43,6 @@ SECTION_ORDER = [
     ("engine_step_profile", "Engine — step profile"),
     ("engine_batched_speedup", "Engine — batched inference"),
     ("engine_event_driven_oracle", "Engine — event-driven oracle"),
-    ("resilience_report", "Resilience — fault-space recovery analysis"),
 ]
 
 

@@ -12,9 +12,9 @@ Commands:
 - ``engines`` — list registered presentation engines and capabilities;
 - ``lint`` — run the determinism/numerics static-analysis rules (R1–R5,
   the interprocedural R7–R9 flow passes and the W0 stale-pragma check);
-- ``resilience`` — sample the fault space, run the scenario ensemble and
-  tabulate recovery outcomes into a versioned ``ResilienceReport``
-  (``--check`` gates on zero ``UNRECOVERED`` scenarios);
+- ``resilience`` — run the built-in fault scenarios and tabulate their
+  recovery outcomes into a versioned ``ResilienceReport`` (``--check``
+  gates on zero ``UNRECOVERED`` scenarios, ``--out`` writes the JSON);
 - ``fi-curve`` — print the Fig. 1a frequency-vs-current curve;
 - ``info`` — describe a checkpoint file.
 
@@ -130,44 +130,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     res = sub.add_parser(
         "resilience",
-        help="fault-space resilience analysis: scenario ensembles + recovery report",
+        help="run the built-in fault scenarios and tabulate their recovery",
     )
     res.add_argument(
-        "--space", metavar="PATH", default=None,
-        help="JSON fault-space description (default: the built-in full space)",
+        "--check", action="store_true",
+        help="exit non-zero if any scenario ends UNRECOVERED",
     )
-    res.add_argument(
-        "--smoke", action="store_true",
-        help="use the small built-in smoke space (fast; CI gate)",
-    )
-    res.add_argument(
-        "--sample", type=int, default=None, metavar="N",
-        help="run a seeded subsample of N scenarios instead of the full factorial",
-    )
-    res.add_argument("--seed", type=int, default=0, help="subsample seed")
     res.add_argument(
         "--out", metavar="PATH", default=None,
         help="write the ResilienceReport JSON here",
     )
-    res.add_argument(
-        "--md", metavar="PATH", default=None,
-        help="write the Markdown summary here (make_report section)",
-    )
-    res.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero on UNRECOVERED outcomes or broken bit-identity contracts",
-    )
-    res.add_argument(
-        "--timings", action="store_true",
-        help="include wall-clock recovery timings in the JSON "
-        "(breaks byte-determinism of the report)",
-    )
-    res.add_argument(
-        "--workdir", metavar="PATH", default=None,
-        help="scratch directory for scenario checkpoints (default: a temp dir)",
-    )
-    res.add_argument("--retries", type=int, default=0,
-                     help="retries per scenario on harness errors")
     res.add_argument("--quiet", action="store_true")
 
     fi = sub.add_parser("fi-curve", help="Fig. 1a frequency-vs-current curve")
@@ -440,46 +412,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
-    import json
     import tempfile
     from pathlib import Path
 
-    from repro.resilience.explore import (
-        FaultSpace,
-        ScenarioRunner,
-        ScenarioWorkload,
-        default_space,
-        smoke_space,
-    )
-    from repro.resilience.retry import RetryPolicy
+    from repro.resilience.explore import SCENARIOS, ScenarioRunner
     from repro.resilience.tabulate import ResilienceReport
 
-    if args.space and args.smoke:
-        print("error: pass either --space or --smoke, not both", file=sys.stderr)
-        return 2
-    if args.space:
-        try:
-            payload = json.loads(Path(args.space).read_text())
-        except (OSError, ValueError) as err:
-            print(f"error: cannot read fault space {args.space}: {err}",
-                  file=sys.stderr)
-            return 2
-        space = FaultSpace.from_dict(payload)
-    elif args.smoke:
-        space = smoke_space()
-    else:
-        space = default_space()
-
-    scenarios = space.scenarios()
-    sample_info = None
-    if args.sample is not None:
-        scenarios = space.sample(args.sample, seed=args.seed)
-        sample_info = {"n": args.sample, "seed": args.seed}
     if not args.quiet:
-        print(f"running {len(scenarios)} fault scenarios")
-
-    workload = ScenarioWorkload()
-    retry = RetryPolicy(max_retries=args.retries)
+        print(f"running {len(SCENARIOS)} fault scenarios")
 
     def progress(done: int, total: int, outcome) -> None:
         if not args.quiet:
@@ -488,27 +428,14 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                 f"{outcome.outcome}"
             )
 
-    if args.workdir:
-        runner = ScenarioRunner(args.workdir, workload=workload, retry=retry)
-        outcomes = runner.run_all(scenarios, progress=progress)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-resilience-") as tmp:
-            runner = ScenarioRunner(tmp, workload=workload, retry=retry)
-            outcomes = runner.run_all(scenarios, progress=progress)
+    with tempfile.TemporaryDirectory(prefix="repro-resilience-") as tmp:
+        outcomes = ScenarioRunner(tmp).run_all(progress=progress)
 
-    report = ResilienceReport(
-        space=space.to_dict(),
-        workload=workload.to_dict(),
-        outcomes=outcomes,
-        sample=sample_info,
-    )
+    report = ResilienceReport(outcomes)
     print(report.markdown())
     if args.out:
-        report.save(args.out, timings=args.timings)
+        Path(args.out).write_text(report.to_json())
         print(f"report written to {args.out}")
-    if args.md:
-        Path(args.md).write_text(report.markdown())
-        print(f"summary written to {args.md}")
     if args.check:
         problems = report.check()
         if problems:

@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Optional, Union
 
@@ -120,11 +121,14 @@ def load_saved_dataset(path: Union[str, Path], verify: bool = True) -> Dataset:
                 n_classes=int(data["n_classes"]) if "n_classes" in data else 10,
             )
             stored = str(data["digest"]) if "digest" in data else None
-    except (zipfile.BadZipFile, NotImplementedError, ValueError, OSError, EOFError) as exc:
+    except (
+        zipfile.BadZipFile, NotImplementedError, ValueError, OSError, EOFError, zlib.error
+    ) as exc:
         # Torn writes and bit-rot usually die in the zip layer (bad CRC,
         # truncated directory, a damaged header naming an unsupported zip
-        # version) before the digest is even reachable; map them onto the
-        # same typed error the digest check raises.
+        # version) or in a member's deflate stream before the digest is even
+        # reachable; map them onto the same typed error the digest check
+        # raises.
         raise DatasetError(f"{path} is truncated or corrupt: {exc}") from exc
     if verify:
         if stored is None:

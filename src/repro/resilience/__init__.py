@@ -1,9 +1,9 @@
 """Fault tolerance for long runs: checkpoint-resume, invariant monitoring,
 sweep recovery, graceful engine degradation, the deterministic
 fault-injection harness that proves each mechanism works, and the
-resilience-analysis harness (:mod:`repro.resilience.explore` +
-:mod:`repro.resilience.tabulate`) that quantifies them across a sampled
-fault space.
+resilience analysis (:mod:`repro.resilience.explore` +
+:mod:`repro.resilience.tabulate`) that runs the built-in fault scenarios
+and tabulates how each one recovered.
 
 Layering: this package may import the network/engine/pipeline layers at
 module level; the reverse edges (``pipeline`` → resilience, ``io`` →
@@ -21,13 +21,10 @@ from repro.resilience.degrade import (
 from repro.resilience.explore import (
     FAULT_KINDS,
     OUTCOMES,
+    SCENARIOS,
     FaultScenario,
-    FaultSpace,
     ScenarioOutcome,
     ScenarioRunner,
-    ScenarioWorkload,
-    default_space,
-    smoke_space,
 )
 from repro.resilience.manifest import MANIFEST_VERSION, SweepManifest, cell_key
 from repro.resilience.retry import RetryPolicy, run_with_retry
@@ -45,7 +42,6 @@ __all__ = [
     "EngineDegradedWarning",
     "FAULT_KINDS",
     "FaultScenario",
-    "FaultSpace",
     "MANIFEST_VERSION",
     "NumericHealthSentinel",
     "OUTCOMES",
@@ -53,16 +49,14 @@ __all__ = [
     "RUN_STATE_VERSION",
     "ResilienceReport",
     "RetryPolicy",
+    "SCENARIOS",
     "ScenarioOutcome",
     "ScenarioRunner",
-    "ScenarioWorkload",
     "SweepManifest",
     "TrainingRunState",
     "cell_key",
-    "default_space",
     "degradation_path",
     "load_run_state",
     "next_tier",
     "run_with_retry",
-    "smoke_space",
 ]

@@ -1,16 +1,12 @@
-"""Deterministic retry with exponential backoff, shared across the harness.
+"""Deterministic retry with exponential backoff for sweep cells.
 
-Both the fault-tolerant :class:`~repro.pipeline.sweep.ParameterSweep` and
-the resilience scenario runner (:mod:`repro.resilience.explore`) retry
-transiently-failing units of work.  The schedule lives here once, as a
-frozen :class:`RetryPolicy`, so both callers agree on the semantics:
+:class:`~repro.pipeline.sweep.ParameterSweep` retries transiently-failing
+cells under a frozen :class:`RetryPolicy`:
 
-- attempt *k* (1-based) that fails sleeps ``backoff_s * multiplier**(k-1)``
-  before the next attempt — the classic exponential ladder, optionally
-  capped by ``max_backoff_s``;
+- attempt *k* (1-based) that fails sleeps ``backoff_s * 2**(k-1)`` before
+  the next attempt — the classic doubling ladder;
 - **no jitter**: randomised backoff would make retried runs wall-clock
-  dependent and break the byte-identical-report contract.  The sweep and
-  the scenario runner are single-tenant on their own files, so the
+  dependent.  The sweep is single-tenant on its own files, so the
   thundering-herd argument for jitter does not apply;
 - the sleep function is injectable, so tests assert the exact schedule
   without sleeping.
@@ -35,14 +31,11 @@ class RetryPolicy:
 
     ``max_retries=0`` (the default) means one attempt, no retries — the
     policy is then a no-op wrapper.  ``backoff_s`` is the sleep before the
-    *first* retry; each further retry multiplies it by ``multiplier``.
-    ``max_backoff_s`` (when set) caps any single sleep.
+    *first* retry; each further retry doubles it.
     """
 
     max_retries: int = 0
     backoff_s: float = 0.0
-    multiplier: float = 2.0
-    max_backoff_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -52,15 +45,6 @@ class RetryPolicy:
         if self.backoff_s < 0.0:
             raise ConfigurationError(
                 f"backoff_s must be >= 0, got {self.backoff_s}"
-            )
-        if self.multiplier < 1.0:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.max_backoff_s < 0.0:
-            raise ConfigurationError(
-                f"max_backoff_s must be >= 0 (0 disables the cap), "
-                f"got {self.max_backoff_s}"
             )
 
     def attempts(self) -> int:
@@ -76,14 +60,7 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"failed_attempts is 1-based, got {failed_attempts}"
             )
-        delay = self.backoff_s * (self.multiplier ** (failed_attempts - 1))
-        if self.max_backoff_s > 0.0:
-            delay = min(delay, self.max_backoff_s)
-        return delay
-
-    def schedule(self) -> Tuple[float, ...]:
-        """The full backoff ladder (one entry per allowed retry)."""
-        return tuple(self.backoff_for(k) for k in range(1, self.max_retries + 1))
+        return self.backoff_s * 2.0 ** (failed_attempts - 1)
 
 
 def run_with_retry(

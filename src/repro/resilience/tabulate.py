@@ -1,27 +1,25 @@
-"""Aggregate scenario-ensemble outcomes into a versioned resilience report.
+"""Fold the built-in scenario outcomes into a versioned resilience report.
 
 The runner in :mod:`repro.resilience.explore` produces one
-:class:`~repro.resilience.explore.ScenarioOutcome` per sampled fault
-scenario; this module folds the ensemble into a
-:class:`ResilienceReport` — per-engine / per-fault-kind outcome tables,
-availability ratios, worst-case recovery cost — serialized as a versioned
-JSON artifact and a Markdown summary.
+:class:`~repro.resilience.explore.ScenarioOutcome` per built-in fault
+scenario; this module folds them into a :class:`ResilienceReport` —
+per-engine / per-fault-kind outcome tables, availability ratios,
+worst-case recovery cost — serialized as versioned JSON and a Markdown
+summary.
 
 Determinism contract: :meth:`ResilienceReport.to_json` is canonical —
-sorted keys, no wall-clock fields (timings are opt-in via
-``timings=True``) — so the same fault space + sample seed yields a
-byte-identical report and resilience regressions diff cleanly in CI.
+sorted keys, no wall-clock fields — and every outcome is a function of the
+built-in workload alone, so every run writes a byte-identical report and a
+resilience regression diffs cleanly in CI.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.analysis.report import format_table
-from repro.errors import CheckpointError
 from repro.resilience.explore import (
     OUTCOME_DEGRADED,
     OUTCOME_RESUMED,
@@ -30,9 +28,11 @@ from repro.resilience.explore import (
     ScenarioOutcome,
 )
 
-#: Schema version of the report JSON.  Readers follow the same tolerance
-#: rule as the sweep manifest: accept any version >= 1, ignore unknown keys.
-REPORT_VERSION = 1
+#: Schema version of the report JSON.  Version 2 dropped the fault-space,
+#: workload and subsample sections and the per-outcome ``expected_exact``
+#: flag: the scenarios and the workload are constants of the build, and
+#: every scenario's contract is bit-identity.
+REPORT_VERSION = 2
 
 #: The ``"kind"`` discriminator stamped into every report file.
 REPORT_KIND = "repro-resilience-report"
@@ -40,20 +40,13 @@ REPORT_KIND = "repro-resilience-report"
 
 @dataclass
 class ResilienceReport:
-    """The tabulated result of one scenario ensemble.
+    """The tabulated result of one run of the built-in scenarios.
 
-    ``space`` and ``workload`` are the serialized inputs (for provenance
-    and re-runs); ``sample`` records the subsample request (``None`` for a
-    full-factorial run).  All aggregate tables are derived from
-    ``outcomes`` at serialization time, so the report cannot drift from
-    its own data.
+    All aggregate tables are derived from ``outcomes`` at serialization
+    time, so the report cannot drift from its own data.
     """
 
-    space: Dict[str, Any]
-    workload: Dict[str, Any]
     outcomes: List[ScenarioOutcome]
-    sample: Optional[Dict[str, int]] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- aggregation ----------------------------------------------------
 
@@ -61,19 +54,17 @@ class ResilienceReport:
         """Ensemble-wide scenario count per outcome class."""
         counts = {outcome: 0 for outcome in OUTCOMES}
         for result in self.outcomes:
-            counts[result.outcome] = counts.get(result.outcome, 0) + 1
+            counts[result.outcome] += 1
         return counts
 
     def by_engine_and_kind(self) -> Dict[str, Dict[str, Dict[str, int]]]:
         """Nested counts: engine → fault kind → outcome class."""
         table: Dict[str, Dict[str, Dict[str, int]]] = {}
         for result in self.outcomes:
-            engine = result.scenario.engine
-            kind = result.scenario.kind
-            cell = table.setdefault(engine, {}).setdefault(
-                kind, {outcome: 0 for outcome in OUTCOMES}
+            cell = table.setdefault(result.scenario.engine, {}).setdefault(
+                result.scenario.kind, {outcome: 0 for outcome in OUTCOMES}
             )
-            cell[result.outcome] = cell.get(result.outcome, 0) + 1
+            cell[result.outcome] += 1
         return table
 
     def availability(self) -> Dict[str, Dict[str, float]]:
@@ -81,8 +72,8 @@ class ResilienceReport:
 
         ``no_lost_work`` — fraction of scenarios where no completed
         presentation had to be redone (resumed bit-identically or degraded
-        in place); ``recovered`` — fraction that reached a contractual
-        final state at all (everything but ``UNRECOVERED``).
+        in place); ``recovered`` — fraction that reached the clean run's
+        state at all (everything but ``UNRECOVERED``).
         """
         ratios: Dict[str, Dict[str, float]] = {}
         per_engine: Dict[str, List[ScenarioOutcome]] = {}
@@ -107,13 +98,6 @@ class ResilienceReport:
 
     def worst_case(self) -> Dict[str, Any]:
         """The most expensive recovery observed, in deterministic units."""
-        if not self.outcomes:
-            return {
-                "work_lost": 0,
-                "work_lost_scenario": None,
-                "checkpoint_bytes": 0,
-                "hops": 0,
-            }
         by_work = max(self.outcomes, key=lambda r: r.work_lost)
         return {
             "work_lost": by_work.work_lost,
@@ -127,101 +111,35 @@ class ResilienceReport:
     # -- the --check gate -----------------------------------------------
 
     def check(self) -> List[str]:
-        """Contract violations: any ``UNRECOVERED`` scenario, and any
-        scenario whose engine contract promises bit-identity but whose
-        observed recovery diverged.  Empty list = the gate passes."""
-        problems: List[str] = []
-        for result in self.outcomes:
-            sid = result.scenario.scenario_id
-            if result.outcome == OUTCOME_UNRECOVERED:
-                problems.append(f"{sid}: UNRECOVERED ({result.detail})")
-            elif result.expected_exact and not result.bit_identical:
-                problems.append(
-                    f"{sid}: contract promises bit-identical recovery but "
-                    f"the observed state diverged"
-                )
-        return problems
+        """One line per ``UNRECOVERED`` scenario; empty = the gate passes."""
+        return [
+            f"{r.scenario.scenario_id}: UNRECOVERED ({r.detail})"
+            for r in self.outcomes
+            if r.outcome == OUTCOME_UNRECOVERED
+        ]
 
     # -- serialization --------------------------------------------------
 
-    def to_dict(self, timings: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": REPORT_KIND,
             "schema_version": REPORT_VERSION,
-            "space": self.space,
-            "workload": self.workload,
-            "sample": self.sample,
             "n_scenarios": len(self.outcomes),
             "outcome_counts": self.outcome_counts(),
             "by_engine": self.by_engine_and_kind(),
             "availability": self.availability(),
             "worst_case": self.worst_case(),
-            "outcomes": [r.to_dict(timings=timings) for r in self.outcomes],
-            **self.extra,
+            "outcomes": [r.to_dict() for r in self.outcomes],
         }
 
-    def to_json(self, timings: bool = False) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: sorted keys, trailing newline, no wall clock."""
-        return json.dumps(self.to_dict(timings=timings), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path: Union[str, Path], timings: bool = False) -> None:
-        Path(path).write_text(self.to_json(timings=timings))
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ResilienceReport":
-        """Rebuild from :meth:`to_dict` output (tolerant loading).
-
-        Unknown top-level keys are preserved in ``extra``; aggregate
-        tables are recomputed from the outcomes rather than trusted.
-        """
-        if not isinstance(payload, dict) or "outcomes" not in payload:
-            raise CheckpointError(
-                "resilience report payload is missing the 'outcomes' list"
-            )
-        version = payload.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise CheckpointError(
-                f"resilience report has no usable schema version "
-                f"(got {version!r}); this build writes version "
-                f"{REPORT_VERSION} and reads any version >= 1"
-            )
-        known = {
-            "kind",
-            "schema_version",
-            "space",
-            "workload",
-            "sample",
-            "n_scenarios",
-            "outcome_counts",
-            "by_engine",
-            "availability",
-            "worst_case",
-            "outcomes",
-        }
-        return cls(
-            space=dict(payload.get("space", {})),
-            workload=dict(payload.get("workload", {})),
-            outcomes=[
-                ScenarioOutcome.from_dict(entry) for entry in payload["outcomes"]
-            ],
-            sample=payload.get("sample"),
-            extra={k: v for k, v in payload.items() if k not in known},
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ResilienceReport":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(
-                f"resilience report {path} is unreadable or not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(payload)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     # -- human-facing summary -------------------------------------------
 
     def markdown(self) -> str:
-        """The Markdown summary ``scripts/make_report.py`` embeds."""
+        """The Markdown summary ``python -m repro resilience`` prints."""
         counts = self.outcome_counts()
         lines = [
             f"{len(self.outcomes)} scenarios: "

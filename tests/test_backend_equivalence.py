@@ -86,6 +86,25 @@ class TestGuardTrainingGrid:
         assert stats.h2d > 0
         assert stats.d2h > 0
 
+    @pytest.mark.parametrize(
+        "engine,quantized,boundary_downloads",
+        [("fused", False, 5), ("qfused", True, 6)],
+    )
+    def test_training_downloads_exactly_through_to_host(
+        self, tiny_config, small_images, engine, quantized, boundary_downloads
+    ):
+        """Every device-to-host copy of a training presentation goes through
+        ``ops.to_host``, which the guard counts: the spike mask once per
+        output spike (the single WTA winner), then at the boundary the
+        refractory and inhibition timers, the current, v and theta, and on
+        ``qfused`` the code matrix.  A write-back that strips residency with
+        ``np.asarray`` downloads uncounted and breaks the count."""
+        config = _config(tiny_config, quantized)
+        state, stats = _train_state(config, small_images, engine, "guard")
+        spikes = sum(state["spikes_per_image"])
+        assert spikes > 0
+        assert stats.d2h == boundary_downloads * len(small_images) + spikes
+
 
 class TestGuardEvaluationGrid:
     @pytest.mark.parametrize("engine,quantized", [("batched", False), ("qbatched", True)])

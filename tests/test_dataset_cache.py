@@ -1,5 +1,8 @@
 """Tests for the dataset disk cache."""
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from repro.datasets.cache import (
 )
 from repro.datasets.dataset import load_dataset
 from repro.errors import DatasetError
-from repro.resilience.faults import corrupt_file
+from repro.resilience.faults import corrupt_file, truncate_file
 
 
 class TestKey:
@@ -50,10 +53,15 @@ class TestIntegrityDigest:
         again = load_dataset("mnist", n_train=6, n_test=4, size=8, seed=0)
         assert dataset_digest(ds) == dataset_digest(again)
 
-    def test_digest_is_content_sensitive(self):
+    @pytest.mark.parametrize(
+        "field", ["train_images", "train_labels", "test_images", "test_labels"]
+    )
+    def test_digest_is_content_sensitive(self, field):
+        """A change to any stored array, labels included, changes the
+        digest, so a cache entry damaged anywhere fails verification."""
         ds = load_dataset("mnist", n_train=6, n_test=4, size=8, seed=0)
         before = dataset_digest(ds)
-        ds.train_images[0, 0, 0] ^= 0xFF
+        getattr(ds, field).flat[0] ^= 1
         assert dataset_digest(ds) != before
 
     def test_stale_digest_detected_on_load(self, tmp_path):
@@ -164,6 +172,50 @@ class TestCachedLoad:
         # The rewritten entry verifies clean again.
         fresh = load_saved_dataset(next(tmp_path.glob("mnist-*.npz")))
         assert np.array_equal(fresh.train_images, ds.train_images)
+
+    @pytest.mark.parametrize(
+        "damage,seed",
+        [
+            # A torn write: the zip central directory is gone.
+            ("truncate", None),
+            # 64 flipped bytes; on this entry's layout the seeds trip a bad
+            # central-directory offset (0), a bad central-directory magic
+            # (1), an unparsable member (3, ValueError), damaged member
+            # names (8, "not a cached dataset") and a damaged zip version
+            # field (31, NotImplementedError).
+            ("corrupt", 0),
+            ("corrupt", 1),
+            ("corrupt", 3),
+            ("corrupt", 8),
+            ("corrupt", 31),
+            # The first byte of a member's deflate stream: zlib.error.
+            ("deflate", None),
+        ],
+    )
+    def test_damaged_entry_regenerates_bit_identically(
+        self, tmp_path, damage, seed
+    ):
+        params = dict(n_train=8, n_test=4, size=8, seed=42, cache_dir=tmp_path)
+        pristine = cached_load_dataset("mnist", **params)
+        entry = next(tmp_path.glob("mnist-*.npz"))
+        if damage == "truncate":
+            truncate_file(entry, keep_fraction=0.5)
+        elif damage == "corrupt":
+            corrupt_file(entry, n_bytes=64, seed=seed)
+        else:
+            with zipfile.ZipFile(entry) as archive:
+                offset = archive.getinfo("train_images.npy").header_offset
+            data = bytearray(entry.read_bytes())
+            name_len, extra_len = struct.unpack("<HH", data[offset + 26:offset + 30])
+            data[offset + 30 + name_len + extra_len] ^= 0xFF
+            entry.write_bytes(bytes(data))
+        with pytest.raises(DatasetError):
+            load_saved_dataset(entry)
+        again = cached_load_dataset("mnist", **params)
+        for field in ("train_images", "train_labels", "test_images", "test_labels"):
+            assert np.array_equal(getattr(again, field), getattr(pristine, field))
+        # The regenerated entry was rewritten and verifies clean.
+        assert dataset_digest(load_saved_dataset(entry)) == dataset_digest(pristine)
 
     def test_no_cache_dir_falls_back(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -198,9 +198,12 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="learned state only"):
             load_run_checkpoint(path)
 
-    def test_truncated_file(self, tmp_path, run_state):
+    @pytest.mark.parametrize("state", ["run_state", "quantized_run_state"])
+    def test_truncated_file(self, tmp_path, request, state):
+        """A torn autosave is rejected whether it stores float conductances
+        or Q-format codes."""
         path = tmp_path / "run.npz"
-        save_run_checkpoint(path, run_state)
+        save_run_checkpoint(path, request.getfixturevalue(state))
         truncate_file(path, keep_fraction=0.5)
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
             load_run_checkpoint(path)
@@ -219,6 +222,20 @@ class TestRejection:
         save_run_checkpoint(path, run_state)
         data = bytearray(path.read_bytes())
         data[data.index(b"PK\x01\x02") + 6] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated or corrupt"):
+            load_run_checkpoint(path)
+
+    def test_damaged_member_header(self, tmp_path, run_state):
+        """A member whose npy header names a wrong key makes numpy raise
+        ValueError, before the zip CRC is checked when the member (here the
+        config JSON) is longer than zipfile's 4 KiB read-ahead; the loader
+        reports a corrupt archive."""
+        path = tmp_path / "run.npz"
+        save_run_checkpoint(path, run_state)
+        data = bytearray(path.read_bytes())
+        member = data.index(b"config_json.npy")
+        data[data.index(b"'descr'", member) + 1] ^= 0x20  # 'descr' -> 'Descr'
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
             load_run_checkpoint(path)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config.parameters import QuantizationConfig, RoundingMode
+from repro.engine.registry import create_training_engine
 from repro.errors import NumericHealthError, SimulationError
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import Evaluator
@@ -26,7 +27,7 @@ from repro.resilience import (
     degradation_path,
     next_tier,
 )
-from repro.resilience.explore import ScenarioWorkload
+from repro.resilience.explore import scenario_config, scenario_images
 from repro.resilience.faults import (
     InjectedFault,
     install_faulty_chain,
@@ -142,6 +143,55 @@ class TestDegradedRuns:
         assert np.array_equal(degraded.conductances, baseline.conductances)
 
 
+class _FaultAfterLearning:
+    """A kernel wrapper that presents the image — moving conductances,
+    thresholds, membranes and RNG streams — and only then raises, once, at
+    presentation *fail_at*.  The injected engines fault before the kernel
+    runs; this one leaves the rollback something to undo."""
+
+    name = "faults-after-learning"
+    degrade_to = "reference"
+
+    def __init__(self, network, inner, fail_at):
+        self._kernel = create_training_engine(inner, network)
+        self._fail_at = fail_at
+        self._runs = 0
+
+    def run(self, image, t_ms, n_steps, dt_ms):
+        self._runs += 1
+        result = self._kernel.run(image, t_ms, n_steps, dt_ms)
+        if self._runs == self._fail_at:
+            raise InjectedFault("engine fault after the presentation learned")
+        return result
+
+
+class TestRollback:
+    @pytest.mark.parametrize("inner,quantized", [("fused", False), ("qfused", True)])
+    def test_fault_after_learning_rolls_back_to_the_boundary(
+        self, tiny_config, tiny_dataset, inner, quantized
+    ):
+        config = tiny_config
+        if quantized:
+            config = replace(
+                tiny_config,
+                quantization=QuantizationConfig(
+                    fmt="Q1.7", rounding=RoundingMode.STOCHASTIC
+                ),
+            )
+        images = tiny_dataset.train_images[:6]
+        baseline, base_log = _train_plain(config, images, "reference")
+        net = WTANetwork(config, images[0].size)
+        kernel = _FaultAfterLearning(net, inner, fail_at=3)
+        with pytest.warns(EngineDegradedWarning, match="degrading to 'reference'"):
+            log = UnsupervisedTrainer(net).train(
+                images, engine=kernel, on_engine_fault="degrade"
+            )
+        assert log.spikes_per_image == base_log.spikes_per_image
+        assert np.array_equal(net.conductances, baseline.conductances)
+        assert np.array_equal(net.neurons.theta, baseline.neurons.theta)
+        assert net.rngs.state_dict() == baseline.rngs.state_dict()
+
+
 class TestFullChainWalk:
     def test_qfused_cascades_to_reference_bit_identically(self):
         """One run walks the entire ladder qfused → fused → reference: each
@@ -154,9 +204,8 @@ class TestFullChainWalk:
         presets' default; every tier rounds eq. 8 on the same ``learning``
         draws, so the quantized tiers stay code-exact.
         """
-        workload = ScenarioWorkload()
-        images = workload.load_images()
-        config = workload.config_for("qfused")
+        images = scenario_images()
+        config = scenario_config("qfused")
 
         clean = WTANetwork(config, images[0].size)
         clean_log = UnsupervisedTrainer(clean).train(images, engine="reference")

@@ -128,6 +128,32 @@ class TestBitIdenticalResume:
         UnsupervisedTrainer(resumed).train(images, engine="fused", resume_from=state)
         assert np.array_equal(resumed.conductances, baseline.conductances)
 
+    def test_resumed_run_keeps_the_simulation_clock(
+        self, tmp_path, tiny_config, tiny_dataset
+    ):
+        """The resumed segment continues the stored clock, so its autosaves
+        record the uninterrupted run's simulation time (weights alone would
+        not show a clock restarted at zero)."""
+        images = tiny_dataset.train_images[:6]
+        clean = tmp_path / "clean.npz"
+        UnsupervisedTrainer(WTANetwork(tiny_config, 64)).train(
+            images, engine="fused", autosave=AutosavePolicy(clean, every_images=6)
+        )
+        path = tmp_path / "auto.npz"
+        with pytest.raises(SimulatedCrash):
+            UnsupervisedTrainer(WTANetwork(tiny_config, 64)).train(
+                images, engine="fused",
+                autosave=AutosavePolicy(path, every_images=1),
+                on_image_end=CrashFault(at_presentation=3),
+            )
+        UnsupervisedTrainer(WTANetwork(tiny_config, 64)).train(
+            images, engine="fused", resume_from=str(path),
+            autosave=AutosavePolicy(path, every_images=1),
+        )
+        sim = tiny_config.simulation
+        assert load_run_checkpoint(path).t_ms == load_run_checkpoint(clean).t_ms
+        assert load_run_checkpoint(path).t_ms == 6 * (sim.t_learn_ms + sim.t_rest_ms)
+
     def test_resumed_segment_counts_only_its_own_wall_time(
         self, tmp_path, tiny_config, tiny_dataset
     ):

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.statistics import SeedStudy
 from repro.config.parameters import SimulationParameters
 from repro.config.presets import get_preset
-from repro.errors import CheckpointError, ReproError
+from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.pipeline.sweep import ParameterSweep, SweepCellTimeout
 from repro.resilience.faults import (
     HangFault,
@@ -23,6 +23,7 @@ from repro.resilience.faults import (
     faults_enabled,
 )
 from repro.resilience.manifest import MANIFEST_VERSION, SweepManifest
+from repro.resilience.retry import RetryPolicy, run_with_retry
 
 
 def tiny_factory():
@@ -97,6 +98,81 @@ class TestRetry:
                 sweep.add("v", tiny_factory())
         assert fault.triggers == 3  # 1 attempt + 2 retries
         assert naps == [0.5, 1.0]  # backoff doubles per failed attempt
+
+
+class TestRetryPolicy:
+    def test_default_is_a_single_attempt(self):
+        assert RetryPolicy().attempts() == 1
+
+    def test_backoff_doubles_per_failed_attempt(self):
+        policy = RetryPolicy(max_retries=3, backoff_s=0.5)
+        assert [policy.backoff_for(k) for k in (1, 2, 3)] == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(max_retries=-1), "max_retries"),
+            (dict(backoff_s=-0.1), "backoff_s"),
+        ],
+    )
+    def test_validation(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            RetryPolicy(**kwargs)
+
+    def test_backoff_for_is_one_based(self):
+        with pytest.raises(ConfigurationError, match="1-based"):
+            RetryPolicy(max_retries=1, backoff_s=1.0).backoff_for(0)
+
+    def test_sweep_builds_its_policy_from_its_options(self, tiny_dataset):
+        sweep = ParameterSweep(tiny_dataset, max_retries=2, retry_backoff_s=0.5)
+        assert sweep.retry == RetryPolicy(max_retries=2, backoff_s=0.5)
+
+
+class TestRunWithRetry:
+    def test_success_reports_the_attempt_number(self):
+        calls = []
+
+        def flaky():
+            calls.append(len(calls))
+            if len(calls) < 3:
+                raise ValueError("transient")
+            return "ok"
+
+        naps = []
+        value, attempt = run_with_retry(
+            flaky, RetryPolicy(max_retries=3, backoff_s=0.5), sleep=naps.append
+        )
+        assert (value, attempt) == ("ok", 3)
+        assert naps == [0.5, 1.0]
+
+    def test_exhausted_retries_reraise_the_last_exception(self):
+        def always_fail():
+            raise ValueError("permanent")
+
+        naps = []
+        with pytest.raises(ValueError, match="permanent"):
+            run_with_retry(
+                always_fail, RetryPolicy(max_retries=2, backoff_s=1.0),
+                sleep=naps.append,
+            )
+        assert naps == [1.0, 2.0]
+
+    def test_zero_backoff_never_sleeps(self):
+        attempts = []
+
+        def fail_once():
+            attempts.append(0)
+            if len(attempts) == 1:
+                raise ValueError("once")
+            return 42
+
+        def no_sleep(_s):
+            raise AssertionError("zero-length sleeps must be skipped")
+
+        value, attempt = run_with_retry(
+            fail_once, RetryPolicy(max_retries=1), sleep=no_sleep
+        )
+        assert (value, attempt) == (42, 2)
 
 
 class TestPermanentFailure:
