@@ -52,7 +52,8 @@ def test_ablation_ltd_mode(benchmark, scale, mnist):
     base = scaled_preset("float32", scale)
     rows = []
     for mode in (LTDMode.POST_EVENT, LTDMode.PAIR, LTDMode.BOTH):
-        result = _run(base, mnist, scale, ltd_mode=mode)
+        cfg = replace(base, stochastic_stdp=replace(base.stochastic_stdp, ltd_mode=mode))
+        result = _run(cfg, mnist, scale)
         rows.append(
             [mode.value, result.accuracy, float(population_selectivity(result.conductances))]
         )

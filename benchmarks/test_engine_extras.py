@@ -1,15 +1,15 @@
-"""Engine deep-dives beyond Fig. 4: step breakdown, batched inference,
-event-driven oracle.
+"""Engine deep-dives beyond Fig. 4: batched inference, event-driven oracle.
 
-Three measurements the paper's performance discussion implies but doesn't
+Two measurements the paper's performance discussion implies but doesn't
 print:
 
-1. where a training step spends its time (encode / propagate / neurons /
-   learning) — the profile that justifies the data-parallel design;
-2. the batched-inference speedup over sequential evaluation (the second
+1. the batched-inference speedup over sequential evaluation (the second
    GPU axis);
-3. the clock-driven engine's convergence to the event-driven analytic
+2. the clock-driven engine's convergence to the event-driven analytic
    oracle (correctness of the dt = 1 ms discretisation).
+
+Where a training presentation spends its time, layer by layer, is
+perfbench's traced round (``python3 perfbench/run.py --trace 1``).
 """
 
 import numpy as np
@@ -21,26 +21,10 @@ from repro.config.parameters import STDPKind
 from repro.config.presets import PAPER_LIF
 from repro.engine.batched import BatchedInference
 from repro.engine.event_driven import CurrentStep, EventDrivenLIF
-from repro.engine.profiler import profile_wta_step
 from repro.network.wta import WTANetwork
 from repro.neurons.lif import LIFPopulation
 from repro.pipeline.evaluator import Evaluator
 from repro.pipeline.trainer import UnsupervisedTrainer
-
-
-def test_step_profile(benchmark, scale, mnist):
-    cfg = scaled_preset("float32", scale, stdp_kind=STDPKind.STOCHASTIC)
-    net = WTANetwork(cfg, mnist.n_pixels)
-    profiler = profile_wta_step(net, mnist.train_images[0], n_steps=500)
-    publish(
-        "engine_step_profile",
-        profiler.table(title="Training-step wall-clock breakdown (500 steps)"),
-    )
-    assert set(profiler.totals) == {"encode", "propagate", "neurons", "learning"}
-    benchmark.pedantic(
-        lambda: profile_wta_step(net, mnist.train_images[1], n_steps=50),
-        rounds=3, iterations=1,
-    )
 
 
 def test_batched_inference_speedup(benchmark, scale, mnist):

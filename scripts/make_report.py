@@ -34,13 +34,13 @@ SECTION_ORDER = [
     ("table2_rounding_options", "Table II — rounding options"),
     ("fig8_summary", "Fig. 8 — summary"),
     ("seed_study_float", "Seed study — IV-B comparison"),
+    ("robustness_corruption", "Robustness — input corruption"),
     ("ablation_homeostasis", "Ablation — homeostasis"),
     ("ablation_ltd_mode", "Ablation — LTD schedule"),
     ("ablation_encoder", "Ablation — encoder kind"),
     ("ablation_t_inh", "Ablation — inhibition duration"),
     ("ablation_single_winner", "Ablation — winner arbitration"),
     ("ablation_synapse_model", "Ablation — synapse model"),
-    ("engine_step_profile", "Engine — step profile"),
     ("engine_batched_speedup", "Engine — batched inference"),
     ("engine_event_driven_oracle", "Engine — event-driven oracle"),
 ]

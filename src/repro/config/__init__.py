@@ -19,6 +19,7 @@ from repro.config.parameters import (
     EngineConfig,
     ExperimentConfig,
     LIFParameters,
+    LTDMode,
     QuantizationConfig,
     RoundingMode,
     SimulationParameters,
@@ -42,6 +43,7 @@ __all__ = [
     "EngineConfig",
     "ExperimentConfig",
     "LIFParameters",
+    "LTDMode",
     "QuantizationConfig",
     "RoundingMode",
     "SimulationParameters",

@@ -55,6 +55,17 @@ class RoundingMode(enum.Enum):
     STOCHASTIC = "stochastic"
 
 
+class LTDMode(enum.Enum):
+    """Which depression schedule the stochastic rule uses.
+
+    See :mod:`repro.learning.stochastic` for the three schedules.
+    """
+
+    POST_EVENT = "post_event"
+    PAIR = "pair"
+    BOTH = "both"
+
+
 @dataclass(frozen=True)
 class LIFParameters:
     """Leaky integrate-and-fire neuron constants (eqs. 1-2).
@@ -182,6 +193,9 @@ class StochasticSTDPParameters:
     #: an afferent has been silent, which lives on the input inter-spike
     #: timescale (hundreds of ms at f_min of a few Hz).
     tau_dep_post_ms: float = 300.0
+    #: Depression schedule; part of the config so a saved or resumed run
+    #: keeps it.  Configs serialised before the field load as POST_EVENT.
+    ltd_mode: LTDMode = LTDMode.POST_EVENT
 
     def __post_init__(self) -> None:
         for name in ("gamma_pot", "tau_pot_ms", "gamma_dep", "tau_dep_ms", "tau_dep_post_ms"):
@@ -191,6 +205,7 @@ class StochasticSTDPParameters:
         _require(self.tau_pot_ms > 0.0, "tau_pot_ms must be positive")
         _require(self.tau_dep_ms > 0.0, "tau_dep_ms must be positive")
         _require(self.tau_dep_post_ms > 0.0, "tau_dep_post_ms must be positive")
+        _require(isinstance(self.ltd_mode, LTDMode), "ltd_mode must be an LTDMode")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ _REGISTRY: Dict[str, type] = {
 _ENUMS: Dict[str, Type[enum.Enum]] = {
     "STDPKind": _p.STDPKind,
     "RoundingMode": _p.RoundingMode,
+    "LTDMode": _p.LTDMode,
 }
 
 

@@ -11,8 +11,9 @@ event at all*.
 encoding RNG stream untouched — the draw already happened) into a
 :class:`SparseRaster`: a CSR-like concatenated channel-index array with
 per-step offsets.  The occupancy statistics it exposes are the measured
-counterparts of the sparsity assumptions the gather kernels rely on, and
-are surfaced through ``TrainingLog``.
+counterparts of the sparsity assumptions the gather kernels rely on;
+perfbench's ``encoding`` layer reports :attr:`SparseRaster.cell_occupancy`
+pooled over every raster a run draws.
 """
 
 from __future__ import annotations

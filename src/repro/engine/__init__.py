@@ -35,7 +35,6 @@ _EXPORTS: Dict[str, str] = {
     "BatchedInference": "repro.engine.batched",
     "CONDUCTANCE_ATOL": "repro.engine.registry",
     "EventPresentation": "repro.engine.event_train",
-    "EventTrainStats": "repro.engine.event_train",
     "CurrentStep": "repro.engine.event_driven",
     "EventDrivenLIF": "repro.engine.event_driven",
     "RngStreams": "repro.engine.rng",

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple, Union
 
 import numpy as np
@@ -80,15 +79,6 @@ from repro.network.wta import WTANetwork
 
 if TYPE_CHECKING:
     from repro.engine.qevent import CodeStore
-
-
-@dataclass
-class EventTrainStats:
-    """Input-raster occupancy counters accumulated across ``run`` calls."""
-
-    #: Raster cells = presentations * steps * channels; active = spiking.
-    raster_cells: int = 0
-    raster_active_cells: int = 0
 
 
 def _expiry_steps(duration_ms: float, dt_ms: float) -> int:
@@ -227,8 +217,6 @@ class EventPresentation:
         self._scale_denom = cfg.wta.e_excitatory - cfg.lif.v_reset
         self._subtractive = network.neurons.inhibition_strength > 0.0
 
-        self.occupancy = EventTrainStats()
-
         # Preallocated work buffers, resident on the backend the loop
         # steps on.
         self._inj = xp.empty(n, dtype=np.float64)
@@ -358,9 +346,6 @@ class EventPresentation:
         big = n_steps + max(ref_steps, inh_steps, 1) + 1
         subtractive = self._subtractive
         conductance_model = self._conductance_model
-
-        self.occupancy.raster_cells += n_steps * sparse.n_channels
-        self.occupancy.raster_active_cells += sparse.n_events
 
         # Plain Python ints everywhere the loop reads per-step metadata:
         # numpy scalar indexing would pay a boxing conversion per

@@ -35,7 +35,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.pipeline.progress import NullProgress
 
 if TYPE_CHECKING:
-    from repro.engine.event_train import EventTrainStats
     from repro.engine.registry import EngineSpec
     from repro.network.wta import WTANetwork
     from repro.resilience.sentinel import NumericHealthSentinel
@@ -245,9 +244,7 @@ class FusedEngine(LockstepEvaluation):
     every step with the reference arithmetic and sums eq. 3 over the
     active input rows in the same row order as
     :meth:`~repro.network.wta.WTANetwork.drive`.  Evaluates images in
-    lock-step (:class:`LockstepEvaluation`).  Exposes the kernel's
-    :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`
-    for the trainer's raster-occupancy counters.
+    lock-step (:class:`LockstepEvaluation`).
     """
 
     name = "fused"
@@ -257,10 +254,6 @@ class FusedEngine(LockstepEvaluation):
         from repro.engine.event_train import EventPresentation
 
         self._kernel = EventPresentation(network)
-
-    @property
-    def occupancy(self) -> EventTrainStats:
-        return self._kernel.occupancy
 
     def run(
         self,
@@ -282,8 +275,7 @@ class QFusedEngine(LockstepEvaluation):
     engine under every rounding option and in evaluation: eq.-8 rounding
     draws one ``learning`` uniform per changed synapse in every tier.
     Evaluates images in lock-step over the frozen float view
-    (:class:`LockstepEvaluation`).  Exposes the kernel's
-    :class:`~repro.engine.event_train.EventTrainStats` as :attr:`occupancy`.
+    (:class:`LockstepEvaluation`).
     """
 
     name = "qfused"
@@ -293,10 +285,6 @@ class QFusedEngine(LockstepEvaluation):
         from repro.engine.qevent import QEventPresentation
 
         self._kernel = QEventPresentation(network)
-
-    @property
-    def occupancy(self) -> EventTrainStats:
-        return self._kernel.occupancy
 
     @property
     def codes(self) -> np.ndarray:

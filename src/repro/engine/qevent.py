@@ -78,8 +78,8 @@ class CodeStore:
             raise ConfigurationError(
                 "the integer-native engines serve the column-restricted STDP "
                 "rules only (stdp.kind='deterministic', or 'stochastic' with "
-                "ltd_mode='post_event'); pair-LTD modes need the float 'fused' "
-                "engine, which runs them through the reference rule"
+                "stochastic_stdp.ltd_mode='post_event'); pair-LTD modes need the "
+                "float 'fused' engine, which runs them through the reference rule"
             )
         self._stochastic_rule = rule == "stochastic"
         self.net = network

@@ -47,12 +47,10 @@ STREAM_CONSUMERS = {
     "encoding": (
         "engine/event_train.py",
         "engine/presentation.py",
-        "engine/profiler.py",
         "network/wta.py",
     ),
     "learning": (
         "engine/event_train.py",
-        "engine/profiler.py",
         "engine/qevent.py",
         "network/wta.py",
     ),

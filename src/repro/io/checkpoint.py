@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import tokenize
 import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
@@ -76,8 +77,7 @@ def atomic_savez(path: Union[str, Path], **payload: Any) -> None:
 
     Uncompressed deliberately: trained conductances are near-incompressible
     float noise (deflate costs ~10x the raw write for a few percent of
-    size), and this function sits on the autosave hot path where the
-    benchmark's ``AUTOSAVE_OVERHEAD_CEILING`` budget applies.
+    size), and autosave calls it from inside the training loop.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -105,9 +105,14 @@ def _open_payload(
             wanted = data.files if names is None else [n for n in names if n in data.files]
             # Each member is read into a fresh array; no copy needed.
             payload = {name: data[name] for name in wanted}
-    except (zipfile.BadZipFile, NotImplementedError, OSError, ValueError, KeyError) as exc:
+    except (
+        zipfile.BadZipFile, NotImplementedError, OSError, ValueError, KeyError,
+        SyntaxError, tokenize.TokenError,
+    ) as exc:
         # zipfile raises NotImplementedError when a damaged header names an
-        # unsupported zip version or compression method.
+        # unsupported zip version or compression method; numpy parses a
+        # member's npy header as a Python literal, so a damaged one raises
+        # SyntaxError or tokenize.TokenError.
         raise CheckpointError(
             f"{path} is not a readable checkpoint archive (truncated or "
             f"corrupt): {exc}"

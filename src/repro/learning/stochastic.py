@@ -9,8 +9,8 @@ relationship between the pre and post spikes:
   ``P_pot = gamma_pot * exp(-Δt/tau_pot)`` (eq. 6), Δt being the time since
   that channel's most recent pre spike — recent pre activity means strong
   causality, high probability;
-- synapses that do not potentiate may depress.  Two LTD schedules are
-  available (:class:`LTDMode`):
+- synapses that do not potentiate may depress.  Three LTD schedules are
+  available (:class:`LTDMode`, chosen by ``StochasticSTDPParameters.ltd_mode``):
 
   * ``POST_EVENT`` (default) — evaluated at the same post spike with the
     probability rising in Δt (a long-silent afferent is non-causal), the
@@ -31,12 +31,11 @@ rarely destroy stored state.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.config.parameters import (
     DeterministicSTDPParameters,
+    LTDMode,
     StochasticSTDPParameters,
 )
 from repro.learning.base import STDPRule
@@ -51,14 +50,6 @@ from repro.synapses.conductance import ConductanceMatrix
 from repro.synapses.traces import SpikeTimers
 
 
-class LTDMode(enum.Enum):
-    """Which depression schedule the stochastic rule uses (see module docs)."""
-
-    POST_EVENT = "post_event"
-    PAIR = "pair"
-    BOTH = "both"
-
-
 class StochasticSTDP(STDPRule):
     """Eqs. (6)-(7): probabilistic LTP/LTD with eq. (4)-(5) magnitudes."""
 
@@ -66,11 +57,10 @@ class StochasticSTDP(STDPRule):
         self,
         params: StochasticSTDPParameters = StochasticSTDPParameters(),
         magnitudes: DeterministicSTDPParameters = DeterministicSTDPParameters(),
-        ltd_mode: LTDMode = LTDMode.POST_EVENT,
     ) -> None:
         self.params = params
         self.magnitudes = magnitudes
-        self.ltd_mode = ltd_mode
+        self.ltd_mode = params.ltd_mode
 
     def step(
         self,

@@ -29,7 +29,7 @@ from repro.encoding.rate import make_encoder
 from repro.engine.rng import RngStreams
 from repro.errors import TopologyError
 from repro.learning.deterministic import DeterministicSTDP
-from repro.learning.stochastic import LTDMode, StochasticSTDP
+from repro.learning.stochastic import StochasticSTDP
 from repro.neurons.adaptive_lif import AdaptiveLIFPopulation
 from repro.quantization.quantizer import make_quantizer
 from repro.synapses.conductance import ConductanceMatrix
@@ -73,7 +73,6 @@ class WTANetwork:
         config: ExperimentConfig,
         n_pixels: int,
         rngs: Optional[RngStreams] = None,
-        ltd_mode: LTDMode = LTDMode.POST_EVENT,
         input_spike_amplitude: Optional[float] = None,
     ) -> None:
         if n_pixels < 1:
@@ -103,9 +102,7 @@ class WTANetwork:
         if config.stdp_kind is STDPKind.DETERMINISTIC:
             self.rule = DeterministicSTDP(config.deterministic_stdp)
         else:
-            self.rule = StochasticSTDP(
-                config.stochastic_stdp, config.deterministic_stdp, ltd_mode
-            )
+            self.rule = StochasticSTDP(config.stochastic_stdp, config.deterministic_stdp)
 
         self.amplitude = (
             input_spike_amplitude

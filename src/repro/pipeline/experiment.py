@@ -19,7 +19,6 @@ from repro.config.parameters import ExperimentConfig
 from repro.datasets.dataset import Dataset
 from repro.engine.rng import RngStreams
 from repro.learning.homeostasis import WeightNormalizer
-from repro.learning.stochastic import LTDMode
 from repro.network.inference import classify_batch
 from repro.network.wta import WTANetwork
 from repro.pipeline.evaluator import EvaluationResult, Evaluator
@@ -59,14 +58,10 @@ class ExperimentResult:
         ]
 
 
-def build_network(
-    config: ExperimentConfig,
-    n_pixels: int,
-    ltd_mode: LTDMode = LTDMode.POST_EVENT,
-) -> WTANetwork:
+def build_network(config: ExperimentConfig, n_pixels: int) -> WTANetwork:
     """Construct the Fig. 3 network for *config* (seeded from the config)."""
     rngs = RngStreams(config.simulation.seed)
-    return WTANetwork(config, n_pixels, rngs=rngs, ltd_mode=ltd_mode)
+    return WTANetwork(config, n_pixels, rngs=rngs)
 
 
 def run_experiment(
@@ -74,7 +69,6 @@ def run_experiment(
     dataset: Dataset,
     n_labeling: Optional[int] = None,
     epochs: int = 1,
-    ltd_mode: LTDMode = LTDMode.POST_EVENT,
     normalizer: Optional[WeightNormalizer] = None,
     track_moving_error: bool = False,
     probe_every: int = 25,
@@ -111,7 +105,7 @@ def run_experiment(
         n_labeling = max(dataset.test_images.shape[0] // 10, dataset.n_classes)
     label_imgs, label_lbls, infer_imgs, infer_lbls = dataset.labeling_split(n_labeling)
 
-    network = build_network(config, dataset.n_pixels, ltd_mode)
+    network = build_network(config, dataset.n_pixels)
     trainer = UnsupervisedTrainer(
         network, normalizer=normalizer, progress=progress, engine=train_engine
     )

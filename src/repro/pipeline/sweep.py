@@ -57,7 +57,6 @@ from repro.analysis.statistics import SeedStudy, Summary
 from repro.config.parameters import ExperimentConfig
 from repro.datasets.dataset import Dataset
 from repro.errors import ReproError
-from repro.learning.stochastic import LTDMode
 from repro.pipeline.experiment import run_experiment
 
 ConfigFactory = Callable[[int], ExperimentConfig]
@@ -82,7 +81,6 @@ def _run_one(payload) -> float:
         dataset,
         n_labeling,
         epochs,
-        ltd_mode,
         train_engine,
         eval_engine,
         fault,
@@ -94,7 +92,6 @@ def _run_one(payload) -> float:
         dataset,
         n_labeling=n_labeling,
         epochs=epochs,
-        ltd_mode=ltd_mode,
         train_engine=train_engine,
         eval_engine=eval_engine,
     )
@@ -124,7 +121,6 @@ class ParameterSweep:
         seeds: Sequence[int] = (0,),
         n_labeling: Optional[int] = None,
         epochs: int = 1,
-        ltd_mode: LTDMode = LTDMode.POST_EVENT,
         train_engine: Optional[str] = None,
         eval_engine: Optional[str] = "batched",
         n_workers: Optional[int] = None,
@@ -139,9 +135,7 @@ class ParameterSweep:
 
         if n_workers is not None and n_workers < 1:
             raise ReproError(f"n_workers must be >= 1, got {n_workers}")
-        if retry_backoff_s < 0.0:
-            raise ReproError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        #: Shared deterministic retry schedule (validates max_retries too).
+        #: Shared deterministic retry schedule (validates both settings).
         self.retry = RetryPolicy(max_retries=max_retries, backoff_s=retry_backoff_s)
         if worker_timeout_s is not None and worker_timeout_s <= 0.0:
             raise ReproError(
@@ -151,13 +145,10 @@ class ParameterSweep:
         self.study = SeedStudy(list(seeds))
         self.n_labeling = n_labeling
         self.epochs = epochs
-        self.ltd_mode = ltd_mode
         #: Registry engine names shipped to every run (``None`` = config default).
         self.train_engine = train_engine
         self.eval_engine = eval_engine
         self.n_workers = n_workers
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.worker_timeout_s = worker_timeout_s
         #: Fault injector shipped inside every worker payload (tests only).
         self.fault = fault
@@ -183,7 +174,6 @@ class ParameterSweep:
             self.dataset,
             self.n_labeling,
             epochs,
-            self.ltd_mode,
             self.train_engine,
             self.eval_engine,
             self.fault,
@@ -252,7 +242,7 @@ class ParameterSweep:
         in_flight: Dict[Future, int] = {}
 
         def fail_attempt(seed: int, exc: BaseException) -> None:
-            if attempts[seed] > self.max_retries:
+            if attempts[seed] >= self.retry.attempts():
                 self._cell_failed(name, seed, exc, attempts[seed])
             else:
                 self._backoff(attempts[seed])

@@ -55,27 +55,16 @@ class TrainingLog:
     """What one training run produced."""
 
     images_seen: int = 0
-    total_steps: int = 0
     simulated_ms: float = 0.0
     wall_seconds: float = 0.0
     #: Output spikes per presented image.
     spikes_per_image: List[int] = field(default_factory=list)
-    normalizations: int = 0
-    #: Input raster occupancy counters (populated by the gather kernels):
-    #: total ``(step, channel)`` cells presented and how many were active.
-    raster_cells: int = 0
-    raster_active_cells: int = 0
 
     @property
     def mean_spikes_per_image(self) -> float:
         if not self.spikes_per_image:
             return 0.0
         return float(np.mean(self.spikes_per_image))
-
-    @property
-    def raster_occupancy(self) -> float:
-        """Measured input-raster density (active cells / all cells)."""
-        return self.raster_active_cells / self.raster_cells if self.raster_cells else 0.0
 
     @property
     def simulated_minutes(self) -> float:
@@ -173,7 +162,6 @@ class UnsupervisedTrainer:
             # a wrapper with no registry name of its own.
             kernel = engine_choice
             engine_name = getattr(kernel, "name", "") or type(kernel).__name__
-        occupancy = getattr(kernel, "occupancy", None)
 
         sim = self.network.config.simulation
         steps_per_image = sim.steps_per_image
@@ -184,10 +172,6 @@ class UnsupervisedTrainer:
         log = TrainingLog()
         t_ms = 0.0
         seen = 0
-        # Event-engine occupancy counters are absolute per kernel instance;
-        # a resumed or degraded run folds the pre-existing totals in via
-        # these offsets.
-        cells_base = active_base = 0
         if resume_from is not None:
             from repro.errors import CheckpointError
             from repro.resilience.run_state import load_run_state
@@ -208,8 +192,6 @@ class UnsupervisedTrainer:
             log = state.to_log()
             t_ms = state.t_ms
             seen = state.presentation_index
-            cells_base = log.raster_cells
-            active_base = log.raster_active_cells
 
         snapshot: Optional[Any] = None
         self.progress.start(total, "train")
@@ -246,31 +228,21 @@ class UnsupervisedTrainer:
                 np.copyto(self.network.neurons.theta, snap_theta)
                 self.network.rngs.load_state_dict(snap_rng)
                 self.network.rest()
-                # The dying kernel's counters are already folded into the
-                # log at the last successful boundary; rebase on those.
-                cells_base = log.raster_cells
-                active_base = log.raster_active_cells
                 engine_name = fallback
                 with use_backend(backend):
                     kernel = create_training_engine(engine_name, self.network)
-                occupancy = getattr(kernel, "occupancy", None)
                 continue
             self.network.rest()
             t_ms += sim.t_rest_ms
             if sentinel is not None:
                 sentinel.after_presentation(self.network, t_ms, seen)
 
-            if self.normalizer.after_image(self.network.synapses, self.network.rngs.rounding):
-                log.normalizations += 1
+            self.normalizer.after_image(self.network.synapses, self.network.rngs.rounding)
 
             seen += 1
             log.images_seen = seen
-            log.total_steps += steps_per_image
             log.simulated_ms = seen * (sim.t_learn_ms + sim.t_rest_ms)
             log.spikes_per_image.append(spikes_this_image)
-            if occupancy is not None:
-                log.raster_cells = cells_base + occupancy.raster_cells
-                log.raster_active_cells = active_base + occupancy.raster_active_cells
             log.wall_seconds = time.perf_counter() - start
             if autosave is not None:
                 autosave.maybe_save(

@@ -7,15 +7,10 @@ captures a :class:`~repro.resilience.run_state.TrainingRunState` and writes
 it to one v2 checkpoint path with the atomic write-temp-then-rename
 protocol of :mod:`repro.io.checkpoint` — the file on disk is always a
 complete, loadable checkpoint, no matter when the process dies.
-
-The policy also accounts for its own cost (``seconds_spent``,
-``saves_written``), so a caller can report autosave overhead as a share of
-training wall-time.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -47,8 +42,6 @@ class AutosavePolicy:
         self.path = Path(path)
         self.every_images = int(every_images)
         self.extra: Dict[str, Any] = dict(extra) if extra else {}
-        #: Wall-clock seconds spent capturing + writing checkpoints.
-        self.seconds_spent = 0.0
         #: Checkpoints written so far.
         self.saves_written = 0
 
@@ -87,7 +80,6 @@ class AutosavePolicy:
         """Capture and persist the run state unconditionally."""
         from repro.io.checkpoint import save_run_checkpoint
 
-        start = time.perf_counter()
         state = TrainingRunState.capture(
             network,
             log,
@@ -99,12 +91,5 @@ class AutosavePolicy:
             extra=self.extra,
         )
         save_run_checkpoint(self.path, state)
-        self.seconds_spent += time.perf_counter() - start
         self.saves_written += 1
         return state
-
-    def overhead_fraction(self, total_wall_seconds: float) -> float:
-        """Autosave cost as a fraction of *total_wall_seconds*."""
-        if total_wall_seconds <= 0.0:
-            return 0.0
-        return self.seconds_spent / total_wall_seconds

@@ -368,10 +368,6 @@ class FaultyEngine:
     def spec(self) -> EngineSpec:
         return get_engine_spec(self.name)
 
-    @property
-    def occupancy(self) -> Optional[object]:
-        return getattr(self._inner, "occupancy", None)
-
     def attach_sentinel(self, sentinel: object) -> "FaultyEngine":
         self.sentinel = sentinel
         if hasattr(self._inner, "attach_sentinel"):

@@ -25,7 +25,6 @@ import numpy as np
 from repro.config.parameters import ExperimentConfig
 from repro.errors import CheckpointError
 from repro.learning.homeostasis import WeightNormalizer
-from repro.learning.stochastic import LTDMode
 from repro.network.wta import WTANetwork
 from repro.pipeline.trainer import TrainingLog
 
@@ -55,11 +54,7 @@ class TrainingRunState:
     #: Weight-normaliser schedule position (``_images_seen``).
     normalizer_images_seen: int
     #: TrainingLog counters at the boundary.
-    total_steps: int = 0
     simulated_ms: float = 0.0
-    normalizations: int = 0
-    raster_cells: int = 0
-    raster_active_cells: int = 0
     spikes_per_image: List[int] = field(default_factory=list)
     #: Optional post-training neuron labels (v1 parity).
     neuron_labels: Optional[np.ndarray] = None
@@ -102,11 +97,7 @@ class TrainingRunState:
             normalizer_images_seen=(
                 normalizer._images_seen if normalizer is not None else 0
             ),
-            total_steps=log.total_steps,
             simulated_ms=log.simulated_ms,
-            normalizations=log.normalizations,
-            raster_cells=log.raster_cells,
-            raster_active_cells=log.raster_active_cells,
             spikes_per_image=list(log.spikes_per_image),
             extra=dict(extra) if extra else {},
         )
@@ -124,11 +115,7 @@ class TrainingRunState:
             "n_images": self.n_images,
             "t_ms": self.t_ms,
             "normalizer_images_seen": self.normalizer_images_seen,
-            "total_steps": self.total_steps,
             "simulated_ms": self.simulated_ms,
-            "normalizations": self.normalizations,
-            "raster_cells": self.raster_cells,
-            "raster_active_cells": self.raster_active_cells,
             "extra": self.extra,
         }
 
@@ -168,11 +155,7 @@ class TrainingRunState:
                 n_images=int(run["n_images"]),
                 t_ms=float(run["t_ms"]),
                 normalizer_images_seen=int(run["normalizer_images_seen"]),
-                total_steps=int(run["total_steps"]),
                 simulated_ms=float(run["simulated_ms"]),
-                normalizations=int(run["normalizations"]),
-                raster_cells=int(run["raster_cells"]),
-                raster_active_cells=int(run["raster_active_cells"]),
                 spikes_per_image=[int(s) for s in spikes_per_image],
                 neuron_labels=neuron_labels,
                 extra=dict(run.get("extra", {})),
@@ -191,11 +174,7 @@ class TrainingRunState:
         """A :class:`TrainingLog` primed with the counters at the boundary."""
         log = TrainingLog(
             images_seen=self.presentation_index,
-            total_steps=self.total_steps,
             simulated_ms=self.simulated_ms,
-            normalizations=self.normalizations,
-            raster_cells=self.raster_cells,
-            raster_active_cells=self.raster_active_cells,
         )
         log.spikes_per_image = list(self.spikes_per_image)
         return log
@@ -237,9 +216,9 @@ class TrainingRunState:
         if normalizer is not None:
             normalizer._images_seen = self.normalizer_images_seen
 
-    def build_network(self, ltd_mode: LTDMode = LTDMode.POST_EVENT) -> WTANetwork:
+    def build_network(self) -> WTANetwork:
         """A fresh network carrying this state (the resume entry point)."""
-        network = WTANetwork(self.config, self.n_pixels, ltd_mode=ltd_mode)
+        network = WTANetwork(self.config, self.n_pixels)
         self.restore_into(network)
         return network
 

@@ -1,8 +1,12 @@
 """Tests for network checkpointing."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config.parameters import LTDMode
 from repro.config.presets import get_preset
 from repro.errors import CheckpointError, DatasetError
 from repro.io.checkpoint import (
@@ -64,6 +68,39 @@ class TestRoundTrip:
         save_checkpoint(path, net)
         restored, _ = load_checkpoint(path)
         assert np.array_equal(restored.conductances, net.conductances)
+
+    @pytest.mark.parametrize("ltd_mode", [LTDMode.PAIR, LTDMode.BOTH], ids=lambda m: m.value)
+    def test_ltd_mode_survives_save_and_load(self, tmp_path, tiny_config, ltd_mode):
+        """The LTD schedule lives in the config, so a reloaded PAIR or BOTH
+        network learns with its own schedule, not the POST_EVENT default."""
+        cfg = replace(
+            tiny_config,
+            stochastic_stdp=replace(tiny_config.stochastic_stdp, ltd_mode=ltd_mode),
+        )
+        net = WTANetwork(cfg, 64)
+        assert net.rule.ltd_mode is ltd_mode
+        path = tmp_path / "ltd.npz"
+        save_checkpoint(path, net)
+        restored, _ = load_checkpoint(path)
+        assert restored.config == cfg
+        assert restored.rule.ltd_mode is ltd_mode
+
+    def test_checkpoint_without_ltd_mode_loads_as_post_event(self, tmp_path, trained):
+        """A checkpoint whose stored config predates the ``ltd_mode`` field
+        loads with the POST_EVENT schedule every such network learned with."""
+        path = tmp_path / "old.npz"
+        save_checkpoint(path, trained)
+        with np.load(path, allow_pickle=False) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        config = json.loads(str(payload["config_json"]))
+        del config["stochastic_stdp"]["ltd_mode"]
+        payload["config_json"] = np.array(json.dumps(config))
+        np.savez(path, **payload)
+
+        restored, _ = load_checkpoint(path)
+        assert restored.config == trained.config
+        assert restored.rule.ltd_mode is LTDMode.POST_EVENT
+        assert np.array_equal(restored.conductances, trained.conductances)
 
 
 class TestValidation:

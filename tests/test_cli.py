@@ -185,6 +185,36 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "anchor, offset, mask",
+        [
+            pytest.param(b"{'descr'", 0, 0x01, id="tokenize-error"),  # '{' -> 'z'
+            pytest.param(b"'descr': '<", 10, 0x10, id="syntax-error"),  # '<' -> ','
+        ],
+    )
+    @pytest.mark.parametrize("command", ["info", "resume", "evaluate"])
+    def test_damaged_npy_header_is_one_error_line(
+        self, capsys, tmp_path, command, anchor, offset, mask
+    ):
+        """numpy reads an npy header as a Python literal; a flipped byte in
+        the config member's header reaches each checkpoint reader as one
+        ``error:`` line and exit 1, not a traceback."""
+        net = WTANetwork(get_preset("float32", n_neurons=6, seed=2), 16)
+        state = TrainingRunState.capture(
+            net, TrainingLog(), t_ms=110.0, presentation_index=2, epochs=2, n_images=3
+        )
+        path = tmp_path / "run.npz"
+        checkpoint.save_run_checkpoint(path, state)
+        data = bytearray(path.read_bytes())
+        data[data.index(anchor, data.index(b"config_json.npy")) + offset] ^= mask
+        path.write_bytes(bytes(data))
+
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "truncated or corrupt" in err
+        assert err.count("\n") == 1
+
 
 class TestEngines:
     _TINY = ["run", "--n-train", "6", "--n-test", "12", "--n-labeling", "4",

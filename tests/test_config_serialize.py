@@ -2,9 +2,12 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.config.parameters import (
     ExperimentConfig,
     LIFParameters,
+    LTDMode,
     QuantizationConfig,
     RoundingMode,
     STDPKind,
@@ -108,3 +111,26 @@ class TestEngineConfigSerialization:
         restored = config_from_dict(data)
         assert restored.engine.train == "fused"
         assert restored.engine.eval == "fused"
+
+
+class TestLTDModeSerialization:
+    def test_ltd_mode_round_trips(self):
+        cfg = get_preset("float32", n_neurons=5)
+        cfg = replace(
+            cfg, stochastic_stdp=replace(cfg.stochastic_stdp, ltd_mode=LTDMode.PAIR)
+        )
+        data = config_to_dict(cfg)
+        assert data["stochastic_stdp"]["ltd_mode"] == {"__enum__": "LTDMode", "value": "pair"}
+        assert config_from_dict(data) == cfg
+
+    def test_payload_without_ltd_mode_loads_as_post_event(self):
+        data = config_to_dict(get_preset("float32", n_neurons=5))
+        del data["stochastic_stdp"]["ltd_mode"]
+        restored = config_from_dict(data)
+        assert restored.stochastic_stdp.ltd_mode is LTDMode.POST_EVENT
+
+    def test_ltd_mode_must_be_an_enum_member(self):
+        from repro.config.parameters import StochasticSTDPParameters
+
+        with pytest.raises(ConfigurationError, match="ltd_mode"):
+            StochasticSTDPParameters(ltd_mode="pair")

@@ -19,6 +19,7 @@ import pytest
 from repro.config.parameters import QuantizationConfig, RoundingMode, STDPKind
 from repro.config.presets import get_preset
 from repro.encoding.events import sparsify
+from repro.encoding.rate import make_encoder
 from repro.engine.event_train import EventPresentation
 from repro.engine.presentation import ReferenceEngine
 from repro.errors import ConfigurationError, SimulationError
@@ -28,17 +29,16 @@ from repro.pipeline.evaluator import Evaluator
 from repro.pipeline.trainer import UnsupervisedTrainer
 
 
-def _train(config, images, engine, **net_kwargs):
-    net = WTANetwork(config, n_pixels=images[0].size, **net_kwargs)
+def _train(config, images, engine):
+    net = WTANetwork(config, n_pixels=images[0].size)
     log = UnsupervisedTrainer(net).train(images, engine=engine)
     return net, log
 
 
-def _assert_bit_identical(config, images, **net_kwargs):
-    net_ref, log_ref = _train(config, images, engine="reference", **net_kwargs)
-    net_evt, log_evt = _train(config, images, engine="fused", **net_kwargs)
+def _assert_bit_identical(config, images):
+    net_ref, log_ref = _train(config, images, engine="reference")
+    net_evt, log_evt = _train(config, images, engine="fused")
     assert log_ref.spikes_per_image == log_evt.spikes_per_image
-    assert log_ref.total_steps == log_evt.total_steps
     assert np.array_equal(net_ref.conductances, net_evt.conductances)
     assert np.array_equal(net_ref.neurons.theta, net_evt.neurons.theta)
     # Exported timer state must match what per-step decrements left behind
@@ -83,7 +83,11 @@ class TestSpikeTrajectoryEquivalence:
         """PAIR/BOTH consume learning RNG at pre-event steps — the engine
         must invoke the fallback rule at every input event, not just at
         output spikes."""
-        _assert_bit_identical(tiny_config, small_images, ltd_mode=ltd_mode)
+        cfg = replace(
+            tiny_config,
+            stochastic_stdp=replace(tiny_config.stochastic_stdp, ltd_mode=ltd_mode),
+        )
+        _assert_bit_identical(cfg, small_images)
 
     def test_fast_adaptive_threshold(self, tiny_config, small_images):
         """A strongly adaptive threshold (fast decay, large increment)
@@ -188,31 +192,20 @@ class TestQuietInput:
             assert spikes == 0
             assert t_end == 100.0
             state = (net.neurons.v, net._current, net.neurons.theta, net.conductances)
-            results.append((kernel, [np.array(a, copy=True) for a in state]))
-        (_, reference), (event_kernel, event) = results
+            results.append([np.array(a, copy=True) for a in state])
+        reference, event = results
         for r, e in zip(reference, event):
             assert np.array_equal(r, e)
-        assert event_kernel.occupancy.raster_cells == 2 * 50 * silent.size
-        # Every recorded input event came from the first image, whose
-        # output spikes left thetas for the silent steps to decay.
-        assert 0 < event_kernel.occupancy.raster_active_cells
+        # The silent image encodes to an empty raster, while the first
+        # image's output spikes left thetas for the silent steps to decay.
+        encoder = make_encoder(cfg.encoding, silent.size)
+        encoder.set_image(silent)
+        raster = encoder.generate_train(50, 1.0, np.random.default_rng(0))
+        assert sparsify(raster).n_events == 0
         assert reference[2].any()
 
 
-class TestTrainingLogCounters:
-    def test_event_engine_populates_counters(self, tiny_config, small_images):
-        """The gather kernel behind ``fused`` counts its input raster."""
-        _, log = _train(tiny_config, small_images, engine="fused")
-        assert log.raster_cells == log.total_steps * small_images[0].size
-        assert 0 < log.raster_active_cells < log.raster_cells
-        assert 0.0 < log.raster_occupancy < 1.0
-
-    @pytest.mark.parametrize("engine", ["reference"])
-    def test_dense_engines_report_zero(self, tiny_config, small_images, engine):
-        _, log = _train(tiny_config, small_images, engine=engine)
-        assert log.raster_cells == 0
-        assert log.raster_occupancy == 0.0
-
+class TestEngineResolution:
     def test_unknown_engine_rejected(self, tiny_config, small_images):
         net = WTANetwork(tiny_config, n_pixels=small_images[0].size)
         with pytest.raises(ConfigurationError):

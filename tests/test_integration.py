@@ -54,9 +54,9 @@ class TestEndToEndLearning:
         assert g.max() <= 15 / 16 + 1e-9
 
     def test_pair_ltd_mode_runs(self, mnist_small):
-        result = run_experiment(
-            scaled_config(t_learn_ms=150.0), mnist_small, n_labeling=20, ltd_mode=LTDMode.PAIR
-        )
+        cfg = scaled_config(t_learn_ms=150.0)
+        cfg = replace(cfg, stochastic_stdp=replace(cfg.stochastic_stdp, ltd_mode=LTDMode.PAIR))
+        result = run_experiment(cfg, mnist_small, n_labeling=20)
         assert 0.0 <= result.accuracy <= 1.0
 
     def test_same_seed_reproduces_accuracy(self, mnist_small):

@@ -4,9 +4,19 @@ import sys
 from pathlib import Path
 
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "scripts"))
 
 import make_report  # noqa: E402
+
+
+def test_section_order_names_exactly_the_committed_results():
+    """Every committed bench result has a titled section, and no section
+    names a result that is gone."""
+    names = [name for name, _ in make_report.SECTION_ORDER]
+    committed = {path.stem for path in (REPO / "benchmarks" / "results").glob("*.md")}
+    assert len(names) == len(set(names))
+    assert set(names) == committed
 
 
 class TestBuildReport:

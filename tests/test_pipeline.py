@@ -21,7 +21,6 @@ class TestTrainer:
         trainer = UnsupervisedTrainer(net)
         log = trainer.train(tiny_dataset.train_images[:4])
         assert log.images_seen == 4
-        assert log.total_steps == 4 * tiny_config.simulation.steps_per_image
         assert log.simulated_ms == pytest.approx(4 * (50.0 + 5.0))
         assert len(log.spikes_per_image) == 4
         assert log.wall_seconds > 0
@@ -46,10 +45,27 @@ class TestTrainer:
         assert seen == [0, 1, 2]
 
     def test_normalizer_invoked(self, tiny_config, tiny_dataset):
-        net = WTANetwork(tiny_config, 64)
+        """Normalisation runs at every image boundary: each boundary leaves
+        every column summing to the normaliser's target, which training
+        alone does not."""
+
+        def column_sums(normalizer):
+            net = WTANetwork(tiny_config, 64)
+            sums = []
+            UnsupervisedTrainer(net, normalizer=normalizer).train(
+                tiny_dataset.train_images[:3],
+                on_image_end=lambda _i, _log: sums.append(net.conductances.sum(axis=0)),
+            )
+            return net, sums
+
         norm = WeightNormalizer(period_images=1)
-        log = UnsupervisedTrainer(net, normalizer=norm).train(tiny_dataset.train_images[:3])
-        assert log.normalizations == 3
+        net, sums = column_sums(norm)
+        target = norm.target_sum(net.synapses)
+        assert len(sums) == 3
+        for boundary in sums:
+            np.testing.assert_allclose(boundary, target, rtol=1e-12)
+        _, unnormalised = column_sums(WeightNormalizer(enabled=False))
+        assert not np.allclose(unnormalised[-1], target, rtol=1e-6)
 
     def test_weights_change_during_training(self, tiny_config, tiny_dataset):
         net = WTANetwork(tiny_config, 64)

@@ -181,7 +181,10 @@ class TestValidation:
 
     def test_pair_ltd_rejected(self, tiny_config, small_images):
         config = _quantized(tiny_config)
-        net = WTANetwork(config, small_images[0].size, ltd_mode=LTDMode.PAIR)
+        config = replace(
+            config, stochastic_stdp=replace(config.stochastic_stdp, ltd_mode=LTDMode.PAIR)
+        )
+        net = WTANetwork(config, small_images[0].size)
         with pytest.raises(ConfigurationError, match="pair-LTD"):
             create_training_engine("qfused", net)
 

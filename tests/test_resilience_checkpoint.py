@@ -50,7 +50,7 @@ class TestV2RoundTrip:
         assert loaded.n_images == 6
         assert loaded.t_ms == run_state.t_ms
         assert loaded.normalizer_images_seen == run_state.normalizer_images_seen
-        assert loaded.total_steps == run_state.total_steps
+        assert loaded.simulated_ms == run_state.simulated_ms
         assert loaded.spikes_per_image == run_state.spikes_per_image
         assert loaded.extra == {"dataset": "mnist", "n_train": 6}
         assert loaded.source == str(path)
@@ -81,7 +81,7 @@ class TestV2RoundTrip:
     def test_to_log_restores_counters(self, run_state):
         log = run_state.to_log()
         assert log.images_seen == 6
-        assert log.total_steps == run_state.total_steps
+        assert log.simulated_ms == run_state.simulated_ms
         assert log.spikes_per_image == run_state.spikes_per_image
 
 
@@ -239,6 +239,26 @@ class TestRejection:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="truncated or corrupt"):
             load_run_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "anchor, offset, mask",
+        [
+            pytest.param(b"{'descr'", 0, 0x01, id="tokenize-error"),  # '{' -> 'z'
+            pytest.param(b"'descr': '<", 10, 0x10, id="syntax-error"),  # '<' -> ','
+        ],
+    )
+    def test_damaged_npy_header_literal(self, tmp_path, run_state, anchor, offset, mask):
+        """numpy reads a member's npy header as a Python literal, so one
+        flipped byte there raises tokenize.TokenError or SyntaxError; the
+        loader reports a corrupt archive either way."""
+        for load in (load_run_checkpoint, load_checkpoint):
+            path = tmp_path / "run.npz"
+            save_run_checkpoint(path, run_state)
+            data = bytearray(path.read_bytes())
+            data[data.index(anchor, data.index(b"config_json.npy")) + offset] ^= mask
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match="truncated or corrupt"):
+                load(path)
 
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "future.npz"

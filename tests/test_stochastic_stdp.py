@@ -81,8 +81,10 @@ class TestEventGating:
 
 class TestLTDModes:
     def test_pair_mode_depresses_on_post_then_pre(self):
-        params = StochasticSTDPParameters(gamma_pot=0.001, gamma_dep=1.0, tau_dep_ms=1e9)
-        rule = StochasticSTDP(params, ltd_mode=LTDMode.PAIR)
+        params = StochasticSTDPParameters(
+            gamma_pot=0.001, gamma_dep=1.0, tau_dep_ms=1e9, ltd_mode=LTDMode.PAIR
+        )
+        rule = StochasticSTDP(params)
         g, timers, rng = setup()
         timers.record_post(np.array([True, False]), 10.0)
         before = g.g.copy()
@@ -93,8 +95,8 @@ class TestLTDModes:
         assert g.g[0, 1] == before[0, 1]  # post 1 never fired -> P_dep = 0
 
     def test_pair_mode_skips_post_event_depression(self):
-        params = StochasticSTDPParameters(gamma_pot=0.001, gamma_dep=1.0)
-        rule = StochasticSTDP(params, ltd_mode=LTDMode.PAIR)
+        params = StochasticSTDPParameters(gamma_pot=0.001, gamma_dep=1.0, ltd_mode=LTDMode.PAIR)
+        rule = StochasticSTDP(params)
         g, timers, rng = setup()
         before = g.g.copy()
         # Post spike with silent afferents: POST_EVENT would depress, PAIR not.
@@ -102,8 +104,10 @@ class TestLTDModes:
         assert np.array_equal(g.g, before)
 
     def test_both_mode_runs_both(self):
-        params = StochasticSTDPParameters(gamma_pot=0.001, gamma_dep=1.0, tau_dep_ms=1e9)
-        rule = StochasticSTDP(params, ltd_mode=LTDMode.BOTH)
+        params = StochasticSTDPParameters(
+            gamma_pot=0.001, gamma_dep=1.0, tau_dep_ms=1e9, ltd_mode=LTDMode.BOTH
+        )
+        rule = StochasticSTDP(params)
         g, timers, rng = setup()
         timers.record_post(np.array([True, True]), 10.0)
         before = g.g.copy()
